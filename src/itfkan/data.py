@@ -64,6 +64,7 @@ def ingest_csv(path, name=None, frequency="hourly"):
             raise ValueError(f"{path}: need a timestamp column plus variates")
         variate_names = [h.strip() for h in header[1:]]
         rows = []
+        linenos = []
         for lineno, row in enumerate(reader, start=2):
             if not row:
                 continue
@@ -82,9 +83,17 @@ def ingest_csv(path, name=None, frequency="hourly"):
                         f"non-numeric value {cell!r}"
                     ) from None
             rows.append(parsed)
+            linenos.append(lineno)
     if not rows:
         raise ValueError(f"{path}: no data rows")
     values = np.asarray(rows, dtype=np.float64)
+    finite = np.isfinite(values)
+    if not finite.all():
+        r, c = np.argwhere(~finite)[0]
+        raise ValueError(
+            f"{path}: row {linenos[r]}, column {variate_names[c]!r}: "
+            f"non-finite value {float(values[r, c])}"
+        )
     stem = name
     if stem is None:
         stem = path.rsplit("/", 1)[-1]

@@ -13,7 +13,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .checkpoint import load_checkpoint, save_checkpoint
+from .checkpoint import CheckpointError, load_checkpoint, save_checkpoint
 from .decomposition import Embedding, moving_average_decompose
 from .optim import Adam
 from .taylorkan import build_seasonal_kan, build_trend_kan
@@ -76,6 +76,10 @@ class EpochStats(NamedTuple):
     total: float
 
 
+class NonFiniteError(FloatingPointError):
+    """Training produced a non-finite loss or gradient."""
+
+
 class ForecastModel:
     def __init__(self, config, frequencies, seed=0):
         if len(frequencies) != config.top_k:
@@ -113,13 +117,14 @@ class ForecastModel:
         n, length = x.shape
         if length != cfg.lookback:
             raise ValueError(f"expected lookback {cfg.lookback}, got {length}")
-        embedded = self.embed(x)
-        trend, seasonal, _ = moving_average_decompose(embedded, cfg.kernel)
+        trend, seasonal, _ = moving_average_decompose(self.embed(x), cfg.kernel)
+        # the time-frequency branch runs first so that, without a tape, its
+        # large grid is freed before the time-axis KANs allocate theirs
+        grid = tf_expand(dft_patches(self.patcher(seasonal)))
+        h_tf = self.unpatcher(self.tf_kans(grid, probe=probe))
+        del grid
         h_trend = self._along_time(self.trend_kan, trend, probe, "trend")
         h_seasonal = self._along_time(self.seasonal_kan, seasonal, probe, "seasonal")
-        patched = self.patcher(seasonal)
-        grid = tf_expand(dft_patches(patched))
-        h_tf = self.unpatcher(self.tf_kans(grid, probe=probe))
         h = h_trend + h_seasonal + h_tf
         collapsed = reshape(matmul(h, self.head_w1) + self.head_b1, (n, length))
         return matmul(collapsed, self.head_w2) + self.head_b2
@@ -168,17 +173,19 @@ class ForecastModel:
         kwargs = {}
         for f in fields(ModelConfig):
             if f.name not in raw_config:
-                raise ValueError(f"checkpoint missing config key {f.name}")
+                raise CheckpointError(f"{path}: checkpoint missing config key {f.name}")
             caster = float if f.type in (float, "float") else int
             kwargs[f.name] = caster(raw_config[f.name])
         config = ModelConfig(**kwargs)
+        if "frequencies" not in tensors:
+            raise CheckpointError(f"{path}: checkpoint missing tensor frequencies")
         model = cls(config, tensors["frequencies"], seed=0)
         for name, t in model.parameters():
             if name not in tensors:
-                raise ValueError(f"checkpoint missing tensor {name}")
+                raise CheckpointError(f"{path}: checkpoint missing tensor {name}")
             if tensors[name].shape != t.data.shape:
-                raise ValueError(
-                    f"tensor {name}: checkpoint shape {tensors[name].shape} "
+                raise CheckpointError(
+                    f"{path}: tensor {name}: checkpoint shape {tensors[name].shape} "
                     f"!= model shape {t.data.shape}"
                 )
             t.data[...] = tensors[name]
@@ -230,6 +237,34 @@ def _batched_pred_loss(model, inputs, targets, batch_size, task):
     return total / count
 
 
+def _check_finite(params, loss, epoch, batch):
+    """Raise NonFiniteError if the loss or any gradient is not finite.
+
+    The error names the epoch, the batch and the first bad parameter: the
+    first whose value is non-finite (the likely source), else the first
+    whose gradient is.
+    """
+    bad_grad = next(
+        (name for name, t in params
+         if t.grad is not None and not np.isfinite(t.grad).all()),
+        None,
+    )
+    if np.isfinite(loss) and bad_grad is None:
+        return
+    bad_value = next(
+        (name for name, t in params if not np.isfinite(t.data).all()), None
+    )
+    if bad_value is not None:
+        culprit = f"first non-finite parameter: {bad_value}"
+    elif bad_grad is not None:
+        culprit = f"first non-finite gradient: {bad_grad}"
+    else:
+        culprit = "all parameters and gradients finite"
+    raise NonFiniteError(
+        f"training diverged at epoch {epoch}, batch {batch}: loss {loss}; {culprit}"
+    )
+
+
 def train(model, train_inputs, train_targets, val_inputs, val_targets,
           task="long", seed=0, log=None):
     """Adam with early stopping on the validation prediction loss.
@@ -264,6 +299,7 @@ def train(model, train_inputs, train_targets, val_inputs, val_targets,
                 cfg.reg_lambda, task,
             )
             backward(loss)
+            _check_finite(params, bd.total, epoch, batches)
             opt.step()
             pred_sum += bd.pred
             reg_sum += bd.reg_trend + bd.reg_seasonal + bd.reg_tf

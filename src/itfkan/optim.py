@@ -1,8 +1,17 @@
-"""Adam with bias correction, backed by the kernel module."""
+"""Adam with bias correction."""
 
 import numpy as np
 
-from . import kernels
+
+def adam_update(param, grad, m, v, step, lr, beta1, beta2, eps):
+    """One bias-corrected Adam update of ``param``, in place on param/m/v."""
+    bc1 = 1.0 - beta1 ** step
+    bc2 = 1.0 - beta2 ** step
+    m *= beta1
+    m += (1.0 - beta1) * grad
+    v *= beta2
+    v += (1.0 - beta2) * grad * grad
+    param -= lr * (m / bc1) / (np.sqrt(v / bc2) + eps)
 
 
 class Adam:
@@ -28,7 +37,7 @@ class Adam:
                 raise ValueError(f"parameter {i} has no gradient; run backward first")
         self.step_count += 1
         for p, m, v in zip(self.params, self.m, self.v):
-            kernels.adam_step(
+            adam_update(
                 p.data, p.grad, m, v, self.step_count,
                 self.lr, self.beta1, self.beta2, self.eps,
             )

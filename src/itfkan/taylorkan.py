@@ -13,17 +13,14 @@ Layers map the temporal axis (size L) to itself; leading axes are batch.
 
 import numpy as np
 
-from . import kernels
 from .tensor import (
     Tensor,
     concat,
-    cos,
-    matmul,
-    pow_int,
-    silu,
-    sin,
+    fourier_inject,
+    poly_inject,
+    sigmoid,
     sum_axis,
-    transpose2d,
+    taylor_kan,
 )
 
 TAYLOR_ORDER = 2  # quadratic expansion per edge activation
@@ -41,7 +38,7 @@ class TaylorEdge:
     def __call__(self, x):
         x = np.asarray(x, dtype=np.float64)
         poly = self.a[0] + self.a[1] * x + self.a[2] * x * x
-        return self.w * (kernels.silu(x) + poly)
+        return self.w * (x * sigmoid(x) + poly)
 
     def l2_norm(self):
         return float((self.a[1] ** 2 + self.a[2] ** 2) / TAYLOR_ORDER)
@@ -190,27 +187,13 @@ class TaylorKanLayer:
             raise ValueError(
                 f"layer expects last axis {self.in_dim}, got {x.shape[-1]}"
             )
-        base = matmul(silu(x), transpose2d(self.w))
-        lin = matmul(x, transpose2d(self.w * self.a1))
-        quad = matmul(pow_int(x, 2), transpose2d(self.w * self.a2))
-        const = sum_axis(self.w * self.a0, axis=1)
-        out = base + lin + quad + const
-        if self.inject_kind is None:
-            return out
-        return concat([self._inject_forward(x), out], axis=-1)
-
-    def _inject_forward(self, x):
+        out = taylor_kan(x, self.w, self.a0, self.a1, self.a2)
         if self.inject_kind == "trend":
-            acc = matmul(x, self.poly_coeffs[1])
-            for k in range(2, len(self.poly_coeffs)):
-                acc = acc + matmul(pow_int(x, k), self.poly_coeffs[k])
-            return acc + sum_axis(self.poly_coeffs[0], axis=0)
-        acc = None
-        for k, f in enumerate(self.freqs):
-            ang = x * (f * np.pi)
-            term = matmul(cos(ang), self.four_a[k + 1]) + matmul(sin(ang), self.four_b[k])
-            acc = term if acc is None else acc + term
-        return acc + sum_axis(self.four_a[0], axis=0) * 0.5
+            return concat([poly_inject(x, self.poly_coeffs), out], axis=-1)
+        if self.inject_kind == "fourier":
+            injected = fourier_inject(x, self.freqs, self.four_a, self.four_b)
+            return concat([injected, out], axis=-1)
+        return out
 
     def reg_loss(self):
         """Differentiable sum of per-edge L2 norms over the whole grid."""
@@ -292,7 +275,9 @@ class KanNetwork:
         into ``probe`` keyed by (tag, layer index), for calibration."""
         for idx, layer in enumerate(self.layers):
             if probe is not None:
-                _record_range(probe, (tag, idx), x.data, layer.in_dim)
+                leading = tuple(range(x.ndim - 1))
+                lo, hi = x.data.min(axis=leading), x.data.max(axis=leading)
+                merge_range(probe, (tag, idx), lo, hi)
             x = layer.forward(x)
         return x
 
@@ -319,10 +304,8 @@ class KanNetwork:
         return params
 
 
-def _record_range(probe, key, data, width):
-    flat = data.reshape(-1, width)
-    lo = flat.min(axis=0)
-    hi = flat.max(axis=0)
+def merge_range(probe, key, lo, hi):
+    """Widen probe[key] (a (lo, hi) pair of arrays) to cover lo..hi."""
     if key in probe:
         old_lo, old_hi = probe[key]
         probe[key] = (np.minimum(old_lo, lo), np.maximum(old_hi, hi))

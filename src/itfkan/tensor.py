@@ -17,8 +17,6 @@ import threading
 
 import numpy as np
 
-from . import kernels
-
 
 class ShapeError(ValueError):
     """Operand shapes do not conform for an op."""
@@ -36,6 +34,11 @@ _state = threading.local()
 
 def is_recording():
     return getattr(_state, "grad_enabled", True)
+
+
+def _records(parents):
+    """Whether an op over ``parents`` goes on the tape."""
+    return is_recording() and any(p.requires_grad for p in parents)
 
 
 class no_grad:
@@ -71,7 +74,7 @@ class Tensor:
     @classmethod
     def _from_op(cls, data, op, parents, backward):
         out = cls(data)
-        if is_recording() and any(p.requires_grad for p in parents):
+        if _records(parents):
             out.requires_grad = True
             out.op = op
             out.parents = tuple(parents)
@@ -331,11 +334,25 @@ def abs_(a):
     return Tensor._from_op(np.abs(a.data), "abs", (a,), bw)
 
 
-def silu(a):
-    def bw(g):
-        return (kernels.silu_grad(a.data, g),)
+def sigmoid(x):
+    """Elementwise 1 / (1 + exp(-x)) of a float64 array, in one buffer.
 
-    return Tensor._from_op(kernels.silu(a.data), "silu", (a,), bw)
+    A plain-array helper, not a tape op; the result is row-major whatever
+    x's layout.
+    """
+    s = np.negative(x, out=np.empty(np.shape(x)))
+    np.exp(s, out=s)
+    s += 1.0
+    return np.divide(1.0, s, out=s)
+
+
+def silu(a):
+    s = sigmoid(a.data)
+
+    def bw(g):
+        return (g * (s * (1.0 + a.data * (1.0 - s))),)
+
+    return Tensor._from_op(a.data * s, "silu", (a,), bw)
 
 
 def atan2(y, x):
@@ -483,6 +500,252 @@ def matmul(a, b):
         return ga, gb
 
     return Tensor._from_op(out, "matmul", (a, b), bw)
+
+
+# --- fused KAN ops ----------------------------------------------------------
+#
+# Each op below does the work of a chain of the primitives above in one tape
+# node with a hand-written backward. The forward arithmetic is the same with
+# and without the tape; only what the backward closure keeps (sigmoids,
+# powers, sin/cos) depends on whether the op is recorded, so a no-grad
+# forward holds no extra buffers. Outputs agree with the primitive chains to
+# rounding (the test suite keeps those chains as oracles).
+#
+# Inputs may be transposed views (the time-axis KANs see a permuted
+# (N, d, L) grid). They are read in place; every intermediate is written
+# row-major, so it enters its GEMM as one 2-D (rows, last axis) matrix.
+
+def _rows(a):
+    """a viewed as a 2-D (rows, last axis) array; copies only if it must."""
+    return a.reshape(-1, a.shape[-1])
+
+
+def _mm(a, b):
+    """a @ b over the last axis of a, for 2-D b: one GEMM when a is
+    row-major, a batched matmul over a's strides otherwise (no copy)."""
+    if a.flags.c_contiguous:
+        return (_rows(a) @ b).reshape(a.shape[:-1] + (b.shape[1],))
+    return a @ b
+
+
+def taylor_kan(x, w, a0, a1, a2):
+    """Adjustable Taylor-KAN block along the last axis of x.
+
+    out[..., j] = sum_i w[j, i] * (silu(x_i) + a0[j, i] + a1[j, i] x_i
+    + a2[j, i] x_i^2), with w and the a's of shape (out, in). Forward
+    evaluates the sigmoid once; backward reuses it and takes the weight
+    gradients from one batched GEMM over the stacked basis [silu(x), x, x^2]
+    and the input gradient from one batched GEMM with the stacked effective
+    weights [w, w*a1, 2*w*a2].
+    """
+    if (
+        w.ndim != 2
+        or not w.shape == a0.shape == a1.shape == a2.shape
+        or x.ndim < 1
+        or x.shape[-1] != w.shape[1]
+    ):
+        raise ShapeError("taylor_kan", x.shape, w.shape, a0.shape, a1.shape, a2.shape)
+    parents = (x, w, a0, a1, a2)
+    keep = _records(parents)
+    xd, wd = x.data, w.data
+    lead, n_in = xd.shape[:-1], wd.shape[1]
+    wa1 = wd * a1.data
+    wa2 = wd * a2.data
+    s = sigmoid(xd)
+    # basis scratch; it may overwrite s when backward will not need it
+    buf = np.empty_like(s) if keep else s
+    out = _mm(np.multiply(s, xd, out=buf), wd.T)
+    out += _mm(xd, wa1.T)
+    out += _mm(np.square(xd, out=buf), wa2.T)
+    out += (wd * a0.data).sum(axis=1)
+
+    def bw(g):
+        g2 = _rows(g)
+        basis = np.empty((3,) + lead + (n_in,))
+        silu_x, xc, sq = basis
+        xc[...] = xd
+        np.multiply(s, xc, out=silu_x)
+        np.square(xc, out=sq)
+        c_silu, c_lin, c_quad = g2.T @ basis.reshape(3, g2.shape[0], n_in)
+        g_sum = g2.sum(axis=0)[:, None]
+        gw = c_silu + c_lin * a1.data + c_quad * a2.data + g_sum * a0.data
+        back = (g2 @ np.stack([wd, wa1, 2.0 * wa2])).reshape(basis.shape)
+        # silu'(x) = s + silu(x) * (1 - s)
+        gx = 1.0 - s
+        gx *= silu_x
+        gx += s
+        gx *= back[0]
+        gx += back[1]
+        gx += np.multiply(back[2], xc, out=sq)
+        return gx, gw, g_sum * wd, c_lin * wd, c_quad * wd
+
+    return Tensor._from_op(out, "taylor_kan", parents, bw)
+
+
+def poly_inject(x, coeffs):
+    """Polynomial prior edges along the last axis of x.
+
+    out = sum_{k>=1} x^k @ coeffs[k] + coeffs[0].sum(axis=0), with every
+    coefficient tensor (in, r). Powers are built by repeated products once;
+    backward reuses them.
+    """
+    coeffs = tuple(coeffs)
+    if (
+        len(coeffs) < 2
+        or any(c.ndim != 2 or c.shape != coeffs[0].shape for c in coeffs)
+        or x.ndim < 1
+        or x.shape[-1] != coeffs[0].shape[0]
+    ):
+        raise ShapeError("poly_inject", x.shape, *(c.shape for c in coeffs))
+    parents = (x,) + coeffs
+    keep = _records(parents)
+    xd = x.data
+    out = _mm(xd, coeffs[1].data)
+    powers = [xd]
+    power = xd
+    for c in coeffs[2:]:
+        power = np.multiply(power, xd, order="C")
+        out += _mm(power, c.data)
+        if keep:
+            powers.append(power)
+    out += coeffs[0].data.sum(axis=0)
+
+    def bw(g):
+        g2 = _rows(g)
+        grads = [np.broadcast_to(g2.sum(axis=0), coeffs[0].shape)]
+        gx = g2 @ coeffs[1].data.T
+        for k, (c, pk) in enumerate(zip(coeffs[1:], powers), start=1):
+            grads.append(_rows(pk).T @ g2)
+            if k > 1:
+                slope = g2 @ c.data.T
+                slope *= _rows(powers[k - 2])
+                slope *= k
+                gx += slope
+        return (gx.reshape(xd.shape),) + tuple(grads)
+
+    return Tensor._from_op(out, "poly_inject", parents, bw)
+
+
+def fourier_inject(x, freqs, cos_coeffs, sin_coeffs):
+    """Fourier prior edges along the last axis of x.
+
+    out = sum_k cos(f_k pi x) @ cos_coeffs[k+1] + sin(f_k pi x) @
+    sin_coeffs[k] + cos_coeffs[0].sum(axis=0) / 2, with every coefficient
+    tensor (in, r). Each cos/sin is evaluated once; backward reuses them.
+    """
+    freqs = np.asarray(freqs, dtype=np.float64)
+    cos_coeffs, sin_coeffs = tuple(cos_coeffs), tuple(sin_coeffs)
+    coeffs = cos_coeffs + sin_coeffs
+    if (
+        freqs.size < 1
+        or len(cos_coeffs) != freqs.size + 1
+        or len(sin_coeffs) != freqs.size
+        or any(c.ndim != 2 or c.shape != coeffs[0].shape for c in coeffs)
+        or x.ndim < 1
+        or x.shape[-1] != coeffs[0].shape[0]
+    ):
+        raise ShapeError("fourier_inject", x.shape, *(c.shape for c in coeffs))
+    parents = (x,) + coeffs
+    keep = _records(parents)
+    xd = x.data
+    out = None
+    trig = []
+    for f, ca, sb in zip(freqs, cos_coeffs[1:], sin_coeffs):
+        ang = np.multiply(xd, f * np.pi, order="C")
+        c = np.cos(ang)
+        sn = np.sin(ang, out=ang)
+        term = _mm(c, ca.data)
+        term += _mm(sn, sb.data)
+        if out is None:
+            out = term
+        else:
+            out += term
+        if keep:
+            trig.append((c, sn))
+        del ang, c, sn, term  # without a tape, free them before the next frequency
+    out += cos_coeffs[0].data.sum(axis=0) * 0.5
+
+    def bw(g):
+        g2 = _rows(g)
+        g_cos = [np.broadcast_to(g2.sum(axis=0) * 0.5, cos_coeffs[0].shape)]
+        g_sin = []
+        gx = np.zeros((g2.shape[0], xd.shape[-1]))
+        for f, (c, sn), ca, sb in zip(freqs, trig, cos_coeffs[1:], sin_coeffs):
+            c, sn = _rows(c), _rows(sn)
+            g_cos.append(c.T @ g2)
+            g_sin.append(sn.T @ g2)
+            slope = g2 @ sb.data.T
+            slope *= c
+            d_cos = g2 @ ca.data.T
+            d_cos *= sn
+            slope -= d_cos
+            slope *= f * np.pi
+            gx += slope
+        return (gx.reshape(xd.shape),) + tuple(g_cos) + tuple(g_sin)
+
+    return Tensor._from_op(out, "fourier_inject", parents, bw)
+
+
+def patch_kans(grid, params):
+    """Single-layer Taylor-KANs, one per patch, averaged over their outputs.
+
+    grid is (N, K, P, d) and params holds P tuples (w, a0, a1, a2) of
+    (K, K) tensors. Patch p maps grid[n, :, p, c] through its KAN and takes
+    the mean of the K outputs, giving out[n, p, c] (shape (N, P, d)).
+    The mean commutes with the edge sum, so each patch reduces to K-vector
+    dot products with the column means of w, w*a1 and w*a2, plus a constant.
+    The grid is read in place: no per-patch slices.
+    """
+    params = [tuple(ps) for ps in params]
+    if grid.ndim != 4 or grid.shape[2] != len(params):
+        raise ShapeError("patch_kans", grid.shape, (len(params),))
+    k_bins = grid.shape[1]
+    for ps in params:
+        if len(ps) != 4 or any(t.shape != (k_bins, k_bins) for t in ps):
+            raise ShapeError("patch_kans", grid.shape, *(t.shape for t in ps))
+    parents = (grid,) + tuple(t for ps in params for t in ps)
+    keep = _records(parents)
+    w, a0, a1, a2 = (np.stack([ps[i].data for ps in params]) for i in range(4))
+    # column means, laid out (K inputs, P patches)
+    u = w.mean(axis=1).T
+    v = (w * a1).mean(axis=1).T
+    q = (w * a2).mean(axis=1).T
+    td = grid.data
+    s = sigmoid(td)
+    # basis scratch; it may overwrite s when backward will not need it
+    buf = np.empty_like(s) if keep else s
+    out = np.einsum("nipc,ip->npc", np.multiply(s, td, out=buf), u)
+    out += np.einsum("nipc,ip->npc", td, v)
+    out += np.einsum("nipc,ip->npc", np.square(td, out=buf), q)
+    out += (w * a0).sum(axis=2).mean(axis=1)[:, None]
+
+    def bw(g):
+        silu_t = td * s
+        sq = np.square(td)
+        g_u = np.einsum("npc,nipc->pi", g, silu_t)
+        g_v = np.einsum("npc,nipc->pi", g, td)
+        g_q = np.einsum("npc,nipc->pi", g, sq)
+        g_c = g.sum(axis=(0, 2))
+        # d out / d grid = silu'(t) u + v + 2 t q, with silu' = s + silu (1 - s)
+        gt = 1.0 - s
+        gt *= silu_t
+        gt += s
+        gt *= u[:, :, None]
+        gt += np.multiply(td, 2.0 * q[:, :, None], out=sq)
+        gt += v[:, :, None]
+        gt *= g[:, None]
+        # broadcast the per-column means back over the K output rows
+        scale = 1.0 / k_bins
+        g_u, g_v, g_q = (t[:, None, :] * scale for t in (g_u, g_v, g_q))
+        g_c = g_c[:, None, None] * scale
+        gw = g_u + g_v * a1 + g_q * a2 + g_c * a0
+        ga0, ga1, ga2 = g_c * w, g_v * w, g_q * w
+        grads = [gt]
+        for p in range(len(params)):
+            grads += [gw[p], ga0[p], ga1[p], ga2[p]]
+        return tuple(grads)
+
+    return Tensor._from_op(out, "patch_kans", parents, bw)
 
 
 def gradient_check(f, x, eps=1e-5):

@@ -17,7 +17,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .taylorkan import KanNetwork, TaylorKanLayer
+from .taylorkan import KanNetwork, TaylorKanLayer, merge_range
 from .tensor import (
     Tensor,
     atan2,
@@ -25,7 +25,7 @@ from .tensor import (
     cos,
     expand_last,
     matmul,
-    mean_axis,
+    patch_kans,
     permute,
     pow_int,
     reshape,
@@ -150,7 +150,11 @@ def tf_expand(spectrum):
 
 
 class PatchKans:
-    """One single-layer KAN per patch, mixing the frequency axis."""
+    """One single-layer KAN per patch, mixing the frequency axis.
+
+    Each patch keeps its own network (parameters, pruning, reports); the
+    forward pass runs all of them as one fused op over the whole grid.
+    """
 
     def __init__(self, n_patches, k_bins, rng):
         self.n_patches = n_patches
@@ -161,19 +165,20 @@ class PatchKans:
         ]
 
     def __call__(self, tf, probe=None):
+        """(N, K, P, d) grid -> (N, P, d); optionally record each patch's
+        input ranges into ``probe`` under ("tf.p{p}", 0), for calibration."""
         n, k_bins, n_patches, d = tf.shape
         if n_patches != self.n_patches or k_bins != self.k_bins:
             raise ValueError(
                 f"grid is {k_bins}x{n_patches}, networks expect "
                 f"{self.k_bins}x{self.n_patches}"
             )
-        outputs = []
-        for p, net in enumerate(self.nets):
-            rows = reshape(tf[:, :, p : p + 1, :], (n, k_bins, d))
-            rows = permute(rows, (0, 2, 1))  # (N, d, K)
-            mixed = net.forward(rows, probe=probe, tag=f"tf.p{p}")
-            outputs.append(reshape(mean_axis(mixed, axis=-1), (n, 1, d)))
-        return concat(outputs, axis=1)  # (N, P, d)
+        if probe is not None:
+            lo, hi = tf.data.min(axis=(0, 3)), tf.data.max(axis=(0, 3))  # (K, P)
+            for p in range(n_patches):
+                merge_range(probe, (f"tf.p{p}", 0), lo[:, p], hi[:, p])
+        layers = [net.layers[0] for net in self.nets]
+        return patch_kans(tf, [(lay.w, lay.a0, lay.a1, lay.a2) for lay in layers])
 
     def reg_loss(self):
         total = self.nets[0].reg_loss()

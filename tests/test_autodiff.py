@@ -3,6 +3,7 @@ import pytest
 
 from itfkan import Adam, Graph, ShapeError, Tensor, backward, gradient_check, no_grad
 from itfkan import tensor as T
+from itfkan.optim import adam_update
 
 
 def t(data, grad=True):
@@ -27,6 +28,13 @@ def test_matmul_identity():
 
 def test_silu_at_zero():
     assert T.silu(t([0.0])).data[0] == 0.0
+
+
+def test_silu_reference_values():
+    x = np.array([0.0, 1.0, -1.0, 20.0])
+    sig = 1.0 / (1.0 + np.exp(-x))
+    np.testing.assert_allclose(T.sigmoid(x), sig, rtol=1e-15)
+    np.testing.assert_allclose(T.silu(t(x)).data, x * sig, rtol=1e-15)
 
 
 def test_values_bit_stable():
@@ -291,6 +299,16 @@ def test_adam_matches_scalar_reference():
         backward(loss)
         opt.step()
         np.testing.assert_allclose(p.data[0], trajectory[step], rtol=1e-12)
+
+
+def test_adam_updates_in_place():
+    p = np.ones(5)
+    g = np.full(5, 0.5)
+    m, v = np.zeros(5), np.zeros(5)
+    ref = p.copy()
+    adam_update(p, g, m, v, 1, 0.1, 0.9, 0.999, 1e-8)
+    assert not np.array_equal(p, ref)
+    assert np.all(m != 0.0) and np.all(v != 0.0)
 
 
 def test_adam_clears_grads():

@@ -150,7 +150,31 @@ def test_failed_train_removes_partial_artifacts(tmp_path, monkeypatch):
     assert not (out_dir / "checkpoint.itfk").exists()
 
 
+def test_train_non_finite_cell_exits_1(tmp_path, capsys):
+    data_path = tmp_path / "panel.csv"
+    write_csv(str(data_path), synthetic_series(420, 2, seed=32), ["a", "b"])
+    lines = data_path.read_text().splitlines()
+    stamp, a, _ = lines[5].split(",")
+    lines[5] = f"{stamp},{a},nan"
+    data_path.write_text("\n".join(lines) + "\n")
+    cfg_path = tmp_path / "run.cfg"
+    write_config(cfg_path, dataset=str(data_path), out=str(tmp_path / "out"))
+    assert main(["train", "--config", str(cfg_path)]) == 1
+    assert "row 6, column 'b': non-finite" in capsys.readouterr().err
+
+
 # --- eval -----------------------------------------------------------------------
+
+def test_eval_truncated_checkpoint_exits_1(workspace, capsys):
+    cfg_path, out_dir = workspace
+    assert main(["train", "--config", str(cfg_path)]) == 0
+    ckpt = out_dir / "checkpoint.itfk"
+    ckpt.write_bytes(ckpt.read_bytes()[:-5])
+    capsys.readouterr()
+    assert main(["eval", "--config", str(cfg_path), "--checkpoint", str(ckpt)]) == 1
+    err = capsys.readouterr().err
+    assert "CheckpointError" in err and "'head.b2' data at byte" in err
+
 
 def test_eval_matches_train_metrics(workspace, capsys):
     cfg_path, out_dir = workspace

@@ -49,6 +49,14 @@ def test_ingest_non_numeric_names_row_and_column(tmp_path):
         ingest_csv(str(path))
 
 
+@pytest.mark.parametrize("cell", ["nan", "inf", "-Infinity", "NaN"])
+def test_ingest_non_finite_names_row_and_column(tmp_path, cell):
+    path = tmp_path / "nonfinite.csv"
+    path.write_text(f"date,a,b\n1,1.0,2.0\n\n3,4.0,{cell}\n4,5.0,6.0\n")
+    with pytest.raises(ValueError, match=r"row 4, column 'b': non-finite"):
+        ingest_csv(str(path))
+
+
 def test_ingest_ragged_row_rejected(tmp_path):
     path = tmp_path / "ragged.csv"
     path.write_text("date,a,b\n1,1.0,2.0\n2,3.0\n")

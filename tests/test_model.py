@@ -1,15 +1,17 @@
 import numpy as np
 import pytest
 
+from itfkan.checkpoint import CheckpointError, load_checkpoint
 from itfkan.model import (
     EpochStats,
     ForecastModel,
     ModelConfig,
+    NonFiniteError,
     prediction_loss,
     total_loss,
     train,
 )
-from itfkan.tensor import Tensor
+from itfkan.tensor import Tensor, backward
 
 
 def tiny_config(**overrides):
@@ -305,6 +307,32 @@ def test_train_rejects_empty_training_set():
         train(model, empty, np.zeros((0, 1, 4)), empty, np.zeros((0, 1, 4)))
 
 
+def test_train_names_non_finite_parameter():
+    rng = np.random.default_rng(30)
+    x, y = make_windows(rng.normal(size=40), 8, 4)
+    model = tiny_model(seed=31, epochs=2)
+    model.seasonal_kan.layers[0].four_a[1].data[0, 0] = np.nan
+    with pytest.raises(NonFiniteError, match=r"epoch 0, batch 0: loss nan.*seasonal\.l0\.fa1"):
+        train(model, x, y, x, y, task="long", seed=31)
+
+
+def test_train_names_non_finite_gradient(monkeypatch):
+    rng = np.random.default_rng(32)
+    x, y = make_windows(rng.normal(size=40), 8, 4)
+    model = tiny_model(seed=33, epochs=2, batch_size=4)
+    calls = []
+
+    def poisoned_backward(loss):
+        backward(loss)
+        calls.append(None)
+        if len(calls) == 3:
+            model.trend_kan.layers[1].a2.grad[0, 0] = np.inf
+
+    monkeypatch.setattr("itfkan.model.backward", poisoned_backward)
+    with pytest.raises(NonFiniteError, match=r"epoch 0, batch 2: .*gradient: trend\.l1\.a2"):
+        train(model, x, y, x, y, task="long", seed=33)
+
+
 def test_training_restores_best_snapshot():
     rng = np.random.default_rng(21)
     series = rng.normal(size=40)
@@ -355,6 +383,32 @@ def test_checkpoint_rejects_bad_magic(tmp_path):
     path.write_bytes(b"NOPE" + b"\x00" * 16)
     with pytest.raises(ValueError):
         ForecastModel.load(str(path))
+
+
+def test_checkpoint_truncation_names_tensor_and_offset(tmp_path):
+    model = tiny_model(seed=27)
+    path = tmp_path / "model.itfk"
+    model.save(str(path))
+    raw = path.read_bytes()
+    cut = tmp_path / "cut.itfk"
+    cut.write_bytes(raw[:-3])
+    with pytest.raises(CheckpointError, match=r"tensor 'head\.b2' data at byte \d+"):
+        ForecastModel.load(str(cut))
+    for size in range(0, len(raw), 97):
+        cut.write_bytes(raw[:size])
+        with pytest.raises(CheckpointError):
+            ForecastModel.load(str(cut))
+
+
+def test_checkpoint_rejects_trailing_bytes(tmp_path):
+    model = tiny_model(seed=28)
+    path = tmp_path / "model.itfk"
+    model.save(str(path))
+    raw = path.read_bytes()
+    for tail in (b"\x01", b"\x00" * 8, b"\x00" * 24, b"\xff" * 40):
+        path.write_bytes(raw + tail)
+        with pytest.raises(CheckpointError):
+            load_checkpoint(str(path))
 
 
 def test_config_validation():

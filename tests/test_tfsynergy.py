@@ -194,6 +194,20 @@ def test_single_patch_single_bin_matches_edge():
     np.testing.assert_allclose(out.data[:, 0, :], edge(tf.data[:, 0, 0, :]), rtol=1e-12)
 
 
+def test_patchkans_records_per_patch_ranges():
+    kans = PatchKans(3, 2, np.random.default_rng(16))
+    grid = np.random.default_rng(17).normal(size=(4, 2, 3, 5))
+    probe = {}
+    kans(Tensor(grid), probe=probe)
+    kans(Tensor(grid[:1] * 3.0), probe=probe)
+    both = np.concatenate([grid, grid[:1] * 3.0])
+    assert sorted(probe) == [(f"tf.p{p}", 0) for p in range(3)]
+    for p in range(3):
+        lo, hi = probe[(f"tf.p{p}", 0)]
+        np.testing.assert_array_equal(lo, both[:, :, p, :].min(axis=(0, 2)))
+        np.testing.assert_array_equal(hi, both[:, :, p, :].max(axis=(0, 2)))
+
+
 def test_patchkans_rejects_wrong_grid():
     kans = PatchKans(3, 2, np.random.default_rng(6))
     with pytest.raises(ValueError):

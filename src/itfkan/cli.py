@@ -370,7 +370,7 @@ def cmd_symbolify(args, emit_graph=False):
     if emit_graph:
         _write(
             os.path.join(out, "graph.tsv"),
-            format_graph_description(model, records),
+            format_graph_description(records),
             created,
         )
     preserved = sum(r.preserved for r in prune_rows)

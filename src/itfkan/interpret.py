@@ -13,17 +13,13 @@ from typing import Optional
 
 import numpy as np
 
-from .tensor import Tensor, no_grad
+from .tensor import Tensor, no_grad, sigmoid
 
 FIT_SAMPLES = 257  # odd: alternating points split into fit / held-out sets
 A_GRID = np.logspace(-2, 1, 41)
 B_POINTS = 41
 REFINE_ROUNDS = 3
 REFINE_POINTS = 21
-
-
-def _sigmoid(u):
-    return 1.0 / (1.0 + np.exp(-u))
 
 
 FAMILIES = {
@@ -34,7 +30,7 @@ FAMILIES = {
     "cos": np.cos,
     "exp": np.exp,
     "gaussian": lambda u: np.exp(-(u * u)),
-    "silu": lambda u: u * _sigmoid(u),
+    "silu": lambda u: u * sigmoid(u),
     "constant": None,  # handled separately
 }
 FAMILY_ORDER = [
@@ -428,13 +424,10 @@ def format_machine_report(records):
     return "\n".join(lines) + "\n"
 
 
-def format_graph_description(model, records):
+def format_graph_description(records):
     """Node and surviving-edge listing consumable by external plotting."""
     lines = ["type\tnetwork\tlayer\ti\tj\tl2norm\thighlight"]
-    seen_layers = set()
-    for r in records:
-        if (r.network, r.layer) not in seen_layers:
-            seen_layers.add((r.network, r.layer))
+    seen_layers = {(r.network, r.layer) for r in records}
     for net_name, layer in sorted(seen_layers):
         lines.append(f"layer\t{net_name}\t{layer}\t\t\t\t")
     for r in records:

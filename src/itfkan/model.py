@@ -23,10 +23,9 @@ from .tfsynergy import (
     PatchConfig,
     PatchKans,
     Unpatcher,
-    dft_patches,
     n_freq_bins,
     patch_count,
-    tf_expand,
+    spectrum_grid,
 )
 
 TASKS = ("long", "short")
@@ -120,7 +119,7 @@ class ForecastModel:
         trend, seasonal, _ = moving_average_decompose(self.embed(x), cfg.kernel)
         # the time-frequency branch runs first so that, without a tape, its
         # large grid is freed before the time-axis KANs allocate theirs
-        grid = tf_expand(dft_patches(self.patcher(seasonal)))
+        grid = spectrum_grid(self.patcher(seasonal))
         h_tf = self.unpatcher(self.tf_kans(grid, probe=probe))
         del grid
         h_trend = self._along_time(self.trend_kan, trend, probe, "trend")
@@ -189,6 +188,11 @@ class ForecastModel:
                     f"!= model shape {t.data.shape}"
                 )
             t.data[...] = tensors[name]
+        # prune masks are not stored; pruned edges are the all-zero ones
+        layers = model.trend_kan.layers + model.seasonal_kan.layers
+        layers += [net.layers[0] for net in model.tf_kans.nets]
+        for layer in layers:
+            layer.restore_active()
         return model, raw_config
 
 

@@ -221,6 +221,15 @@ class TaylorKanLayer:
             t.data[drop] = 0.0
         self.active &= keep
 
+    def restore_active(self):
+        """Rebuild ``active`` from the weights: an edge ``apply_prune``
+        zeroed has w, a0, a1 and a2 all exactly 0, which is how a pruned
+        edge is stored in a checkpoint."""
+        zeroed = np.ones_like(self.active)
+        for t in (self.w, self.a0, self.a1, self.a2):
+            zeroed &= t.data == 0.0
+        self.active = ~zeroed
+
     def edge(self, i, j):
         """Scalar view of edge input-node i -> output-node j."""
         if not (0 <= i < self.in_dim and 0 <= j < self.out_dim):

@@ -5,6 +5,14 @@ the output tensor whenever recording is enabled and at least one input
 requires gradients. ``backward`` walks the recorded graph once, in reverse
 topological order, accumulating gradients additively across fan-out.
 
+Gradients are copy-on-write. A backward closure maps the output gradient
+``g`` to one array per parent, and a parent's first gradient is held by
+reference, so a closure must never write into ``g`` or into an array it
+returned: another tensor (a parent, a sibling parent of the same op, or
+the op's output) may hold that array as its ``grad``. Only ``backward``
+writes into a ``grad``, and only into one it allocated itself; leaf
+tensors end with an owned, writable, row-major ``grad``.
+
 Elementwise binary ops broadcast only over *leading* batch axes: the
 shorter shape must equal the trailing dims of the longer one exactly.
 Size-1 stretching inside the common suffix is rejected, which keeps shape
@@ -197,21 +205,36 @@ class Graph:
 
 
 def backward(loss):
-    """Populate ``grad`` on every requires_grad tensor reachable from loss."""
+    """Populate ``grad`` on every requires_grad tensor reachable from loss.
+
+    Copy-on-write (see the module docstring): a first gradient is held by
+    reference, the first accumulation into it allocates and later ones add
+    in place; leaves get an owned copy at the end if they need one.
+    """
     if loss.size != 1:
         raise ValueError(f"backward requires a scalar loss, got shape {loss.shape}")
     graph = Graph.from_output(loss)
     loss.grad = np.ones_like(loss.data)
+    owned = set()  # ids of tensors whose grad this call allocated
+    leaves = {}
     for t in reversed(graph.nodes):
         if t._backward is None or t.grad is None:
             continue
         for p, g in zip(t.parents, t._backward(t.grad)):
             if g is None or not p.requires_grad:
                 continue
+            if p.op is None:
+                leaves[id(p)] = p
             if p.grad is None:
-                p.grad = np.array(g, dtype=np.float64, copy=True)
-            else:
+                p.grad = g
+            elif id(p) in owned:
                 p.grad += g
+            else:
+                p.grad = p.grad + g
+                owned.add(id(p))
+    for p in leaves.values():
+        if id(p) not in owned or not p.grad.flags.c_contiguous:
+            p.grad = np.array(p.grad, dtype=np.float64, order="C")
 
 
 # --- broadcasting helpers -------------------------------------------------
@@ -474,6 +497,39 @@ def slice_(a, key):
         return (full,)
 
     return Tensor._from_op(out, "slice", (a,), bw)
+
+
+def patch_windows(a, patch_len, stride):
+    """Windows of an (N, L, d) series along its time axis, flattened.
+
+    The tail is padded with ``stride`` copies of the last step, and window
+    w covers padded steps [w*stride, w*stride + patch_len). Returns
+    (N, W, patch_len*d) with each window flattened step-major, where
+    W = (L - patch_len) // stride + 2. Backward overlap-adds the window
+    gradients into one padded buffer, so overlapping windows
+    (stride < patch_len) are summed, then folds the pad onto the last step.
+    """
+    if a.ndim != 3 or stride < 1 or not 1 <= patch_len <= a.shape[1]:
+        raise ShapeError("patch_windows", a.shape, (patch_len, stride))
+    n, length, d = a.shape
+    count = (length - patch_len) // stride + 2
+    tail = np.repeat(a.data[:, -1:], stride, axis=1)
+    padded = np.concatenate([a.data, tail], axis=1)
+    view = np.lib.stride_tricks.sliding_window_view(padded, patch_len, axis=1)
+    # (N, W, d, patch_len) view -> row-major (N, W, patch_len, d) copy
+    out = view[:, ::stride].transpose(0, 1, 3, 2).reshape(n, count, patch_len * d)
+
+    def bw(g):
+        windows = g.reshape(n, count, patch_len, d)
+        buf = np.zeros((n, length + stride, d))
+        span = (count - 1) * stride + 1
+        for j in range(patch_len):
+            buf[:, j : j + span : stride] += windows[:, :, j]
+        gx = buf[:, :length]
+        gx[:, -1] += buf[:, length:].sum(axis=1)
+        return (gx,)
+
+    return Tensor._from_op(out, "patch_windows", (a,), bw)
 
 
 def expand_last(a, n):

@@ -10,6 +10,14 @@ restores the original series length.
 
 The DFT follows the patch-index convention p = 1..P, so the grid row for
 frequency k regains exactly k full periods across the patch axis.
+
+DFT and expansion together are a fixed linear map over the patch axis, and
+the model computes its grid that way, as one matmul (``spectrum_grid``).
+``dft_patches`` and ``tf_expand`` remain the interpretable amplitude/phase
+spectrum and the oracle the map is tested against. The two agree to
+rounding in value and gradient except at exactly zero amplitude, where the
+amplitude/phase chain's sqrt/atan2 guards zero the gradient and the map
+gives the true derivative.
 """
 
 from dataclasses import dataclass
@@ -21,11 +29,11 @@ from .taylorkan import KanNetwork, TaylorKanLayer, merge_range
 from .tensor import (
     Tensor,
     atan2,
-    concat,
     cos,
     expand_last,
     matmul,
     patch_kans,
+    patch_windows,
     permute,
     pow_int,
     reshape,
@@ -65,7 +73,7 @@ def n_freq_bins(n_patches):
 
 
 class PatchCompressor:
-    """Slice padded windows and compress each P*d window to d values."""
+    """Gather padded windows and compress each P*d window to d values."""
 
     def __init__(self, cfg, width, rng):
         self.cfg = cfg
@@ -76,18 +84,9 @@ class PatchCompressor:
         self.b = Tensor(np.zeros(width), requires_grad=True)
 
     def __call__(self, seasonal):
-        n, length, d = seasonal.shape
-        p_len, stride = self.cfg.patch_len, self.cfg.stride
-        count = patch_count(length, self.cfg)
-        tail = seasonal[:, length - 1 : length, :]
-        padded = concat([seasonal] + [tail] * stride, axis=1)
-        windows = []
-        for w_idx in range(count):
-            start = w_idx * stride
-            window = padded[:, start : start + p_len, :]
-            flat = reshape(window, (n, p_len * d))
-            windows.append(reshape(matmul(flat, self.w) + self.b, (n, 1, d)))
-        return concat(windows, axis=1)
+        """(N, L, d) -> (N, W, d), one compressed vector per window."""
+        windows = patch_windows(seasonal, self.cfg.patch_len, self.cfg.stride)
+        return matmul(windows, self.w) + self.b
 
     def parameters(self, prefix):
         return [(f"{prefix}.w", self.w), (f"{prefix}.b", self.b)]
@@ -97,14 +96,18 @@ _DFT_CACHE = {}
 
 
 def _dft_tables(n_patches):
-    """cos/sin tables over p = 1..P and k = 0..K-1, plus the expand tables."""
+    """cos/sin tables over k = 0..K-1 and p = 1..P, and the (K*P, P) grid
+    map whose row (k, p), column q is cos(2*pi*k*(p - q)/P)."""
     key = n_patches
     if key not in _DFT_CACHE:
         k_bins = n_freq_bins(n_patches)
         p_idx = np.arange(1, n_patches + 1)
         k_idx = np.arange(k_bins)
         angles = 2.0 * np.pi * np.outer(k_idx, p_idx) / n_patches  # (K, P)
-        _DFT_CACHE[key] = (np.cos(angles), np.sin(angles))
+        # k*(p - q) reduced mod P exactly in integers before the cosine
+        turns = (k_idx[:, None, None] * (p_idx[:, None] - p_idx)) % n_patches
+        grid_map = np.cos(2.0 * np.pi * turns / n_patches).reshape(-1, n_patches)
+        _DFT_CACHE[key] = (np.cos(angles), np.sin(angles), grid_map)
     return _DFT_CACHE[key]
 
 
@@ -118,7 +121,7 @@ def dft_patches(patches):
     n, n_patches, d = patches.shape
     if n_patches < 2:
         raise ValueError("need at least 2 patches for a spectrum")
-    cos_t, sin_t = _dft_tables(n_patches)
+    cos_t, sin_t, _ = _dft_tables(n_patches)
     x = permute(patches, (0, 2, 1))  # (N, d, P)
     re = matmul(x, Tensor(cos_t.T))        # (N, d, K)
     im = matmul(x, Tensor(-sin_t.T))
@@ -138,7 +141,7 @@ def tf_expand(spectrum):
     constant over patches and row k completes k periods.
     """
     amp, phase, n_patches = spectrum
-    cos_t, sin_t = _dft_tables(n_patches)
+    cos_t, sin_t, _ = _dft_tables(n_patches)
     d = amp.shape[-1]
     u = amp * cos(phase)  # (N, K, d)
     v = amp * sin(phase)
@@ -147,6 +150,25 @@ def tf_expand(spectrum):
     cos_e = expand_last(Tensor(cos_t), d)  # (K, P, d)
     sin_e = expand_last(Tensor(sin_t), d)
     return u4 * cos_e - v4 * sin_e
+
+
+def spectrum_grid(patches):
+    """The (N, K, P, d) time-frequency grid of (N, P, d) patches, as the
+    linear map it is.
+
+    Equals ``tf_expand(dft_patches(patches))``: A_k cos(phi_k + 2*pi*k*p/P)
+    = Re_k cos(2*pi*k*p/P) - Im_k sin(2*pi*k*p/P)
+    = sum_q x_q cos(2*pi*k*(p - q)/P), so the grid is one (K*P, P) matmul
+    over the patch axis, with no amplitude or phase in between.
+    """
+    n, n_patches, d = patches.shape
+    if n_patches < 2:
+        raise ValueError("need at least 2 patches for a spectrum")
+    grid_map = _dft_tables(n_patches)[2]
+    x = permute(patches, (0, 2, 1))  # (N, d, P)
+    flat = matmul(x, Tensor(grid_map.T))  # (N, d, K*P)
+    grid = reshape(flat, (n, d, n_freq_bins(n_patches), n_patches))
+    return permute(grid, (0, 2, 3, 1))
 
 
 class PatchKans:

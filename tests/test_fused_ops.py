@@ -217,6 +217,98 @@ def test_fused_ops_reject_bad_shapes():
         T.patch_kans(grid, params)
 
 
+# --- patch windows -------------------------------------------------------------
+
+def windows_chain(x, patch_len, stride):
+    """The slice/concat loop PatchCompressor ran before ``patch_windows``."""
+    n, length, d = x.shape
+    count = (length - patch_len) // stride + 2
+    padded = T.concat([x] + [x[:, length - 1 : length, :]] * stride, axis=1)
+    windows = [
+        T.reshape(padded[:, w * stride : w * stride + patch_len, :], (n, 1, patch_len * d))
+        for w in range(count)
+    ]
+    return T.concat(windows, axis=1)
+
+
+# (patch_len, stride) over a 9-step series: tiled and overlapping windows;
+# in every case the last window reaches into the tail pad
+WINDOW_CASES = [(4, 4), (4, 2), (5, 3), (3, 1)]
+
+
+@pytest.mark.parametrize("patch_len,stride", WINDOW_CASES)
+def test_patch_windows_input_gradient_matches_fd(patch_len, stride):
+    x = Tensor(np.random.default_rng(20).normal(size=(2, 9, 3)))
+    err = gradient_check(
+        lambda x_: weighted_sum(T.patch_windows(x_, patch_len, stride)), x
+    )
+    assert err < FD_TOL, err
+
+
+@pytest.mark.parametrize("patch_len,stride", WINDOW_CASES)
+def test_patch_windows_matches_slice_chain(patch_len, stride):
+    # a permuted (N, L, d) view of an (N, d, L) array, as a strided input
+    base = np.random.default_rng(21).normal(size=(2, 3, 9))
+    x = Tensor(base, requires_grad=True).permute(0, 2, 1)
+    out_w, grads_w = grads_of(lambda x_: T.patch_windows(x_, patch_len, stride), x, [])
+    out_c, grads_c = grads_of(lambda x_: windows_chain(x_, patch_len, stride), x, [])
+    np.testing.assert_array_equal(out_w, out_c)
+    assert out_w.shape == (2, (9 - patch_len) // stride + 2, patch_len * 3)
+    assert rel_gap(grads_w["x"], grads_c["x"]) < PARITY_RTOL
+
+
+def test_patch_windows_no_grad_equals_taped():
+    x = Tensor(np.random.default_rng(22).normal(size=(2, 9, 3)), requires_grad=True)
+    taped = T.patch_windows(x, 4, 2)
+    assert taped.op == "patch_windows"
+    with no_grad():
+        plain = T.patch_windows(x, 4, 2)
+    assert plain.op is None
+    np.testing.assert_array_equal(plain.data, taped.data)
+
+
+def test_patch_windows_rejects_bad_shapes():
+    x = Tensor(np.zeros((2, 5, 3)))
+    for patch_len, stride in [(6, 2), (0, 1), (3, 0)]:
+        with pytest.raises(ShapeError):
+            T.patch_windows(x, patch_len, stride)
+    with pytest.raises(ShapeError):
+        T.patch_windows(Tensor(np.zeros((5, 3))), 2, 2)
+
+
+# --- copy-on-write backward ------------------------------------------------------
+
+def test_backward_never_writes_a_shared_gradient():
+    rng = np.random.default_rng(23)
+    a = Tensor(rng.normal(size=(3, 4)), requires_grad=True)
+    c = Tensor(rng.normal(size=(3, 4)))
+    weights = rng.normal(size=(3, 4))
+    m = a * c
+    # add hands its one upstream gradient to both parents by reference; the
+    # mul node behind m then sends a its second gradient
+    s = T.add(a, m)
+    backward((s * Tensor(weights)).sum())
+    np.testing.assert_array_equal(m.grad, weights)
+    np.testing.assert_allclose(a.grad, weights * (1.0 + c.data), rtol=1e-15)
+    assert not np.shares_memory(a.grad, m.grad)
+
+
+def test_leaf_grads_are_owned_writable_and_row_major():
+    rng = np.random.default_rng(24)
+    x = Tensor(rng.normal(size=(3, 4)), requires_grad=True)
+    y = Tensor(rng.normal(size=(3,)), requires_grad=True)
+    xt = x.permute(1, 0)
+    # x's only gradient is a transposed view of xt's; y's comes from a fan-out
+    backward(weighted_sum(xt + y) + weighted_sum(y, seed=98))
+    for leaf in (x, y):
+        assert leaf.grad.flags.owndata and leaf.grad.flags.writeable
+        assert leaf.grad.flags.c_contiguous
+    upstream = xt.grad.copy()
+    np.testing.assert_array_equal(x.grad, upstream.T)
+    x.grad += 1.0  # writing a leaf grad touches no other tensor's grad
+    np.testing.assert_array_equal(xt.grad, upstream)
+
+
 # --- model level ---------------------------------------------------------------
 
 def test_model_no_grad_forward_equals_taped_bitwise():

@@ -113,6 +113,26 @@ def test_prune_exempts_injected_edges():
         np.testing.assert_array_equal(c.data, b)
 
 
+def test_prune_masks_survive_reload(tmp_path):
+    cfg = ModelConfig(
+        lookback=24, horizon=8, embed_dim=4, kernel=5, top_k=2, patch_len=4,
+        stride=4,
+    )
+    model = ForecastModel(cfg, [0.25, 0.5], seed=1)
+    kept = sum(r.preserved for r in prune(model, 2e-3))
+    assert kept == 4
+    path = str(tmp_path / "pruned.itfk")
+    model.save(path)
+    loaded, _ = ForecastModel.load(path)
+    # tau = 0 prunes nothing new, so it counts the edges the reload kept
+    assert sum(r.preserved for r in prune(loaded, 0.0)) == kept
+    for before, after in zip(
+        model.trend_kan.layers + [net.layers[0] for net in model.tf_kans.nets],
+        loaded.trend_kan.layers + [net.layers[0] for net in loaded.tf_kans.nets],
+    ):
+        np.testing.assert_array_equal(after.active, before.active)
+
+
 # --- symbolification -------------------------------------------------------------
 
 def test_sin_recovers_itself():

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from itfkan.tensor import Tensor, backward
+from itfkan.tensor import Tensor, backward, gradient_check
 from itfkan.tfsynergy import (
     PatchCompressor,
     PatchConfig,
@@ -11,6 +11,7 @@ from itfkan.tfsynergy import (
     dft_patches,
     n_freq_bins,
     patch_count,
+    spectrum_grid,
     tf_expand,
 )
 
@@ -160,6 +161,45 @@ def test_single_tone_reconstruction(n):
         weights[-1] = 1.0
     recon = (weights[:, None] * grid).sum(axis=0) / n
     np.testing.assert_allclose(recon, series, atol=1e-9)
+
+
+# --- the grid as a linear map ------------------------------------------------------
+
+def grid_and_input_grad(fn, x, weights):
+    leaf = Tensor(x, requires_grad=True)
+    grid = fn(leaf)
+    backward((grid * Tensor(weights)).sum())
+    return grid.data, leaf.grad
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 8, 17])
+def test_spectrum_grid_matches_amplitude_phase_chain(n):
+    rng = np.random.default_rng(40 + n)
+    x = rng.normal(size=(3, n, 4))  # generic: every amplitude non-zero
+    weights = rng.normal(size=(3, n_freq_bins(n), n, 4))
+    grid, grad = grid_and_input_grad(spectrum_grid, x, weights)
+    ref_grid, ref_grad = grid_and_input_grad(
+        lambda t: tf_expand(dft_patches(t)), x, weights
+    )
+    assert np.abs(dft_patches(Tensor(x)).amplitude.data).min() > 1e-6
+    assert grid.shape == ref_grid.shape
+    np.testing.assert_allclose(grid, ref_grid, rtol=0, atol=1e-12 * np.abs(ref_grid).max())
+    np.testing.assert_allclose(grad, ref_grad, rtol=0, atol=1e-12 * np.abs(ref_grad).max())
+
+
+def test_spectrum_grid_gradient_at_zero_amplitude():
+    # at x = 0 every bin has exactly zero amplitude, where the amplitude/phase
+    # chain's sqrt/atan2 guards zero the gradient; the linear map keeps the
+    # true derivative
+    x = Tensor(np.zeros((2, 6, 3)))
+    weights = Tensor(np.random.default_rng(48).normal(size=(2, 4, 6, 3)))
+    err = gradient_check(lambda t: (spectrum_grid(t) * weights).sum(), x)
+    assert err < 1e-8, err
+
+
+def test_spectrum_grid_rejects_single_patch():
+    with pytest.raises(ValueError):
+        spectrum_grid(Tensor(np.zeros((1, 1, 2))))
 
 
 # --- per-patch KANs ----------------------------------------------------------------

@@ -23,9 +23,11 @@ from .data import (
 )
 from .decomposition import moving_average_np
 from .interpret import (
+    format_fit_summary,
     format_graph_description,
     format_machine_report,
     format_prune_report,
+    format_report_timing,
     format_symbolic_report,
     generate_report,
     prune,
@@ -74,21 +76,8 @@ class RunConfig:
 
     def model_config(self):
         try:
-            return ModelConfig(
-                lookback=self.lookback,
-                horizon=self.horizon,
-                embed_dim=self.embed_dim,
-                kernel=self.kernel,
-                trend_degree=self.trend_degree,
-                top_k=self.top_k,
-                patch_len=self.patch_len,
-                stride=self.stride,
-                reg_lambda=self.reg_lambda,
-                lr=self.lr,
-                batch_size=self.batch_size,
-                epochs=self.epochs,
-                patience=self.patience,
-            )
+            shared = {f.name: getattr(self, f.name) for f in fields(ModelConfig)}
+            return ModelConfig(**shared)
         except ValueError as exc:
             raise ConfigError(str(exc)) from None
 
@@ -356,7 +345,10 @@ def cmd_symbolify(args, emit_graph=False):
     calib = _calibration_windows(cfg, split)
     out = args.out or cfg.out
     os.makedirs(out, exist_ok=True)
-    prune_rows, records = generate_report(model, args.tau, args.top_m, calib)
+    timing = {}
+    prune_rows, records = generate_report(
+        model, args.tau, args.top_m, calib, timing=timing
+    )
     created = []
     _write(os.path.join(out, "prune_report.txt"), format_prune_report(prune_rows), created)
     _write(
@@ -373,6 +365,8 @@ def cmd_symbolify(args, emit_graph=False):
             format_graph_description(records),
             created,
         )
+    _write(os.path.join(out, "fit_summary.tsv"), format_fit_summary(records), created)
+    _write(os.path.join(out, "report_timing.tsv"), format_report_timing(timing), created)
     preserved = sum(r.preserved for r in prune_rows)
     print(f"symbolified {preserved} surviving edges (tau={args.tau}, top_m={args.top_m})")
     return 0

@@ -6,8 +6,14 @@ counts. Symbolification fits each surviving edge activation with the best
 library formula c * f(a*x + b) + d over the input range the edge actually
 received (recorded by a calibration forward pass, padded 10%), ranking
 candidates by coefficient of determination on held-out sample points.
+The surviving edges are independent fits, so a report spreads them over
+every CPU the process may run on; each fit runs the same code on the same
+inputs wherever it lands, so the report does not depend on the worker
+count.
 """
 
+import os
+import time
 from dataclasses import dataclass
 from typing import Optional
 
@@ -36,6 +42,7 @@ FAMILIES = {
 FAMILY_ORDER = [
     "identity", "square", "cube", "sin", "cos", "exp", "gaussian", "silu", "constant",
 ]
+NETWORKS = ("TrendKAN", "SeasonalKAN", "TFKAN")
 
 
 @dataclass
@@ -325,58 +332,113 @@ class EdgeRecord:
     highlight: bool = False
 
 
-def _network_records(net_name, tag, layers, probe):
+def _network_records(net_name, tag, layers, probe, pending):
+    """Records for one network's injected and surviving adjustable edges.
+    Adjustable records are returned unfitted; each is queued on ``pending``
+    as ``(record, (edge, lo, hi))`` for ``_fit_edges``. Pruned edges get no
+    view: the final sort is a total order, so visiting only the kept pairs
+    yields the same records."""
     records = []
     for li, layer in enumerate(layers):
         ranges = probe.get((tag, li))
         label = f"{tag}.{li}" if not tag.startswith("tf.") else tag
+        r = layer.inject_rows
+        kind = "trend-poly" if layer.inject_kind == "trend" else "fourier"
         for i in range(layer.in_dim):
+            for j in range(r):
+                edge = layer.edge(i, j)
+                records.append(
+                    EdgeRecord(
+                        net_name, label, i, j, kind, edge.l2_norm(), None, edge.formula(),
+                    )
+                )
+        for i, row in zip(*np.nonzero(layer.active.T)):
+            i, j = int(i), int(row) + r
             if ranges is not None:
                 lo, hi = padded_range(ranges[0][i], ranges[1][i])
             else:
                 lo, hi = -1.0, 1.0
-            for j in range(layer.out_dim):
-                r = layer.inject_rows
-                edge = layer.edge(i, j)
-                if j < r:
-                    kind = "trend-poly" if layer.inject_kind == "trend" else "fourier"
-                    records.append(
-                        EdgeRecord(
-                            net_name, label, i, j, kind,
-                            edge.l2_norm(), None, edge.formula(),
-                        )
-                    )
-                elif layer.active[j - r, i]:
-                    fit = symbolify_edge(edge, lo, hi)
-                    records.append(
-                        EdgeRecord(
-                            net_name, label, i, j, "taylor",
-                            edge.l2_norm(), fit, render_fit(fit),
-                        )
-                    )
+            edge = layer.edge(i, j)
+            record = EdgeRecord(net_name, label, i, j, "taylor", edge.l2_norm(), None, "")
+            records.append(record)
+            pending.append((record, (edge, lo, hi)))
     return records
 
 
-def generate_report(model, tau, top_m, calib_inputs, batch_size=64):
+def _fit_job(job):
+    """Fit one ``(edge, lo, hi)`` job; returns (fit, wall seconds)."""
+    edge, lo, hi = job
+    start = time.perf_counter()
+    fit = symbolify_edge(edge, lo, hi)
+    return fit, time.perf_counter() - start
+
+
+def _fit_edges(jobs):
+    """Fit every job, in order, on one worker per CPU of the process's
+    affinity mask; returns ``[(fit, seconds)]`` and the worker count.
+
+    With one worker (or at most one job) the fits run in-process. Otherwise
+    a fork pool inherits the calibrated, pruned model copy-on-write, so only
+    the edge views and the fits are pickled. The fork is safe here: the
+    executor forks every worker before it starts its manager thread, and
+    OpenBLAS stops its own threads in an atfork handler. Jobs go out one at
+    a time, because fit times vary by about 1.5x. A worker's exception is
+    re-raised here with its own type, and a worker that dies raises
+    ``BrokenProcessPool`` instead of hanging.
+    """
+    workers = min(len(os.sched_getaffinity(0)), len(jobs))
+    if workers <= 1:
+        return [_fit_job(job) for job in jobs], workers
+    # imported here so that train, eval and forecasting never load them
+    import multiprocessing
+    from concurrent.futures import ProcessPoolExecutor
+
+    pool = ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork"))
+    try:
+        return list(pool.map(_fit_job, jobs, chunksize=1)), workers
+    finally:
+        pool.shutdown(cancel_futures=True)
+
+
+def generate_report(model, tau, top_m, calib_inputs, batch_size=64, timing=None):
     """Prune at tau, then symbolify surviving adjustable edges and render
-    injected ones exactly. Returns (prune_rows, edge_records)."""
+    injected ones exactly. Returns (prune_rows, edge_records).
+
+    If ``timing`` is a dict, it receives the wall seconds of calibration,
+    pruning and the fit of the surviving edges, the worker count and each
+    edge's fit seconds (see ``format_report_timing``).
+    """
+    start = time.perf_counter()
     probe = calibrate_ranges(model, calib_inputs, batch_size=batch_size)
+    calibrated = time.perf_counter()
     prune_rows = prune(model, tau)
-    records = []
-    records += _network_records("TrendKAN", "trend", model.trend_kan.layers, probe)
+    pruned = time.perf_counter()
+    records, pending = [], []
+    records += _network_records("TrendKAN", "trend", model.trend_kan.layers, probe, pending)
     records += _network_records(
-        "SeasonalKAN", "seasonal", model.seasonal_kan.layers, probe
+        "SeasonalKAN", "seasonal", model.seasonal_kan.layers, probe, pending
     )
     for p, sub in enumerate(model.tf_kans.nets):
-        records += _network_records("TFKAN", f"tf.p{p}", sub.layers, probe)
+        records += _network_records("TFKAN", f"tf.p{p}", sub.layers, probe, pending)
+    fit_start = time.perf_counter()
+    results, workers = _fit_edges([job for _, job in pending])
+    fitted = time.perf_counter()
+    for (record, _), (fit, _) in zip(pending, results):
+        record.fit, record.formula = fit, render_fit(fit)
     records.sort(key=lambda r: (r.network, r.layer, -r.l2, r.i, r.j))
-    for net_name in ("TrendKAN", "SeasonalKAN", "TFKAN"):
+    for net_name in NETWORKS:
         candidates = sorted(
             (r for r in records if r.network == net_name and r.kind == "taylor"),
             key=lambda r: -r.l2,
         )
         for r in candidates[:top_m]:
             r.highlight = True
+    if timing is not None:
+        timing.update(
+            calibrate_s=calibrated - start, prune_s=pruned - calibrated,
+            fit_s=fitted - fit_start, workers=workers,
+            edge_s=[seconds for _, seconds in results],
+        )
     return prune_rows, records
 
 
@@ -436,3 +498,37 @@ def format_graph_description(records):
             f"\t{1 if r.highlight else 0}"
         )
     return "\n".join(lines) + "\n"
+
+
+def format_fit_summary(records):
+    """Per network: fitted edges, the count per family and R2 min/p10/p50.
+    Deterministic, like the other report files."""
+    lines = ["network\tedges\t" + "\t".join(FAMILY_ORDER) + "\tr2_min\tr2_p10\tr2_p50"]
+    for net_name in NETWORKS:
+        fits = [r.fit for r in records if r.network == net_name and r.fit is not None]
+        counts = [sum(f.family == name for f in fits) for name in FAMILY_ORDER]
+        if fits:
+            r2 = np.array([f.r2 for f in fits])
+            quantiles = [r2.min(), np.percentile(r2, 10), np.percentile(r2, 50)]
+            rendered = [f"{q:.6f}" for q in quantiles]
+        else:
+            rendered = ["-"] * 3
+        fields = [net_name, str(len(fits))] + [str(c) for c in counts] + rendered
+        lines.append("\t".join(fields))
+    return "\n".join(lines) + "\n"
+
+
+def format_report_timing(timing):
+    """Wall times of a report run, from ``generate_report(timing=...)``.
+    Kept apart from the deterministic files: these vary run to run."""
+    edge_s = timing["edge_s"]
+    rows = [
+        ("calibrate_s", f"{timing['calibrate_s']:.6f}"),
+        ("prune_s", f"{timing['prune_s']:.6f}"),
+        ("fit_s", f"{timing['fit_s']:.6f}"),
+        ("workers", str(timing["workers"])),
+        ("edges_fitted", str(len(edge_s))),
+        ("edge_fit_sum_s", f"{sum(edge_s):.6f}"),
+        ("edge_fit_p50_s", f"{float(np.median(edge_s)):.6f}" if edge_s else "-"),
+    ]
+    return "metric\tvalue\n" + "".join(f"{k}\t{v}\n" for k, v in rows)

@@ -41,6 +41,9 @@ class TaylorEdge:
         return self.w * (x * sigmoid(x) + poly)
 
     def l2_norm(self):
+        """Importance of the edge: mean square of its non-constant shape
+        coefficients a1, a2 (the inject edges' norms are the analogue). The
+        constant term shapes nothing and is excluded."""
         return float((self.a[1] ** 2 + self.a[2] ** 2) / TAYLOR_ORDER)
 
 
@@ -99,13 +102,6 @@ class SeasonalInjectEdge:
             parts.append(f"{self.a[k + 1]:+.{decimals}f}cos({w:.{decimals}f}x)")
             parts.append(f"{self.b[k]:+.{decimals}f}sin({w:.{decimals}f}x)")
         return "".join(parts)
-
-
-def edge_l2_norm(edge):
-    """Importance of an edge activation: mean square of its non-constant
-    shape coefficients (a1, a2 for adjustable edges; analogous for the
-    fixed-form ones). The constant term shapes nothing and is excluded."""
-    return edge.l2_norm()
 
 
 # --- layers ------------------------------------------------------------------

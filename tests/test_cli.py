@@ -220,6 +220,7 @@ def test_report_pipeline(workspace, tmp_path, capsys):
     ]) == 0
     for artifact in (
         "prune_report.txt", "symbolic_report.txt", "symbolic_edges.tsv", "graph.tsv",
+        "fit_summary.tsv", "report_timing.tsv",
     ):
         assert (report_dir / artifact).exists(), artifact
 
@@ -229,6 +230,8 @@ def test_report_pipeline(workspace, tmp_path, capsys):
     machine_lines = (report_dir / "symbolic_edges.tsv").read_text().strip().splitlines()[1:]
     taylor_rows = [l for l in machine_lines if l.split("\t")[3] not in ("trend-poly", "fourier")]
     assert len(taylor_rows) == preserved
+    summary = (report_dir / "fit_summary.tsv").read_text().strip().splitlines()[1:]
+    assert sum(int(line.split("\t")[1]) for line in summary) == preserved
 
 
 def test_prune_negative_tau_exits_2(workspace, capsys):

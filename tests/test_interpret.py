@@ -1,14 +1,21 @@
+import concurrent.futures
 import copy
+import os
 
 import numpy as np
 import pytest
 
+import itfkan.interpret as interpret
 from itfkan.interpret import (
     FAMILIES,
+    FAMILY_ORDER,
     SymbolicFit,
     calibrate_ranges,
+    format_fit_summary,
+    format_graph_description,
     format_machine_report,
     format_prune_report,
+    format_report_timing,
     format_symbolic_report,
     generate_report,
     prune,
@@ -300,3 +307,77 @@ def test_calibration_ranges_cover_inputs():
     lo, hi = probe[("trend", 0)]
     assert lo.shape == (model.config.lookback,)
     assert np.all(lo <= hi)
+
+
+# --- fitting the surviving edges on several workers ----------------------------------
+
+def kan_layers(model):
+    return (
+        model.trend_kan.layers
+        + model.seasonal_kan.layers
+        + [net.layers[0] for net in model.tf_kans.nets]
+    )
+
+
+def tau_keeping(model, edges):
+    """A threshold that keeps the ``edges`` largest-norm adjustable edges."""
+    norms = np.concatenate([layer.taylor_norms().ravel() for layer in kan_layers(model)])
+    return float(np.sort(norms)[::-1][edges - 1])
+
+
+def cpus(monkeypatch, count):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(count)))
+
+
+def test_report_text_independent_of_worker_count(monkeypatch):
+    texts = {}
+    for workers in (1, 2):
+        cpus(monkeypatch, workers)
+        model = micro_model(seed=21)
+        timing = {}
+        _, records = generate_report(
+            model, tau_keeping(model, 6), 2, calib_windows(model), timing=timing
+        )
+        assert timing["workers"] == workers
+        assert len(timing["edge_s"]) == 6
+        texts[workers] = (
+            format_symbolic_report(records, 2),
+            format_machine_report(records),
+            format_graph_description(records),
+        )
+    assert texts[1] == texts[2]
+
+
+def test_worker_error_reaches_parent_with_its_type(monkeypatch):
+    model = micro_model(seed=22)
+    tau = tau_keeping(model, 4)
+    real = interpret.symbolify_edge
+
+    def failing(edge, lo, hi, **kwargs):
+        if edge.l2_norm() == tau:  # the weakest surviving edge
+            raise ValueError("no formula for this edge")
+        return real(edge, lo, hi, **kwargs)
+
+    monkeypatch.setattr(interpret, "symbolify_edge", failing)  # forked workers inherit it
+    cpus(monkeypatch, 2)
+    with pytest.raises(ValueError, match="no formula for this edge"):
+        generate_report(model, tau, 2, calib_windows(model))
+
+
+@pytest.mark.parametrize("edges", [0, 1])
+def test_report_fits_zero_or_one_edge_in_process(monkeypatch, edges):
+    def no_pool(*args, **kwargs):
+        raise AssertionError("a worker pool was started")
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", no_pool)
+    cpus(monkeypatch, 2)
+    model = micro_model(seed=23)
+    tau = tau_keeping(model, edges) if edges else np.inf
+    timing = {}
+    _, records = generate_report(model, tau, 2, calib_windows(model), timing=timing)
+    assert len([r for r in records if r.kind == "taylor"]) == edges
+    assert timing["workers"] == edges
+    summary = format_fit_summary(records).splitlines()
+    assert summary[0].split("\t")[2:-3] == FAMILY_ORDER
+    assert sum(int(line.split("\t")[1]) for line in summary[1:]) == edges
+    assert f"edges_fitted\t{edges}\n" in format_report_timing(timing)

@@ -9,7 +9,6 @@ from itfkan.taylorkan import (
     TrendInjectEdge,
     build_seasonal_kan,
     build_trend_kan,
-    edge_l2_norm,
     top_k_frequencies,
 )
 from itfkan.tensor import Tensor, backward, gradient_check
@@ -48,12 +47,12 @@ def test_taylor_edge_scalar_value():
 # --- edge L2 norms --------------------------------------------------------------
 
 def test_taylor_norm_excludes_constant():
-    assert edge_l2_norm(TaylorEdge(1.0, [7.0, 3.0, 4.0])) == 12.5
-    assert edge_l2_norm(TaylorEdge(1.0, [5.0, 0.0, 0.0])) == 0.0
+    assert TaylorEdge(1.0, [7.0, 3.0, 4.0]).l2_norm() == 12.5
+    assert TaylorEdge(1.0, [5.0, 0.0, 0.0]).l2_norm() == 0.0
 
 
 def test_trend_inject_norm():
-    assert edge_l2_norm(TrendInjectEdge([0.0, 2.0, 2.0])) == 4.0
+    assert TrendInjectEdge([0.0, 2.0, 2.0]).l2_norm() == 4.0
 
 
 def test_seasonal_inject_norm():
@@ -200,7 +199,7 @@ def test_reg_loss_additivity():
 def test_reg_loss_matches_per_edge_sum():
     net = build_seasonal_kan(7, [0.5, 0.25], np.random.default_rng(8))
     total = sum(
-        edge_l2_norm(layer.edge(i, j))
+        layer.edge(i, j).l2_norm()
         for layer in net.layers
         for i in range(layer.in_dim)
         for j in range(layer.out_dim)

@@ -120,16 +120,21 @@ def seasonality_test(series, m):
     return abs(acf(m)) > limit
 
 
-def _seasonal_indices(series, m):
-    """Multiplicative seasonal indices (mean 1.0) via centered moving average."""
-    n = len(series)
-    half = m // 2
+def _ma_kernel(m):
+    """Weights of the centered moving average over one period m."""
     if m % 2 == 0:
         kernel = np.full(m + 1, 1.0 / m)
         kernel[0] = kernel[-1] = 0.5 / m
     else:
         kernel = np.full(m, 1.0 / m)
-    ma = np.convolve(series, kernel, mode="valid")
+    return kernel
+
+
+def _seasonal_indices(series, m):
+    """Multiplicative seasonal indices (mean 1.0) via centered moving average."""
+    n = len(series)
+    half = m // 2
+    ma = np.convolve(series, _ma_kernel(m), mode="valid")
     offset = half
     ratios = [[] for _ in range(m)]
     for idx, value in enumerate(ma):
@@ -161,4 +166,49 @@ def naive2_forecast(insample, horizon, m):
 
 
 def naive2_rows(insample_rows, horizon, m):
-    return np.stack([naive2_forecast(row, horizon, m) for row in insample_rows])
+    """``naive2_forecast`` of every row of a (B, n) history, vectorised over
+    rows and bitwise equal to it: each reduction runs per row, over the same
+    elements in the same order."""
+    rows = np.ascontiguousarray(insample_rows, dtype=np.float64)
+    if rows.ndim != 2 or rows.shape[0] == 0:
+        raise ValueError(f"need a non-empty (B, n) history, got shape {rows.shape}")
+    n = rows.shape[1]
+    out = np.repeat(rows[:, -1:], horizon, axis=1)
+    if m <= 1 or n < 3 * m:
+        return out
+    # seasonality_test
+    centered = rows - rows.mean(axis=1, keepdims=True)
+    denom = np.sum(centered**2, axis=1)
+    # a constant row: every acf is 0 and the row is not seasonal
+    safe = np.where(denom == 0.0, 1.0, denom)
+    acf = np.stack(
+        [np.sum(centered[:, lag:] * centered[:, :-lag], axis=1) / safe
+         for lag in range(1, m + 1)],
+        axis=1,
+    )
+    # the sum of squared acf values in Python floats, as seasonality_test
+    # takes it: there ``**`` is libm's pow and ``sum`` is Python's, which
+    # numpy's square and add need not match bit for bit
+    acf_sq = np.array([sum(a ** 2 for a in row) for row in acf[:, :-1].tolist()])
+    limit = 1.645 * np.sqrt((1.0 + 2.0 * acf_sq) / n)
+    sel = np.flatnonzero(np.abs(acf[:, -1]) > limit)
+    if sel.size == 0:
+        return out
+    # _seasonal_indices on the seasonal rows
+    half = m // 2
+    kernel = _ma_kernel(m)
+    ma = np.stack([np.convolve(rows[i], kernel, mode="valid") for i in sel])
+    ratios = rows[sel, half : half + ma.shape[1]] / np.where(ma == 0.0, 1.0, ma)
+    # ratio column c has phase (c + half) % m; each phase's mean reduces a
+    # row-major copy, so every row is summed as np.mean sums a 1-D array
+    indices = np.stack(
+        [np.ascontiguousarray(ratios[:, (j - half) % m :: m]).mean(axis=1)
+         for j in range(m)],
+        axis=1,
+    )
+    mean = indices.mean(axis=1)
+    keep = ~(ma == 0.0).any(axis=1) & (mean != 0.0)
+    sel, indices = sel[keep], indices[keep] / mean[keep, None]
+    last = rows[sel, -1] / indices[:, (n - 1) % m]
+    out[sel] = last[:, None] * indices[:, (n + np.arange(horizon)) % m]
+    return out

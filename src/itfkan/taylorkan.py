@@ -17,9 +17,9 @@ from .tensor import (
     Tensor,
     concat,
     fourier_inject,
+    l2_penalty,
     poly_inject,
     sigmoid,
-    sum_axis,
     taylor_kan,
 )
 
@@ -191,19 +191,20 @@ class TaylorKanLayer:
             return concat([injected, out], axis=-1)
         return out
 
+    def reg_terms(self):
+        """(tensor, scale) pairs whose sum of scale * sum(t**2) is the sum of
+        per-edge L2 norms over the whole grid."""
+        terms = [(self.a1, 1.0 / TAYLOR_ORDER), (self.a2, 1.0 / TAYLOR_ORDER)]
+        if self.inject_kind == "trend":
+            terms += [(c, 1.0 / self.inject_rows) for c in self.poly_coeffs[1:]]
+        elif self.inject_kind == "fourier":
+            scale = 1.0 / (2 * self.freqs.size)
+            terms += [(t, scale) for t in self.four_a[1:] + self.four_b]
+        return terms
+
     def reg_loss(self):
         """Differentiable sum of per-edge L2 norms over the whole grid."""
-        reg = sum_axis(self.a1 * self.a1 + self.a2 * self.a2) * (1.0 / TAYLOR_ORDER)
-        if self.inject_kind == "trend":
-            p = self.inject_rows
-            for k in range(1, len(self.poly_coeffs)):
-                c = self.poly_coeffs[k]
-                reg = reg + sum_axis(c * c) * (1.0 / p)
-        elif self.inject_kind == "fourier":
-            k_total = self.freqs.size
-            for t in self.four_a[1:] + self.four_b:
-                reg = reg + sum_axis(t * t) * (1.0 / (2 * k_total))
-        return reg
+        return l2_penalty(self.reg_terms())
 
     def taylor_norms(self):
         """Per-edge norms for the adjustable grid, shape (rows, in_dim)."""
@@ -286,11 +287,12 @@ class KanNetwork:
             x = layer.forward(x)
         return x
 
+    def reg_terms(self):
+        return [term for layer in self.layers for term in layer.reg_terms()]
+
     def reg_loss(self):
-        total = self.layers[0].reg_loss()
-        for layer in self.layers[1:]:
-            total = total + layer.reg_loss()
-        return total
+        """Sum of per-edge L2 norms over every layer, as one tape node."""
+        return l2_penalty(self.reg_terms())
 
     def layer_counts(self):
         return [

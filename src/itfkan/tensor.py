@@ -21,6 +21,7 @@ bugs loud in the 4-D time-frequency grid.
 
 from __future__ import annotations
 
+import math
 import threading
 
 import numpy as np
@@ -357,13 +358,13 @@ def abs_(a):
     return Tensor._from_op(np.abs(a.data), "abs", (a,), bw)
 
 
-def sigmoid(x):
+def sigmoid(x, out=None):
     """Elementwise 1 / (1 + exp(-x)) of a float64 array, in one buffer.
 
-    A plain-array helper, not a tape op; the result is row-major whatever
-    x's layout.
+    A plain-array helper, not a tape op. The result goes to ``out`` if
+    given, else to a new row-major array, whatever x's layout.
     """
-    s = np.negative(x, out=np.empty(np.shape(x)))
+    s = np.negative(x, out=np.empty(np.shape(x)) if out is None else out)
     np.exp(s, out=s)
     s += 1.0
     return np.divide(1.0, s, out=s)
@@ -395,6 +396,25 @@ def atan2(y, x):
 
 
 # --- reductions and shape ops ----------------------------------------------
+
+def l2_penalty(terms):
+    """sum over (t, scale) pairs of scale * sum(t**2), as one tape node.
+
+    Backward sends 2 * scale * t * g to each t. A regulariser over many
+    coefficient tensors costs one node instead of a mul/sum/add chain per
+    tensor.
+    """
+    terms = [(t, float(scale)) for t, scale in terms]
+    total = 0.0
+    for t, scale in terms:
+        flat = t.data.reshape(-1)
+        total += scale * float(flat @ flat)
+
+    def bw(g):
+        return tuple(t.data * (2.0 * scale * g) for t, scale in terms)
+
+    return Tensor._from_op(np.array(total), "l2_penalty", [t for t, _ in terms], bw)
+
 
 def sum_axis(a, axis=None):
     if axis is None:
@@ -543,16 +563,17 @@ def expand_last(a, n):
 
 
 def matmul(a, b):
-    """a @ b with 2-D b; a may carry leading batch axes."""
+    """a @ b with 2-D b; a may carry leading batch axes. Backward computes
+    only the gradients of operands that require one."""
     if a.ndim < 1 or b.ndim != 2 or a.shape[-1] != b.shape[0]:
         raise ShapeError("matmul", a.shape, b.shape)
     out = a.data @ b.data
 
     def bw(g):
-        ga = g @ b.data.T
-        a2 = a.data.reshape(-1, a.shape[-1])
-        g2 = g.reshape(-1, b.shape[1])
-        gb = a2.T @ g2
+        ga = g @ b.data.T if a.requires_grad else None
+        gb = None
+        if b.requires_grad:
+            gb = a.data.reshape(-1, a.shape[-1]).T @ g.reshape(-1, b.shape[1])
         return ga, gb
 
     return Tensor._from_op(out, "matmul", (a, b), bw)
@@ -561,18 +582,91 @@ def matmul(a, b):
 # --- fused KAN ops ----------------------------------------------------------
 #
 # Each op below does the work of a chain of the primitives above in one tape
-# node with a hand-written backward. The forward arithmetic is the same with
-# and without the tape; only what the backward closure keeps (sigmoids,
-# powers, sin/cos) depends on whether the op is recorded, so a no-grad
-# forward holds no extra buffers. Outputs agree with the primitive chains to
-# rounding (the test suite keeps those chains as oracles).
+# node with a hand-written backward. Outputs agree with the primitive chains
+# to rounding (the test suite keeps those chains as oracles).
 #
-# Inputs may be transposed views (the time-axis KANs see a permuted
-# (N, d, L) grid). They are read in place; every intermediate is written
-# row-major, so it enters its GEMM as one 2-D (rows, last axis) matrix.
+# The ops' elementwise passes are bound by memory traffic, so each op
+# streams its input in slabs along the first leading axis, about SLAB values
+# each, small enough to stay in L2 across the op's passes (cache blocking).
+# Outputs and input gradients are allocated once, full size, and each slab
+# writes its part; weight gradients are summed over slabs. Scratch is one
+# slab, reused, and carved from one allocation per forward or backward pass
+# that no backward closure keeps: scratch left alive among the full-size
+# arrays fragments the heap, which then re-faults its pages every step. A
+# slab that is not row-major (the time-axis KANs see a permuted (N, d, L)
+# view, patch_kans a permuted grid) is copied while it is in cache. The
+# forward arithmetic does not depend on the tape, so a no-grad forward
+# equals a taped one bit for bit; only what backward keeps (sigmoids,
+# powers, sin/cos) depends on whether the op is recorded, and that is
+# written slab by slab into full-size arrays. Each forward GEMM also rounds
+# as the whole batch's GEMM would (see ``_slabs``, ``_slab_rows`` and
+# ``poly_inject``), so slabbing left the forward's bits unchanged.
+
+SLAB = 2 ** 15  # float64 values per slab of input; chosen by a measured sweep
+
+
+def _slabs(shape):
+    """Slices of the first axis of an array of ``shape``, each holding about
+    SLAB values, and the 2-D (rows, last axis) row count of the largest.
+
+    The slices are balanced, so none holds under half a slab unless the
+    whole array fits in one: BLAS rounds a GEMM of a few rows differently
+    from a large one (OpenBLAS's small-matrix kernel), and at the KAN
+    layers' widths a slab's GEMMs then round as the whole array's would.
+    """
+    n = shape[0]
+    count = min(n, -(-n * max(math.prod(shape[1:]), 1) // SLAB))
+    slices = [slice(n * i // count, n * (i + 1) // count) for i in range(count)]
+    widest = max((sl.stop - sl.start for sl in slices), default=0)
+    return slices, widest * math.prod(shape[1:-1])
+
+
+def _buffers(rows, *widths):
+    """Flat one-slab scratch buffers, rows x width values each, carved from
+    one allocation that lives only as long as the caller uses it."""
+    block = np.empty(rows * sum(widths))
+    ends = np.cumsum(widths) * rows
+    return [block[end - rows * w : end] for w, end in zip(widths, ends)]
+
+
+def _scratch(buf, shape):
+    """The front of the flat scratch buffer ``buf`` viewed as ``shape``."""
+    return buf[: math.prod(shape)].reshape(shape)
+
+
+def _slab(a, sl, buf):
+    """a[sl] in row-major order: a view if it already is, else a copy in the
+    front of ``buf``."""
+    part = a[sl]
+    if part.flags.c_contiguous:
+        return part
+    dst = _scratch(buf, part.shape)
+    np.copyto(dst, part)
+    return dst
+
+
+def _slab_rows(a, sl, buf):
+    """a[sl] as a 2-D (rows, last axis) GEMM operand: a view if a[sl] is
+    row-major, else a column-major copy in the front of ``buf``.
+
+    For a permuted view whose last axis varies slowest, as the time-axis
+    KANs' (N, d, L) input, numpy's batched matmul hands BLAS each (d, L)
+    matrix transposed. Column-major, the slab enters its GEMM transposed
+    too, and BLAS rounds it the same whatever its row count; a row-major
+    copy of a few rows would take OpenBLAS's small-matrix kernel instead.
+    """
+    part = a[sl]
+    width = a.shape[-1]
+    if part.flags.c_contiguous:
+        return part.reshape(-1, width)
+    rows = part.size // width
+    dst = _scratch(buf, (width, rows)).T
+    np.copyto(dst.reshape(part.shape), part)
+    return dst
+
 
 def _rows(a):
-    """a viewed as a 2-D (rows, last axis) array; copies only if it must."""
+    """A row-major array viewed as 2-D (rows, last axis)."""
     return a.reshape(-1, a.shape[-1])
 
 
@@ -584,15 +678,19 @@ def _mm(a, b):
     return a @ b
 
 
+def _batched(a):
+    """An op input with at least one leading axis: 1-D becomes one row."""
+    return a if a.ndim > 1 else a[None]
+
+
 def taylor_kan(x, w, a0, a1, a2):
     """Adjustable Taylor-KAN block along the last axis of x.
 
     out[..., j] = sum_i w[j, i] * (silu(x_i) + a0[j, i] + a1[j, i] x_i
     + a2[j, i] x_i^2), with w and the a's of shape (out, in). Forward
-    evaluates the sigmoid once; backward reuses it and takes the weight
-    gradients from one batched GEMM over the stacked basis [silu(x), x, x^2]
-    and the input gradient from one batched GEMM with the stacked effective
-    weights [w, w*a1, 2*w*a2].
+    evaluates the sigmoid once; backward reuses it, summing the weight
+    gradients' GEMMs over the basis [silu(x), x, x^2] across slabs and taking
+    each slab's input gradient from GEMMs with [w, w*a1, 2*w*a2].
     """
     if (
         w.ndim != 2
@@ -603,39 +701,58 @@ def taylor_kan(x, w, a0, a1, a2):
         raise ShapeError("taylor_kan", x.shape, w.shape, a0.shape, a1.shape, a2.shape)
     parents = (x, w, a0, a1, a2)
     keep = _records(parents)
-    xd, wd = x.data, w.data
-    lead, n_in = xd.shape[:-1], wd.shape[1]
+    xd, wd = _batched(x.data), w.data
+    n_out, n_in = wd.shape
     wa1 = wd * a1.data
     wa2 = wd * a2.data
-    s = sigmoid(xd)
-    # basis scratch; it may overwrite s when backward will not need it
-    buf = np.empty_like(s) if keep else s
-    out = _mm(np.multiply(s, xd, out=buf), wd.T)
-    out += _mm(xd, wa1.T)
-    out += _mm(np.square(xd, out=buf), wa2.T)
-    out += (wd * a0.data).sum(axis=1)
+    const = (wd * a0.data).sum(axis=1)
+    slices, rows = _slabs(xd.shape)
+    out = np.empty(xd.shape[:-1] + (n_out,))
+    sig = np.empty(xd.shape) if keep else None
+    xbuf, basis_buf, tbuf = _buffers(rows, n_in, n_in, n_out)
+    for sl in slices:
+        xs = _rows(_slab(xd, sl, xbuf))
+        basis = _scratch(basis_buf, xs.shape)
+        t = _scratch(tbuf, (xs.shape[0], n_out))
+        # without a tape the sigmoid lives in the basis scratch it feeds
+        s = sigmoid(xs, out=_rows(sig[sl]) if keep else basis)
+        o = _rows(out[sl])
+        np.matmul(np.multiply(s, xs, out=basis), wd.T, out=o)
+        o += np.matmul(_slab_rows(xd, sl, basis_buf), wa1.T, out=t)
+        o += np.matmul(np.square(xs, out=basis), wa2.T, out=t)
+        o += const
 
     def bw(g):
-        g2 = _rows(g)
-        basis = np.empty((3,) + lead + (n_in,))
-        silu_x, xc, sq = basis
-        xc[...] = xd
-        np.multiply(s, xc, out=silu_x)
-        np.square(xc, out=sq)
-        c_silu, c_lin, c_quad = g2.T @ basis.reshape(3, g2.shape[0], n_in)
-        g_sum = g2.sum(axis=0)[:, None]
+        g = g.reshape(out.shape)
+        gx = np.empty(xd.shape)
+        c_silu, c_lin, c_quad = np.zeros((3, n_out, n_in))
+        g_sum = np.zeros(n_out)
+        w_quad = 2.0 * wa2
+        gbuf, xbuf, silu_buf, sq_buf, tb = _buffers(rows, n_out, n_in, n_in, n_in, n_in)
+        for sl in slices:
+            gs = _rows(_slab(g, sl, gbuf))
+            xs = _rows(_slab(xd, sl, xbuf))
+            s = _rows(sig[sl])
+            silu_x = np.multiply(s, xs, out=_scratch(silu_buf, xs.shape))
+            sq = np.square(xs, out=_scratch(sq_buf, xs.shape))
+            t = _scratch(tb, xs.shape)
+            c_silu += gs.T @ silu_x
+            c_lin += gs.T @ xs
+            c_quad += gs.T @ sq
+            g_sum += gs.sum(axis=0)
+            # silu'(x) = s + silu(x) * (1 - s)
+            gxs = np.subtract(1.0, s, out=_rows(gx[sl]))
+            gxs *= silu_x
+            gxs += s
+            gxs *= np.matmul(gs, wd, out=t)
+            gxs += np.matmul(gs, wa1, out=t)
+            gxs += np.multiply(np.matmul(gs, w_quad, out=t), xs, out=sq)
+        g_sum = g_sum[:, None]
         gw = c_silu + c_lin * a1.data + c_quad * a2.data + g_sum * a0.data
-        back = (g2 @ np.stack([wd, wa1, 2.0 * wa2])).reshape(basis.shape)
-        # silu'(x) = s + silu(x) * (1 - s)
-        gx = 1.0 - s
-        gx *= silu_x
-        gx += s
-        gx *= back[0]
-        gx += back[1]
-        gx += np.multiply(back[2], xc, out=sq)
-        return gx, gw, g_sum * wd, c_lin * wd, c_quad * wd
+        return gx.reshape(x.shape), gw, g_sum * wd, c_lin * wd, c_quad * wd
 
-    return Tensor._from_op(out, "taylor_kan", parents, bw)
+    out_shape = x.shape[:-1] + (n_out,)
+    return Tensor._from_op(out.reshape(out_shape), "taylor_kan", parents, bw)
 
 
 def poly_inject(x, coeffs):
@@ -655,9 +772,14 @@ def poly_inject(x, coeffs):
         raise ShapeError("poly_inject", x.shape, *(c.shape for c in coeffs))
     parents = (x,) + coeffs
     keep = _records(parents)
-    xd = x.data
+    xd = _batched(x.data)
+    n_in, n_out = coeffs[0].shape
+    # Only the backward runs in slabs. The forward keeps whole-batch GEMMs:
+    # with r output columns they are narrow enough that OpenBLAS picks their
+    # kernel, and so their rounding, by row count up to thousands of rows,
+    # and slabs would change the forward's bits.
     out = _mm(xd, coeffs[1].data)
-    powers = [xd]
+    powers = []
     power = xd
     for c in coeffs[2:]:
         power = np.multiply(power, xd, order="C")
@@ -667,19 +789,29 @@ def poly_inject(x, coeffs):
     out += coeffs[0].data.sum(axis=0)
 
     def bw(g):
-        g2 = _rows(g)
-        grads = [np.broadcast_to(g2.sum(axis=0), coeffs[0].shape)]
-        gx = g2 @ coeffs[1].data.T
-        for k, (c, pk) in enumerate(zip(coeffs[1:], powers), start=1):
-            grads.append(_rows(pk).T @ g2)
-            if k > 1:
-                slope = g2 @ c.data.T
-                slope *= _rows(powers[k - 2])
-                slope *= k
-                gx += slope
-        return (gx.reshape(xd.shape),) + tuple(grads)
+        g = g.reshape(out.shape)
+        gx = np.empty(xd.shape)
+        grads = [np.zeros(c.shape) for c in coeffs[1:]]
+        g_sum = np.zeros(n_out)
+        slices, rows = _slabs(xd.shape)
+        xbuf, tb, gbuf = _buffers(rows, n_in, n_in, n_out)
+        for sl in slices:
+            gs = _rows(_slab(g, sl, gbuf))
+            pows = [_rows(_slab(xd, sl, xbuf))] + [_rows(p[sl]) for p in powers]
+            g_sum += gs.sum(axis=0)
+            gxs = np.matmul(gs, coeffs[1].data.T, out=_rows(gx[sl]))
+            for k, (grad, c, pk) in enumerate(zip(grads, coeffs[1:], pows), start=1):
+                grad += pk.T @ gs
+                if k > 1:
+                    slope = np.matmul(gs, c.data.T, out=_scratch(tb, gxs.shape))
+                    slope *= pows[k - 2]
+                    slope *= k
+                    gxs += slope
+        g_const = np.broadcast_to(g_sum, coeffs[0].shape)
+        return (gx.reshape(x.shape), g_const) + tuple(grads)
 
-    return Tensor._from_op(out, "poly_inject", parents, bw)
+    out_shape = x.shape[:-1] + (n_out,)
+    return Tensor._from_op(out.reshape(out_shape), "poly_inject", parents, bw)
 
 
 def fourier_inject(x, freqs, cos_coeffs, sin_coeffs):
@@ -703,43 +835,60 @@ def fourier_inject(x, freqs, cos_coeffs, sin_coeffs):
         raise ShapeError("fourier_inject", x.shape, *(c.shape for c in coeffs))
     parents = (x,) + coeffs
     keep = _records(parents)
-    xd = x.data
-    out = None
-    trig = []
-    for f, ca, sb in zip(freqs, cos_coeffs[1:], sin_coeffs):
-        ang = np.multiply(xd, f * np.pi, order="C")
-        c = np.cos(ang)
-        sn = np.sin(ang, out=ang)
-        term = _mm(c, ca.data)
-        term += _mm(sn, sb.data)
-        if out is None:
-            out = term
-        else:
-            out += term
-        if keep:
-            trig.append((c, sn))
-        del ang, c, sn, term  # without a tape, free them before the next frequency
-    out += cos_coeffs[0].data.sum(axis=0) * 0.5
+    xd = _batched(x.data)
+    n_in, n_out = coeffs[0].shape
+    slices, rows = _slabs(xd.shape)
+    out = np.empty(xd.shape[:-1] + (n_out,))
+    trig = [(np.empty(xd.shape), np.empty(xd.shape)) for _ in freqs] if keep else []
+    xbuf, cbuf, sbuf, tbuf, ubuf = _buffers(rows, n_in, n_in, n_in, n_out, n_out)
+    const = cos_coeffs[0].data.sum(axis=0) * 0.5
+    for sl in slices:
+        xs = _rows(_slab(xd, sl, xbuf))
+        k = xs.shape[0]
+        o = _rows(out[sl])
+        for j, (f, ca, sb) in enumerate(zip(freqs, cos_coeffs[1:], sin_coeffs)):
+            if keep:
+                c_dst, s_dst = (_rows(t[sl]) for t in trig[j])
+            else:
+                c_dst, s_dst = _scratch(cbuf, xs.shape), _scratch(sbuf, xs.shape)
+            ang = np.multiply(xs, f * np.pi, out=s_dst)
+            c = np.cos(ang, out=c_dst)
+            sn = np.sin(ang, out=ang)
+            term = o if j == 0 else _scratch(tbuf, (k, n_out))
+            np.matmul(c, ca.data, out=term)
+            term += np.matmul(sn, sb.data, out=_scratch(ubuf, (k, n_out)))
+            if j:
+                o += term
+        o += const
 
     def bw(g):
-        g2 = _rows(g)
-        g_cos = [np.broadcast_to(g2.sum(axis=0) * 0.5, cos_coeffs[0].shape)]
-        g_sin = []
-        gx = np.zeros((g2.shape[0], xd.shape[-1]))
-        for f, (c, sn), ca, sb in zip(freqs, trig, cos_coeffs[1:], sin_coeffs):
-            c, sn = _rows(c), _rows(sn)
-            g_cos.append(c.T @ g2)
-            g_sin.append(sn.T @ g2)
-            slope = g2 @ sb.data.T
-            slope *= c
-            d_cos = g2 @ ca.data.T
-            d_cos *= sn
-            slope -= d_cos
-            slope *= f * np.pi
-            gx += slope
-        return (gx.reshape(xd.shape),) + tuple(g_cos) + tuple(g_sin)
+        g = g.reshape(out.shape)
+        gx = np.zeros(xd.shape)
+        g_cos = [np.zeros(c.shape) for c in cos_coeffs[1:]]
+        g_sin = [np.zeros(c.shape) for c in sin_coeffs]
+        g_sum = np.zeros(n_out)
+        gbuf, cbuf, sbuf = _buffers(rows, n_out, n_in, n_in)
+        for sl in slices:
+            gs = _rows(_slab(g, sl, gbuf))
+            gxs = _rows(gx[sl])
+            g_sum += gs.sum(axis=0)
+            for j, (f, ca, sb) in enumerate(zip(freqs, cos_coeffs[1:], sin_coeffs)):
+                c, sn = (_rows(t[sl]) for t in trig[j])
+                g_cos[j] += c.T @ gs
+                g_sin[j] += sn.T @ gs
+                slope = np.matmul(gs, sb.data.T, out=_scratch(cbuf, gxs.shape))
+                slope *= c
+                d_cos = np.matmul(gs, ca.data.T, out=_scratch(sbuf, gxs.shape))
+                d_cos *= sn
+                slope -= d_cos
+                slope *= f * np.pi
+                gxs += slope
+        g_const = np.broadcast_to(g_sum * 0.5, cos_coeffs[0].shape)
+        return (gx.reshape(x.shape), g_const) + tuple(g_cos) + tuple(g_sin)
 
-    return Tensor._from_op(out, "fourier_inject", parents, bw)
+    return Tensor._from_op(
+        out.reshape(x.shape[:-1] + (n_out,)), "fourier_inject", parents, bw
+    )
 
 
 def patch_kans(grid, params):
@@ -750,7 +899,7 @@ def patch_kans(grid, params):
     the mean of the K outputs, giving out[n, p, c] (shape (N, P, d)).
     The mean commutes with the edge sum, so each patch reduces to K-vector
     dot products with the column means of w, w*a1 and w*a2, plus a constant.
-    The grid is read in place: no per-patch slices.
+    The grid is read in slabs: no per-patch slices.
     """
     params = [tuple(ps) for ps in params]
     if grid.ndim != 4 or grid.shape[2] != len(params):
@@ -766,30 +915,48 @@ def patch_kans(grid, params):
     u = w.mean(axis=1).T
     v = (w * a1).mean(axis=1).T
     q = (w * a2).mean(axis=1).T
+    const = (w * a0).sum(axis=2).mean(axis=1)[:, None]
     td = grid.data
-    s = sigmoid(td)
-    # basis scratch; it may overwrite s when backward will not need it
-    buf = np.empty_like(s) if keep else s
-    out = np.einsum("nipc,ip->npc", np.multiply(s, td, out=buf), u)
-    out += np.einsum("nipc,ip->npc", td, v)
-    out += np.einsum("nipc,ip->npc", np.square(td, out=buf), q)
-    out += (w * a0).sum(axis=2).mean(axis=1)[:, None]
+    slices, rows = _slabs(td.shape)
+    size = rows * td.shape[-1]
+    out = np.empty((td.shape[0],) + td.shape[2:])
+    sig = np.empty(td.shape) if keep else None
+    tbuf, basis_buf = _buffers(size, 1, 1)
+    for sl in slices:
+        ts = _slab(td, sl, tbuf)
+        basis = _scratch(basis_buf, ts.shape)
+        # without a tape the sigmoid lives in the basis scratch it feeds
+        s = sigmoid(ts, out=sig[sl] if keep else basis)
+        o = out[sl]
+        np.einsum("nipc,ip->npc", np.multiply(s, ts, out=basis), u, out=o)
+        o += np.einsum("nipc,ip->npc", ts, v)
+        o += np.einsum("nipc,ip->npc", np.square(ts, out=basis), q)
+        o += const
 
     def bw(g):
-        silu_t = td * s
-        sq = np.square(td)
-        g_u = np.einsum("npc,nipc->pi", g, silu_t)
-        g_v = np.einsum("npc,nipc->pi", g, td)
-        g_q = np.einsum("npc,nipc->pi", g, sq)
-        g_c = g.sum(axis=(0, 2))
-        # d out / d grid = silu'(t) u + v + 2 t q, with silu' = s + silu (1 - s)
-        gt = 1.0 - s
-        gt *= silu_t
-        gt += s
-        gt *= u[:, :, None]
-        gt += np.multiply(td, 2.0 * q[:, :, None], out=sq)
-        gt += v[:, :, None]
-        gt *= g[:, None]
+        gt = np.empty(td.shape)
+        g_u, g_v, g_q = np.zeros((3, len(params), k_bins))
+        g_c = np.zeros(len(params))
+        q2 = 2.0 * q[:, :, None]
+        tbuf, silu_buf, sq_buf = _buffers(size, 1, 1, 1)
+        for sl in slices:
+            ts = _slab(td, sl, tbuf)
+            s = sig[sl]
+            gs = g[sl]
+            silu_t = np.multiply(ts, s, out=_scratch(silu_buf, ts.shape))
+            sq = np.square(ts, out=_scratch(sq_buf, ts.shape))
+            g_u += np.einsum("npc,nipc->pi", gs, silu_t)
+            g_v += np.einsum("npc,nipc->pi", gs, ts)
+            g_q += np.einsum("npc,nipc->pi", gs, sq)
+            g_c += gs.sum(axis=(0, 2))
+            # d out / d grid = silu'(t) u + v + 2 t q, with silu' = s + silu (1 - s)
+            gts = np.subtract(1.0, s, out=gt[sl])
+            gts *= silu_t
+            gts += s
+            gts *= u[:, :, None]
+            gts += np.multiply(ts, q2, out=sq)
+            gts += v[:, :, None]
+            gts *= gs[:, None]
         # broadcast the per-column means back over the K output rows
         scale = 1.0 / k_bins
         g_u, g_v, g_q = (t[:, None, :] * scale for t in (g_u, g_v, g_q))

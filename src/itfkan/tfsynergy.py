@@ -31,6 +31,7 @@ from .tensor import (
     atan2,
     cos,
     expand_last,
+    l2_penalty,
     matmul,
     patch_kans,
     patch_windows,
@@ -203,10 +204,8 @@ class PatchKans:
         return patch_kans(tf, [(lay.w, lay.a0, lay.a1, lay.a2) for lay in layers])
 
     def reg_loss(self):
-        total = self.nets[0].reg_loss()
-        for net in self.nets[1:]:
-            total = total + net.reg_loss()
-        return total
+        """Sum of every per-patch network's penalty, as one tape node."""
+        return l2_penalty([term for net in self.nets for term in net.reg_terms()])
 
     def edge_total(self):
         return sum(

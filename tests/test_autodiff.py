@@ -178,6 +178,26 @@ def test_binary_primitive_gradients(name):
     assert worst < 1e-4, f"{name}: {worst}"
 
 
+def test_matmul_skips_gradient_of_constant_operand():
+    from gradcheck_util import param_fd_errors
+
+    rng = np.random.default_rng(31)
+    weights = rng.normal(size=(2, 3, 5))
+    for grad_a in (True, False):
+        a = Tensor(rng.normal(size=(2, 3, 4)), requires_grad=grad_a)
+        b = Tensor(rng.normal(size=(4, 5)), requires_grad=not grad_a)
+        out = T.matmul(a, b)
+        ga, gb = out._backward(weights)
+        const, grad = (gb, ga) if grad_a else (ga, gb)
+        assert const is None and grad is not None
+        backward((out * Tensor(weights)).sum())
+        assert (b if grad_a else a).grad is None
+        live = ("a", a) if grad_a else ("b", b)
+        loss = lambda: (T.matmul(a, b) * Tensor(weights)).sum()  # noqa: E731
+        errors = param_fd_errors(loss, [live])
+        assert errors[live[0]] < 1e-6, errors
+
+
 @pytest.mark.parametrize(
     "name,op",
     [

@@ -264,3 +264,42 @@ def test_naive2_follows_seasonal_pattern():
 def test_seasonality_test_rejects_noise():
     rng = np.random.default_rng(13)
     assert not seasonality_test(rng.normal(size=200), 24)
+
+
+def naive2_cases():
+    """(history rows, m) covering every branch of naive2_forecast."""
+    rng = np.random.default_rng(14)
+    t = np.arange(48)
+    seasonal = np.stack([
+        20.0 + 5.0 * np.sin(2 * np.pi * t / 12 + phase) + rng.normal(scale=0.3, size=48)
+        for phase in rng.uniform(0, 2 * np.pi, 5)
+    ])
+    noise = rng.normal(size=(3, 48)) + 10.0
+    constant = np.full((1, 48), 7.0)
+    # a period-4 pattern summing to 0 on a dyadic ramp: its centered moving
+    # average is exactly 0 at t = 10 and nowhere else
+    zero_ma = (np.tile([4.0, -4.0, 8.0, -8.0], 10) + 0.25 * (np.arange(40) - 10))[None]
+    return [
+        (np.concatenate([seasonal, noise, constant]), 12),
+        # nine ratios per phase: numpy sums 8 or more values pairwise
+        (np.concatenate([zero_ma, seasonal[:, :40]]), 4),
+        (seasonal, 1),
+        (seasonal[:, :30], 12),  # n < 3m
+        (seasonal, 5),  # odd m
+    ]
+
+
+def test_naive2_rows_bitwise_equals_per_row_forecast():
+    for hist, m in naive2_cases():
+        expected = np.stack([naive2_forecast(row, 7, m) for row in hist])
+        assert np.array_equal(naive2_rows(hist, 7, m), expected), m
+
+
+def test_naive2_cases_reach_every_branch():
+    from itfkan.metrics import _seasonal_indices
+
+    hist, m = naive2_cases()[0]
+    tests = [seasonality_test(row, m) for row in hist]
+    assert tests[:5] == [True] * 5 and not any(tests[5:])
+    hist, m = naive2_cases()[1]
+    assert seasonality_test(hist[0], m) and _seasonal_indices(hist[0], m) is None

@@ -323,3 +323,81 @@ def test_model_no_grad_forward_equals_taped_bitwise():
     with no_grad():
         plain = model.forward(Tensor(x))
     np.testing.assert_array_equal(plain.data, taped.data)
+
+
+# --- slabs -----------------------------------------------------------------------
+
+def slab_case(name, rng, permuted):
+    """(fused fn, chain fn, input tensor, named parameters) with a leading
+    axis of 5, the input permuted as the model feeds it or row-major."""
+    if name == "patch_kans":
+        base = rng.normal(size=(5, 2, 3, 4))  # (N, d, K, P)
+        base[:, :, 1, 2] = 0.0
+        x = Tensor(base, requires_grad=True).permute(0, 2, 3, 1)
+        params = [taylor_params(rng, 3, 3, prune=(p % 2 == 0)) for p in range(4)]
+        named = [
+            (f"p{p}.{n}", t)
+            for p, ps in enumerate(params)
+            for n, t in zip(["w", "a0", "a1", "a2"], ps)
+        ]
+        fused = lambda x_: T.patch_kans(x_, params)  # noqa: E731
+        chain = lambda x_: patch_chain(x_, params)  # noqa: E731
+    else:
+        fused, chain, _, named = make_case(name, rng)
+        x = time_axis_input(rng, (5, 3, 4), 5)
+    if not permuted:
+        x = Tensor(np.ascontiguousarray(x.data), requires_grad=True)
+    return fused, chain, x, named
+
+
+@pytest.fixture
+def small_slabs(monkeypatch):
+    """Slabs of two leading rows' worth: the 5 leading rows of every slab
+    case run as three slabs of 1, 2 and 2."""
+    def use(x):
+        monkeypatch.setattr(T, "SLAB", 2 * x.size // x.shape[0])
+        slices, _ = T._slabs(x.shape)
+        assert [s.stop - s.start for s in slices] == [1, 2, 2]
+
+    return use
+
+
+@pytest.mark.parametrize("permuted", [True, False])
+@pytest.mark.parametrize("name", OPS)
+def test_fused_op_over_slabs_matches_fd(name, permuted, small_slabs):
+    fused, _, x, named = slab_case(name, np.random.default_rng(40), permuted)
+    small_slabs(x)
+    err = gradient_check(lambda x_: weighted_sum(fused(x_)), x)
+    assert err < FD_TOL, err
+    errors = param_fd_errors(lambda: weighted_sum(fused(x)), named)
+    for pname, err in errors.items():
+        assert err < FD_TOL, f"{name} {pname}: {err}"
+
+
+@pytest.mark.parametrize("permuted", [True, False])
+@pytest.mark.parametrize("name", OPS)
+def test_fused_op_over_slabs_matches_chain(name, permuted, small_slabs):
+    fused, chain, x, named = slab_case(name, np.random.default_rng(41), permuted)
+    small_slabs(x)
+    out_f, grads_f = grads_of(fused, x, named)
+    out_c, grads_c = grads_of(chain, x, named)
+    assert rel_gap(out_f, out_c) < PARITY_RTOL
+    for key in grads_c:
+        assert rel_gap(grads_f[key], grads_c[key]) < PARITY_RTOL, key
+    with no_grad():
+        plain = fused(x)
+    np.testing.assert_array_equal(plain.data, out_f)
+
+
+@pytest.mark.parametrize("name", ["taylor_kan", "poly_inject", "fourier_inject"])
+def test_fused_op_on_one_row(name):
+    fused, chain, x, named = make_case(name, np.random.default_rng(42))
+    row = Tensor(np.ascontiguousarray(x.data[0, 0, 0]), requires_grad=True)
+    out_f, grads_f = grads_of(fused, row, named)
+    out_c, grads_c = grads_of(chain, row, named)
+    width = named[0][1].shape[0 if name == "taylor_kan" else 1]
+    assert out_f.shape == out_c.shape == (width,)
+    assert rel_gap(out_f, out_c) < PARITY_RTOL
+    for key in grads_c:
+        assert rel_gap(grads_f[key], grads_c[key]) < PARITY_RTOL, key
+    assert gradient_check(lambda x_: weighted_sum(fused(x_)), row) < FD_TOL

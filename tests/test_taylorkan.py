@@ -11,7 +11,8 @@ from itfkan.taylorkan import (
     build_trend_kan,
     top_k_frequencies,
 )
-from itfkan.tensor import Tensor, backward, gradient_check
+from itfkan import tensor as T
+from itfkan.tensor import Graph, Tensor, backward, gradient_check
 
 
 def rng():
@@ -255,6 +256,79 @@ def test_reg_loss_gradients_flow():
     backward(loss)
     assert net.layers[0].a1.grad is not None
     assert net.layers[0].four_b[0].grad is not None
+
+
+def reg_chain(layer):
+    """The mul/sum/add chain a layer's regulariser was before it became one
+    ``l2_penalty`` node; kept as its oracle."""
+    reg = T.sum_axis(layer.a1 * layer.a1 + layer.a2 * layer.a2) * (1.0 / 2)
+    if layer.inject_kind == "trend":
+        for c in layer.poly_coeffs[1:]:
+            reg = reg + T.sum_axis(c * c) * (1.0 / layer.inject_rows)
+    elif layer.inject_kind == "fourier":
+        for t in layer.four_a[1:] + layer.four_b:
+            reg = reg + T.sum_axis(t * t) * (1.0 / (2 * layer.freqs.size))
+    return reg
+
+
+def chain_total(layers):
+    total = reg_chain(layers[0])
+    for layer in layers[1:]:
+        total = total + reg_chain(layer)
+    return total
+
+
+def reg_case(name, seed):
+    """A network of each kind with random coefficients, and its layers."""
+    from itfkan.tfsynergy import PatchKans
+
+    gen = np.random.default_rng(15)
+    if name == "tf":
+        net = PatchKans(3, 4, gen)
+        layers = [sub.layers[0] for sub in net.nets]
+    else:
+        build = build_trend_kan if name == "trend" else build_seasonal_kan
+        net = build(6, 3 if name == "trend" else [0.5, 0.25], gen)
+        layers = net.layers
+    params = [t for i, layer in enumerate(layers) for _, t in layer.parameters(f"l{i}")]
+    values = np.random.default_rng(seed)
+    for t in params:
+        t.data[...] = values.normal(size=t.shape)
+    return net, layers, params
+
+
+@pytest.mark.parametrize("name", ["trend", "seasonal", "tf"])
+def test_reg_loss_is_one_node_matching_the_chain(name):
+    net, layers, params = reg_case(name, 16)
+    fused = net.reg_loss()
+    assert len(Graph.from_output(fused)) == 1 and fused.op == "l2_penalty"
+    backward(fused)
+    grads = [None if t.grad is None else t.grad.copy() for t in params]
+    for t in params:
+        t.grad = None
+    chain = chain_total(layers)
+    backward(chain)
+    assert abs(fused.item() - chain.item()) <= 1e-12 * abs(chain.item())
+    for t, g in zip(params, grads):
+        if t.grad is None:  # not penalised: w, a0 and the constant terms
+            assert g is None
+            continue
+        np.testing.assert_allclose(g, t.grad, rtol=1e-12, atol=0.0)
+
+
+@pytest.mark.parametrize("name", ["trend", "seasonal", "tf"])
+def test_reg_loss_gradients_match_fd(name):
+    from gradcheck_util import param_fd_errors
+
+    net, layers, _ = reg_case(name, 17)
+    named = [
+        (f"l{i}.{k}", t)
+        for i, layer in enumerate(layers)
+        for k, (t, _) in enumerate(layer.reg_terms())
+    ]
+    errors = param_fd_errors(net.reg_loss, named)
+    for pname, err in errors.items():
+        assert err < 1e-6, f"{pname}: {err}"
 
 
 # --- first-layer polynomial property ---------------------------------------------------

@@ -6,6 +6,12 @@ counts. Symbolification fits each surviving edge activation with the best
 library formula c * f(a*x + b) + d over the input range the edge actually
 received (recorded by a calibration forward pass, padded 10%), ranking
 candidates by coefficient of determination on held-out sample points.
+Each family is fitted in a canonical form with no redundant parameters
+(see ``_canonical_fit``): identity and square in closed form; cube, exp
+and one joint sin/cos fit by a search over a single parameter; gaussian
+with a > 0; silu over its full (a, b) grid. Without redundant parameters
+no two fits of a family tie, so the rendered text follows the edge, not
+its rounding, and an edge takes about 50 ms to fit on one core, not 180.
 The surviving edges are independent fits, so a report spreads them over
 every CPU the process may run on; each fit runs the same code on the same
 inputs wherever it lands, so the report does not depend on the worker
@@ -42,6 +48,9 @@ FAMILIES = {
 FAMILY_ORDER = [
     "identity", "square", "cube", "sin", "cos", "exp", "gaussian", "silu", "constant",
 ]
+# The fits ``symbolify_edge`` ranks, in order: "trig" is one fit for sin and
+# cos, named after the form with the smaller phase.
+FIT_ORDER = ("identity", "square", "cube", "trig", "exp", "gaussian", "silu", "constant")
 NETWORKS = ("TrendKAN", "SeasonalKAN", "TFKAN")
 
 
@@ -118,40 +127,18 @@ def padded_range(lo, hi, pad=0.1):
 
 # --- symbolic fitting ---------------------------------------------------------------
 
-def _closed_form(u, y):
-    """Least-squares (c, d) for y ~ c*u + d, with a degenerate-u guard."""
-    n = len(y)
-    su = u.sum()
-    suu = float(u @ u)
-    suy = float(u @ y)
-    sy = y.sum()
-    det = n * suu - su * su
-    if not np.isfinite(det) or det <= 1e-12 * max(1.0, n * suu):
-        c = 0.0
-        d = sy / n
-    else:
-        c = (n * suy - su * sy) / det
-        d = (sy - c * su) / n
-    resid = y - c * u - d
-    return c, d, float(resid @ resid)
-
-
-def _score(func, x, y, a, b):
+def _rows(func, x, a_rows, b_rows):
+    """Candidate rows func(a*x + b), one per (a, b) pair."""
     with np.errstate(over="ignore", invalid="ignore"):
-        u = func(a * x + b)
-    if not np.all(np.isfinite(u)):
-        return np.inf, 0.0, 0.0
-    c, d, ss = _closed_form(u, y)
-    return ss, c, d
+        return func(np.outer(a_rows, x) + np.asarray(b_rows)[:, None])
 
 
-def _row_scores(func, x, y, a_rows, b_rows):
-    """Vectorized residuals of the closed-form (c, d) fit for candidate
-    (a, b) rows; non-finite rows score inf."""
+def _scores(u_rows, y):
+    """Residuals and least-squares (c, d) of y ~ c*u + d for each candidate
+    row of ``u_rows``. A non-finite row scores inf; a degenerate (constant)
+    row gets c = 0."""
     n = len(y)
     sy = y.sum()
-    with np.errstate(over="ignore", invalid="ignore"):
-        u_rows = func(np.outer(a_rows, x) + np.asarray(b_rows)[:, None])
     finite = np.isfinite(u_rows).all(axis=1)
     u_rows = np.where(np.isfinite(u_rows), u_rows, 0.0)
     su = u_rows.sum(axis=1)
@@ -165,16 +152,47 @@ def _row_scores(func, x, y, a_rows, b_rows):
     d = (sy - c * su) / n
     resid = y[None, :] - c[:, None] * u_rows - d[:, None]
     ss = np.einsum("ij,ij->i", resid, resid)
-    ss[~finite] = np.inf
-    return ss
+    ss[~(finite & np.isfinite(ss))] = np.inf
+    return ss, c, d
 
 
-def _grid_search(func, x, y, x_absmax):
+def _trig_scores(a_rows, x, y):
+    """Least squares of y ~ p*sin(a x) + q*cos(a x) + d for each a > 0:
+    returns (residuals, p, q, d). For a fixed frequency the model is linear,
+    so the phase needs no search. At small a x, cos(a x) is within a few
+    ulp of 1 and a near-quadratic target makes q large, so q * cos(a x)
+    would carry that rounding into the residual; the column used instead,
+    cos(a x) - 1 = -2 sin(a x / 2)^2, keeps its relative precision. A
+    singular system scores inf."""
+    ax = np.outer(a_rows, x)
+    s_rows, v_rows = np.sin(ax), np.sin(0.5 * ax)
+    v_rows *= -2.0 * v_rows
+    s_mean, v_mean = s_rows.mean(axis=1), v_rows.mean(axis=1)
+    s_rows -= s_mean[:, None]
+    v_rows -= v_mean[:, None]
+    y_mean = y.mean()
+    yc = y - y_mean
+    sss = np.einsum("ij,ij->i", s_rows, s_rows)
+    svv = np.einsum("ij,ij->i", v_rows, v_rows)
+    ssv = np.einsum("ij,ij->i", s_rows, v_rows)
+    ssy, svy = s_rows @ yc, v_rows @ yc
+    det = sss * svv - ssv * ssv
+    with np.errstate(invalid="ignore", divide="ignore"):
+        p = (svv * ssy - ssv * svy) / det
+        q = (sss * svy - ssv * ssy) / det
+        resid = yc[None, :] - p[:, None] * s_rows - q[:, None] * v_rows
+    ss = np.einsum("ij,ij->i", resid, resid)
+    ss[~np.isfinite(ss)] = np.inf
+    return ss, p, q, y_mean - p * s_mean - q * (v_mean + 1.0)
+
+
+def _grid_search(func, x, y, x_absmax, a_values):
+    """Best (ss, a, b) over ``a_values`` x a b grid as wide as a*x reaches."""
     best = (np.inf, 1.0, 0.0)  # (ss, a, b)
-    for a in np.concatenate([A_GRID, -A_GRID]):
+    for a in a_values:
         span = max(np.pi, abs(a) * x_absmax)
         bs = np.linspace(-span, span, B_POINTS)
-        ss = _row_scores(func, x, y, np.full(B_POINTS, a), bs)
+        ss = _scores(_rows(func, x, np.full(B_POINTS, a), bs), y)[0]
         idx = int(np.argmin(ss))
         if ss[idx] < best[0]:
             best = (float(ss[idx]), float(a), float(bs[idx]))
@@ -206,73 +224,190 @@ def _sweep(score_rows, center, step):
     return best_t, best_ss
 
 
+def _stalled(previous, current):
+    return not np.isfinite(current) or previous - current <= 1e-12 * max(previous, 1e-30)
+
+
+def _line_search(score_rows, grid):
+    """Minimise a residual of one parameter: score the sorted ``grid``, then
+    sweep around the best point until the residual stalls, and shrink the
+    window 8x per round. The first window is the grid spacing there. Two
+    Newton steps from central differences finish: near the minimum, whether
+    a sweep keeps a point or its parabolic vertex turns on rounding noise,
+    while a Newton step moves continuously with the scores, so a target
+    changed by a few ulp keeps its fit to many more digits."""
+    ss = score_rows(grid)
+    idx = int(np.argmin(ss))
+    t, best = grid[idx], ss[idx]
+    step = float(np.max(np.diff(grid[max(idx - 1, 0) : idx + 2])))
+    for _ in range(REFINE_ROUNDS):
+        for _ in range(16):
+            previous = best
+            t_new, ss_new = _sweep(score_rows, t, step)
+            if ss_new < best:
+                t, best = t_new, ss_new
+            if _stalled(previous, best):
+                break
+        step /= 8.0
+    for _ in range(2):
+        low, mid, high = score_rows(t + np.array([-step, 0.0, step]))
+        curvature = low - 2.0 * mid + high
+        if not np.isfinite(curvature) or curvature <= 0.0:
+            break
+        shift = 0.5 * step * (low - high) / curvature
+        if abs(shift) > step:
+            break
+        t += shift
+    return float(t)
+
+
 def _refine(func, x, y, a, b, x_absmax, rounds=REFINE_ROUNDS):
     """Coordinate descent around the best grid cell; (c, d) stay closed-form.
 
     Each round alternates a/b sweeps at a fixed window size until the
     residual stalls, then shrinks the window. The (a, b) valley is often
-    diagonal (e.g. trig phase/frequency coupling), so single sweeps per
-    round stall far from the optimum.
+    diagonal, so single sweeps per round stall far from the optimum.
     """
     log_step = np.log(10.0) * 3.0 / 40.0  # grid spacing in log|a|
     b_step = 2.0 * max(np.pi, abs(a) * x_absmax) / (B_POINTS - 1)
     sign = 1.0 if a >= 0 else -1.0
     la = np.log(abs(a)) if a != 0 else np.log(1e-8)
-    ss_best = _score(func, x, y, sign * np.exp(la), b)[0]
+    ss_best = _scores(_rows(func, x, [sign * np.exp(la)], [b]), y)[0][0]
     for _ in range(rounds):
         for _ in range(16):
             previous = ss_best
             la, ss_a = _sweep(
-                lambda ts: _row_scores(
-                    func, x, y, sign * np.exp(ts), np.full(len(ts), b)
-                ),
+                lambda ts: _scores(
+                    _rows(func, x, sign * np.exp(ts), np.full(len(ts), b)), y
+                )[0],
                 la,
                 log_step,
             )
             b, ss_best = _sweep(
-                lambda ts: _row_scores(
-                    func, x, y, np.full(len(ts), sign * np.exp(la)), ts
-                ),
+                lambda ts: _scores(
+                    _rows(func, x, np.full(len(ts), sign * np.exp(la)), ts), y
+                )[0],
                 b,
                 b_step,
             )
             ss_best = min(ss_best, ss_a)
-            if not np.isfinite(ss_best) or previous - ss_best <= 1e-12 * max(previous, 1e-30):
+            if _stalled(previous, ss_best):
                 break
         log_step /= 8.0
         b_step /= 8.0
     return sign * np.exp(la), b
 
 
-def _fit_family(name, x_fit, y_fit, x_val, y_val, x_absmax):
+def _cube_shifts(x_absmax):
+    """Shift grid for (x + s)^3, covering every shift b/a of an (a, b) grid
+    over ``A_GRID`` with |b| <= max(pi, |a| x_absmax): evenly spaced on
+    [-x_absmax, x_absmax], where the inflection point lies among the
+    samples, and geometric beyond, out to pi / min(A_GRID)."""
+    near = np.linspace(-x_absmax, x_absmax, B_POINTS)
+    reach = np.pi / A_GRID[0]
+    if reach <= x_absmax:
+        return near
+    ratio = A_GRID[1] / A_GRID[0]
+    count = int(np.ceil(np.log(reach / x_absmax) / np.log(ratio)))
+    far = x_absmax * ratio ** np.arange(1, count + 1)
+    far[-1] = reach
+    return np.concatenate([-far[::-1], near, far])
+
+
+def _trig_name(p, q):
+    """Canonical (family, b, c) of p*sin(a x) + q*cos(a x): c >= 0, and the
+    phase of whichever of sin and cos is smaller in magnitude, sin on a tie.
+    So sin carries b in [-3pi/4, pi/4] and cos b in (-pi/4, 3pi/4)."""
+    c = float(np.hypot(p, q))
+    b_sin = float(np.arctan2(q, p))  # c*sin(a x + b) = p*sin(a x) + q*cos(a x)
+    b_cos = b_sin - np.pi / 2  # c*cos(u - pi/2) = c*sin(u)
+    if b_cos <= -np.pi:
+        b_cos += 2.0 * np.pi
+    if abs(b_cos) < abs(b_sin):
+        return "cos", b_cos, c
+    return "sin", b_sin, c
+
+
+def _canonical_fit(name, x, y, x_absmax):
+    """(family, a, b, c, d) of a least-squares fit of ``name``'s family in
+    its canonical form, which has no redundant parameters:
+
+    identity  a = 1, b = 0
+    square    a = 1; b from the least-squares quadratic, |b| <= 1e5 x_absmax
+    cube      a = 1; a line search over the shift b
+    trig      a > 0 by line search over log a, phase in closed form; named
+              sin or cos by ``_trig_name``
+    exp       b = 0; a line search over log|a|, its sign from +-A_GRID
+    gaussian  a > 0; the (a, b) grid and refinement
+    silu      the (a, b) grid over +-A_GRID and refinement
+
+    (c, d) are closed-form for each candidate.
+    """
+    if name == "trig":
+        la = _line_search(lambda t: _trig_scores(np.exp(t), x, y)[0], np.log(A_GRID))
+        a = float(np.exp(la))
+        _, p, q, d = _trig_scores(np.array([a]), x, y)
+        family, b, c = _trig_name(p[0], q[0])
+        return family, a, b, c, float(d[0])
     func = FAMILIES[name]
+    a, b = 1.0, 0.0
+    if name == "square":
+        p2, p1, _ = np.polyfit(x, y, 2)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            b = p1 / (2.0 * p2)
+        # A near-linear target puts the vertex far off; past this shift,
+        # c*(x + b)^2 + d would round away the slope it is fitted for.
+        limit = 1e5 * x_absmax
+        b = 0.0 if np.isnan(b) else float(np.clip(b, -limit, limit))
+    elif name == "cube":
+        b = _line_search(
+            lambda ts: _scores(_rows(func, x, np.ones(len(ts)), ts), y)[0],
+            _cube_shifts(x_absmax),
+        )
+    elif name == "exp":
+        signed = np.concatenate([A_GRID, -A_GRID])
+        ss = _scores(_rows(func, x, signed, np.zeros(len(signed))), y)[0]
+        sign = 1.0 if np.argmin(ss) < len(A_GRID) else -1.0
+        la = _line_search(
+            lambda ts: _scores(_rows(func, x, sign * np.exp(ts), np.zeros(len(ts))), y)[0],
+            np.log(A_GRID),
+        )
+        a = sign * np.exp(la)
+    elif name in ("gaussian", "silu"):
+        a_values = A_GRID if name == "gaussian" else np.concatenate([A_GRID, -A_GRID])
+        _, a, b = _grid_search(func, x, y, x_absmax, a_values)
+        a, b = _refine(func, x, y, a, b, x_absmax)
+    _, c, d = _scores(_rows(func, x, [a], [b]), y)
+    return name, float(a), float(b), float(c[0]), float(d[0])
+
+
+def _fit_family(name, x_fit, y_fit, x_val, y_val, x_absmax):
+    """Fit one ``FIT_ORDER`` entry on the fit samples; R2 on the held-out."""
     if name == "constant":
-        d = float(np.mean(y_fit))
-        a, b, c = 0.0, 0.0, 0.0
+        family, a, b, c, d = name, 0.0, 0.0, 0.0, float(np.mean(y_fit))
         pred_val = np.full_like(y_val, d)
     else:
-        _, a, b = _grid_search(func, x_fit, y_fit, x_absmax)
-        a, b = _refine(func, x_fit, y_fit, a, b, x_absmax)
-        _, c, d = _score(func, x_fit, y_fit, a, b)
+        family, a, b, c, d = _canonical_fit(name, x_fit, y_fit, x_absmax)
         with np.errstate(over="ignore", invalid="ignore"):
-            pred_val = c * func(a * x_val + b) + d
+            pred_val = c * FAMILIES[family](a * x_val + b) + d
         if not np.all(np.isfinite(pred_val)):
-            return SymbolicFit(name, a, b, c, d, 0.0)
+            return SymbolicFit(family, a, b, c, d, 0.0)
     ss_res = float(np.sum((y_val - pred_val) ** 2))
     ss_tot = float(np.sum((y_val - y_val.mean()) ** 2))
     if ss_tot == 0.0:
         r2 = 1.0 if ss_res <= 1e-24 else 0.0
     else:
         r2 = 1.0 - ss_res / ss_tot
-    return SymbolicFit(name, float(a), float(b), float(c), float(d), max(0.0, r2))
+    return SymbolicFit(family, a, b, c, d, max(0.0, r2))
 
 
-def symbolify_edge(edge_fn, lo, hi, n_samples=FIT_SAMPLES):
+def symbolify_edge(edge_fn, lo, hi, n_samples=FIT_SAMPLES, timing=None):
     """Best-matching library formula for a scalar function on [lo, hi].
 
     Fitting uses alternating sample points; the reported R2 comes from the
     held-out alternates. Degenerate (constant) samples return the constant
-    family with R2 = 1.
+    family with R2 = 1. If ``timing`` is a dict, each ``FIT_ORDER`` entry's
+    fit seconds are added to it.
     """
     if n_samples < 64:
         raise ValueError("need at least 64 sample points")
@@ -289,20 +424,31 @@ def symbolify_edge(edge_fn, lo, hi, n_samples=FIT_SAMPLES):
     x_val, y_val = xs[1::2], ys[1::2]
     x_absmax = max(abs(lo), abs(hi))
     best = None
-    for name in FAMILY_ORDER:
+    for name in FIT_ORDER:
+        start = time.perf_counter()
         fit = _fit_family(name, x_fit, y_fit, x_val, y_val, x_absmax)
+        if timing is not None:
+            timing[name] = timing.get(name, 0.0) + time.perf_counter() - start
         if best is None or fit.r2 > best.r2 + 1e-12:
             best = fit
     return best
 
 
+def _fixed(value, decimals, sign=""):
+    """``value`` at ``decimals`` places; one that rounds to zero prints as
+    +0.00 (0.00 unsigned), never with the sign of its rounding noise."""
+    if round(value, decimals) == 0.0:
+        value = 0.0
+    return f"{value:{sign}.{decimals}f}"
+
+
 def render_fit(fit, decimals=2):
     """Text form c*f(a x + b) + d, matching the report's 2-decimal style."""
     if fit.family == "constant":
-        return f"{fit.c + fit.d:.{decimals}f}"
-    inner = f"{fit.a:.{decimals}f}x"
+        return _fixed(fit.c + fit.d, decimals)
+    inner = f"{_fixed(fit.a, decimals)}x"
     if round(fit.b, decimals) != 0.0:
-        inner += f"{fit.b:+.{decimals}f}"
+        inner += _fixed(fit.b, decimals, "+")
     bodies = {
         "identity": f"({inner})",
         "square": f"({inner})^2",
@@ -313,7 +459,8 @@ def render_fit(fit, decimals=2):
         "gaussian": f"exp(-({inner})^2)",
         "silu": f"silu({inner})",
     }
-    return f"{fit.c:.{decimals}f}{bodies[fit.family]}{fit.d:+.{decimals}f}"
+    c, d = _fixed(fit.c, decimals), _fixed(fit.d, decimals, "+")
+    return f"{c}{bodies[fit.family]}{d}"
 
 
 # --- report generation ------------------------------------------------------------
@@ -366,16 +513,18 @@ def _network_records(net_name, tag, layers, probe, pending):
 
 
 def _fit_job(job):
-    """Fit one ``(edge, lo, hi)`` job; returns (fit, wall seconds)."""
+    """Fit one ``(edge, lo, hi)`` job; returns (fit, wall seconds, seconds
+    per ``FIT_ORDER`` entry)."""
     edge, lo, hi = job
     start = time.perf_counter()
-    fit = symbolify_edge(edge, lo, hi)
-    return fit, time.perf_counter() - start
+    family_s = {}
+    fit = symbolify_edge(edge, lo, hi, timing=family_s)
+    return fit, time.perf_counter() - start, family_s
 
 
 def _fit_edges(jobs):
     """Fit every job, in order, on one worker per CPU of the process's
-    affinity mask; returns ``[(fit, seconds)]`` and the worker count.
+    affinity mask; returns ``_fit_job``'s results and the worker count.
 
     With one worker (or at most one job) the fits run in-process. Otherwise
     a fork pool inherits the calibrated, pruned model copy-on-write, so only
@@ -405,8 +554,9 @@ def generate_report(model, tau, top_m, calib_inputs, batch_size=64, timing=None)
     injected ones exactly. Returns (prune_rows, edge_records).
 
     If ``timing`` is a dict, it receives the wall seconds of calibration,
-    pruning and the fit of the surviving edges, the worker count and each
-    edge's fit seconds (see ``format_report_timing``).
+    pruning and the fit of the surviving edges, the worker count, each
+    edge's fit seconds and each ``FIT_ORDER`` entry's seconds summed over
+    the edges (see ``format_report_timing``).
     """
     start = time.perf_counter()
     probe = calibrate_ranges(model, calib_inputs, batch_size=batch_size)
@@ -423,7 +573,7 @@ def generate_report(model, tau, top_m, calib_inputs, batch_size=64, timing=None)
     fit_start = time.perf_counter()
     results, workers = _fit_edges([job for _, job in pending])
     fitted = time.perf_counter()
-    for (record, _), (fit, _) in zip(pending, results):
+    for (record, _), (fit, _, _) in zip(pending, results):
         record.fit, record.formula = fit, render_fit(fit)
     records.sort(key=lambda r: (r.network, r.layer, -r.l2, r.i, r.j))
     for net_name in NETWORKS:
@@ -437,7 +587,11 @@ def generate_report(model, tau, top_m, calib_inputs, batch_size=64, timing=None)
         timing.update(
             calibrate_s=calibrated - start, prune_s=pruned - calibrated,
             fit_s=fitted - fit_start, workers=workers,
-            edge_s=[seconds for _, seconds in results],
+            edge_s=[seconds for _, seconds, _ in results],
+            family_s={
+                name: sum(family_s.get(name, 0.0) for _, _, family_s in results)
+                for name in FIT_ORDER
+            },
         )
     return prune_rows, records
 
@@ -520,7 +674,9 @@ def format_fit_summary(records):
 
 def format_report_timing(timing):
     """Wall times of a report run, from ``generate_report(timing=...)``.
-    Kept apart from the deterministic files: these vary run to run."""
+    Kept apart from the deterministic files: these vary run to run. The
+    ``fit_<name>_s`` rows sum one ``FIT_ORDER`` fit over every edge, in the
+    worker that ran it; ``fit_trig_s`` covers sin and cos."""
     edge_s = timing["edge_s"]
     rows = [
         ("calibrate_s", f"{timing['calibrate_s']:.6f}"),
@@ -531,4 +687,5 @@ def format_report_timing(timing):
         ("edge_fit_sum_s", f"{sum(edge_s):.6f}"),
         ("edge_fit_p50_s", f"{float(np.median(edge_s)):.6f}" if edge_s else "-"),
     ]
+    rows += [(f"fit_{name}_s", f"{timing['family_s'][name]:.6f}") for name in FIT_ORDER]
     return "metric\tvalue\n" + "".join(f"{k}\t{v}\n" for k, v in rows)

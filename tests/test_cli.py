@@ -3,6 +3,7 @@ import os
 import numpy as np
 import pytest
 
+import itfkan.interpret as interpret
 from itfkan.cli import (
     ConfigError,
     RunConfig,
@@ -12,6 +13,8 @@ from itfkan.cli import (
     resolve_config,
 )
 from itfkan.data import synthetic_series, write_csv
+from itfkan.interpret import render_fit, symbolify_edge
+from itfkan.taylorkan import TaylorEdge
 
 
 def write_config(path, **overrides):
@@ -232,6 +235,41 @@ def test_report_pipeline(workspace, tmp_path, capsys):
     assert len(taylor_rows) == preserved
     summary = (report_dir / "fit_summary.tsv").read_text().strip().splitlines()[1:]
     assert sum(int(line.split("\t")[1]) for line in summary) == preserved
+
+
+def test_report_text_survives_ulp_perturbations(workspace, tmp_path, monkeypatch):
+    """Each surviving edge's 2-decimal formula is unchanged when its Taylor
+    coefficients (w, a0, a1, a2) move by a few ulp, as a retrained model's
+    might: the fitted families have no redundant parameters to tie. The
+    fitted (a, b, c, d) also move by under 1e-6 of max(|value|, 1), which
+    leaves the text a wide margin (about 1e-5 without the line search's
+    closing Newton steps or its cos(a x) - 1 column, 3e-8 with them)."""
+    cfg_path, out_dir = workspace
+    assert main(["train", "--config", str(cfg_path)]) == 0
+    jobs = []
+    fit_edges = interpret._fit_edges
+
+    def capture(edge_jobs):
+        jobs.extend(edge_jobs)
+        return fit_edges(edge_jobs)
+
+    monkeypatch.setattr(interpret, "_fit_edges", capture)
+    assert main([
+        "report", "--config", str(cfg_path),
+        "--checkpoint", str(out_dir / "checkpoint.itfk"),
+        "--tau", "0.02", "--out", str(tmp_path / "report-out"),
+    ]) == 0
+    assert jobs
+    ulp = np.finfo(np.float64).eps
+    for edge, lo, hi in jobs:
+        fit = symbolify_edge(edge, lo, hi)
+        params = np.array([fit.a, fit.b, fit.c, fit.d])
+        for steps in ([3.0, -2.0, 4.0, -1.0], [-4.0, 1.0, -3.0, 2.0]):
+            scale = 1.0 + ulp * np.array(steps)
+            moved = symbolify_edge(TaylorEdge(edge.w * scale[0], edge.a * scale[1:]), lo, hi)
+            assert render_fit(moved) == render_fit(fit), (lo, hi)
+            shift = np.array([moved.a, moved.b, moved.c, moved.d]) - params
+            assert np.all(np.abs(shift) < 1e-6 * np.maximum(np.abs(params), 1.0)), (fit, moved)
 
 
 def test_prune_negative_tau_exits_2(workspace, capsys):

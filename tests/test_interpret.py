@@ -9,6 +9,7 @@ import itfkan.interpret as interpret
 from itfkan.interpret import (
     FAMILIES,
     FAMILY_ORDER,
+    FIT_ORDER,
     SymbolicFit,
     calibrate_ranges,
     format_fit_summary,
@@ -23,7 +24,15 @@ from itfkan.interpret import (
     symbolify_edge,
 )
 from itfkan.model import ForecastModel, ModelConfig
+from itfkan.taylorkan import TaylorEdge
 from itfkan.tensor import Tensor
+
+ULP = np.finfo(np.float64).eps
+# per-coefficient scalings by a few ulp, as a retrained model might move them
+ULP_SCALES = (
+    1.0 + ULP * np.array([3.0, -2.0, 4.0, -1.0]),
+    1.0 + ULP * np.array([-4.0, 1.0, -3.0, 2.0]),
+)
 
 
 def micro_model(seed=0):
@@ -196,6 +205,124 @@ def test_disguised_family_recovery_sample():
         assert fit.r2 > 0.99
 
 
+def samples(fn, lo, hi):
+    """The fit and held-out samples ``symbolify_edge`` takes on [lo, hi]."""
+    xs = np.linspace(lo, hi, interpret.FIT_SAMPLES)
+    ys = fn(xs)
+    return xs[::2], ys[::2], xs[1::2], ys[1::2], max(abs(lo), abs(hi))
+
+
+def canonical_targets():
+    """Trained-edge shapes and disguised members of every family."""
+    rng = np.random.default_rng(61)
+    for _ in range(4):
+        edge = TaylorEdge(rng.uniform(-2.0, 2.0), rng.normal(size=3))
+        lo = rng.uniform(-3.0, 0.5)
+        yield edge, lo, lo + rng.uniform(0.5, 4.0)
+    for fam in ("square", "cube", "sin", "cos", "exp", "gaussian", "silu"):
+        a, b = rng.uniform(0.5, 2.0) * rng.choice([-1.0, 1.0]), rng.uniform(-1.0, 1.0)
+        c, d = rng.uniform(0.5, 5.0) * rng.choice([-1.0, 1.0]), rng.uniform(-5.0, 5.0)
+        yield (lambda x, f=FAMILIES[fam], a=a, b=b, c=c, d=d: c * f(a * x + b) + d), -3.0, 3.0
+
+
+@pytest.mark.parametrize("name", [n for n in FIT_ORDER if n != "constant"])
+def test_each_family_fits_its_canonical_form(name):
+    for fn, lo, hi in canonical_targets():
+        fit = interpret._fit_family(name, *samples(fn, lo, hi))
+        if name == "trig":
+            assert fit.family in ("sin", "cos")
+        else:
+            assert fit.family == name
+        if name == "identity":
+            assert (fit.a, fit.b) == (1.0, 0.0)
+        elif name in ("square", "cube"):
+            assert fit.a == 1.0
+        elif name == "exp":
+            assert fit.b == 0.0
+        elif name == "gaussian":
+            assert fit.a > 0.0
+        elif name == "trig":
+            assert fit.a > 0.0 and fit.c > 0.0
+            if fit.family == "sin":
+                assert -0.75 * np.pi <= fit.b <= 0.25 * np.pi, fit
+            else:
+                assert -0.25 * np.pi < fit.b < 0.75 * np.pi, fit
+
+
+def test_trig_fit_names_the_smaller_phase():
+    for phase, family, b in (
+        (0.2, "sin", 0.2), (-2.0, "sin", -2.0), (1.2, "cos", 1.2 - np.pi / 2),
+        (3.0, "cos", 3.0 - np.pi / 2), (-2.6, "cos", -2.6 + 1.5 * np.pi),
+    ):
+        target = lambda x, phase=phase: 2.0 * np.sin(0.8 * x + phase)
+        fit = interpret._fit_family("trig", *samples(target, -3.0, 3.0))
+        assert fit.family == family
+        np.testing.assert_allclose([fit.a, fit.b, fit.c, fit.d], [0.8, b, 2.0, 0.0], atol=1e-6)
+
+
+def test_exact_linear_and_quadratic_targets():
+    linear = interpret._fit_family("identity", *samples(lambda x: 2.5 * x - 1.25, -3.0, 2.0))
+    assert linear.r2 >= 1.0 - 1e-12
+    np.testing.assert_allclose([linear.c, linear.d], [2.5, -1.25], rtol=1e-12)
+    quadratic = lambda x: 0.7 * (x + 0.4) ** 2 - 2.0
+    square = interpret._fit_family("square", *samples(quadratic, -3.0, 2.0))
+    assert square.r2 >= 1.0 - 1e-12
+    np.testing.assert_allclose([square.b, square.c, square.d], [0.4, 0.7, -2.0], rtol=1e-12)
+    # a line is the square family's limit b -> inf: its fit keeps the slope
+    near = interpret._fit_family("square", *samples(lambda x: 2.5 * x - 1.25, -3.0, 2.0))
+    assert near.r2 >= 1.0 - 1e-9
+    assert symbolify_edge(lambda x: 2.5 * x - 1.25, -3.0, 2.0).family == "identity"
+    assert symbolify_edge(quadratic, -3.0, 2.0).family == "square"
+
+
+@pytest.mark.parametrize(
+    "w,a0,text",
+    [
+        (0.3, 0.0, "0.30silu(1.00x)+0.00"),
+        (-0.9, 0.0, "-0.90silu(1.00x)+0.00"),
+        (1.7, -0.4, "1.70silu(1.00x)-0.68"),
+        (-0.05, 2.0, "-0.05silu(1.00x)-0.10"),
+    ],
+)
+def test_linear_free_edge_is_exactly_silu(w, a0, text):
+    # with a1 = a2 = 0 an edge is w*silu(x) + w*a0, a member of the silu family
+    fit = symbolify_edge(TaylorEdge(w, [a0, 0.0, 0.0]), -2.5, 3.0)
+    assert fit.family == "silu"
+    assert fit.r2 >= 1.0 - 1e-9
+    np.testing.assert_allclose([fit.a, fit.b], [1.0, 0.0], atol=1e-6)
+    np.testing.assert_allclose([fit.c, fit.d], [w, w * a0], rtol=1e-6, atol=1e-6 * abs(w))
+    assert render_fit(fit) == text
+
+
+@pytest.mark.parametrize(
+    "kind,params",
+    [
+        ("sin", (0.45, 0.0, 1.5, 0.0)),   # b = 0 against b = -pi with -c
+        ("sin", (0.7, 0.0, 1.5, 0.0)),
+        ("exp", (0.6, 0.5, 2.0, -1.0)),   # c*e^b is one constant
+        ("exp", (-0.9, 0.2, -1.5, 3.0)),
+    ],
+)
+def test_synthetic_text_survives_ulp_perturbations(kind, params):
+    f = FAMILIES[kind]
+
+    def target(p):
+        a, b, c, d = p
+        return lambda x: c * f(a * np.asarray(x, float) + b) + d
+
+    params = np.array(params)
+    text = render_fit(symbolify_edge(target(params), -2.0, 3.0))
+    for scale in ULP_SCALES:
+        assert render_fit(symbolify_edge(target(params * scale), -2.0, 3.0)) == text
+
+
+def test_fit_seconds_per_family():
+    timing = {}
+    symbolify_edge(TaylorEdge(0.8, [0.1, 0.3, -0.2]), -1.0, 2.0, timing=timing)
+    assert sorted(timing) == sorted(FIT_ORDER)
+    assert all(seconds > 0.0 for seconds in timing.values())
+
+
 def test_rejects_too_few_samples():
     with pytest.raises(ValueError):
         symbolify_edge(np.sin, -1.0, 1.0, n_samples=32)
@@ -221,6 +348,23 @@ def test_render_omits_zero_shift():
 def test_render_gaussian():
     fit = SymbolicFit("gaussian", -1.34, -1.34, -0.79, 0.13, 0.9)
     assert render_fit(fit) == "-0.79exp(-(-1.34x-1.34)^2)+0.13"
+
+
+def test_render_prints_values_rounding_to_zero_unsigned():
+    # an exact 0.3*silu(x) edge fits d = -1.1e-8, a -0.9*silu(x) one d = +3.2e-8
+    assert render_fit(SymbolicFit("silu", 1.0, 0.0, 0.3, -1.1e-8, 1.0)) == (
+        "0.30silu(1.00x)+0.00"
+    )
+    assert render_fit(SymbolicFit("silu", 1.0, 0.0, -0.9, 3.2e-8, 1.0)) == (
+        "-0.90silu(1.00x)+0.00"
+    )
+    assert render_fit(SymbolicFit("exp", -0.004, 0.0, -0.001, 0.5, 1.0)) == (
+        "0.00exp(0.00x)+0.50"
+    )
+    assert render_fit(SymbolicFit("constant", 0.0, 0.0, 0.0, -0.004, 1.0)) == "0.00"
+    assert render_fit(SymbolicFit("cube", 1.0, -0.006, 2.0, -0.005, 1.0)) == (
+        "2.00(1.00x-0.01)^3-0.01"
+    )
 
 
 def test_render_constant_folds_to_value():
@@ -340,6 +484,7 @@ def test_report_text_independent_of_worker_count(monkeypatch):
         )
         assert timing["workers"] == workers
         assert len(timing["edge_s"]) == 6
+        assert sorted(timing["family_s"]) == sorted(FIT_ORDER)
         texts[workers] = (
             format_symbolic_report(records, 2),
             format_machine_report(records),
@@ -380,4 +525,6 @@ def test_report_fits_zero_or_one_edge_in_process(monkeypatch, edges):
     summary = format_fit_summary(records).splitlines()
     assert summary[0].split("\t")[2:-3] == FAMILY_ORDER
     assert sum(int(line.split("\t")[1]) for line in summary[1:]) == edges
-    assert f"edges_fitted\t{edges}\n" in format_report_timing(timing)
+    rows = format_report_timing(timing)
+    assert f"edges_fitted\t{edges}\n" in rows
+    assert all(f"fit_{name}_s\t" in rows for name in FIT_ORDER)

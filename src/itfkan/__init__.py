@@ -6,7 +6,7 @@ prune/symbolify interpretability pipeline, on a self-contained float64
 autodiff engine.
 """
 
-from .tensor import Tensor, Graph, ShapeError, backward, gradient_check, no_grad
+from .tensor import Tensor, Graph, ShapeError, backward, no_grad
 from .optim import Adam
 
 __version__ = "0.1.0"
@@ -16,7 +16,6 @@ __all__ = [
     "Graph",
     "ShapeError",
     "backward",
-    "gradient_check",
     "no_grad",
     "Adam",
     "__version__",

@@ -8,6 +8,7 @@ failure, 2 usage or configuration error.
 
 import argparse
 import os
+import shutil
 import sys
 from dataclasses import dataclass, fields
 
@@ -204,10 +205,11 @@ def _format_metrics(values):
     return "".join(f"{k}={v:.6f}\n" for k, v in values.items())
 
 
-def _write(path, text, created):
+def _write(path, text, created=None):
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(text)
-    created.append(path)
+    if created is not None:
+        created.append(path)
 
 
 # --- commands -----------------------------------------------------------------------
@@ -295,7 +297,11 @@ def cmd_eval(args):
                 f"checkpoint {field_name}={expected}"
             )
     ds, split = _load_splits(cfg)
-    names, mean, std = read_stats((args.checkpoint or cfg.checkpoint) + ".stats")
+    stats_path = (args.checkpoint or cfg.checkpoint) + ".stats"
+    try:
+        names, mean, std = read_stats(stats_path)
+    except FileNotFoundError:
+        raise ConfigError(f"checkpoint stats not found: {stats_path}") from None
     if len(names) != ds.values.shape[1]:
         raise ConfigError(
             f"config dataset has {ds.values.shape[1]} variates, checkpoint "
@@ -315,10 +321,12 @@ def cmd_prune(args):
     out = args.out or "."
     os.makedirs(out, exist_ok=True)
     rows = prune(model, args.tau)
-    created = []
-    _write(os.path.join(out, "prune_report.txt"), format_prune_report(rows), created)
+    _write(os.path.join(out, "prune_report.txt"), format_prune_report(rows))
     pruned_path = os.path.join(out, "checkpoint_pruned.itfk")
     model.save(pruned_path, extra_config=[("pruned_tau", repr(args.tau))])
+    # eval de-standardizes with the training statistics the source carries
+    if os.path.exists(args.checkpoint + ".stats"):
+        shutil.copyfile(args.checkpoint + ".stats", pruned_path + ".stats")
     sys.stdout.write(format_prune_report(rows))
     return 0
 
@@ -349,24 +357,16 @@ def cmd_symbolify(args, emit_graph=False):
     prune_rows, records = generate_report(
         model, args.tau, args.top_m, calib, timing=timing
     )
-    created = []
-    _write(os.path.join(out, "prune_report.txt"), format_prune_report(prune_rows), created)
+    _write(os.path.join(out, "prune_report.txt"), format_prune_report(prune_rows))
     _write(
         os.path.join(out, "symbolic_report.txt"),
         format_symbolic_report(records, args.top_m),
-        created,
     )
-    _write(
-        os.path.join(out, "symbolic_edges.tsv"), format_machine_report(records), created
-    )
+    _write(os.path.join(out, "symbolic_edges.tsv"), format_machine_report(records))
     if emit_graph:
-        _write(
-            os.path.join(out, "graph.tsv"),
-            format_graph_description(records),
-            created,
-        )
-    _write(os.path.join(out, "fit_summary.tsv"), format_fit_summary(records), created)
-    _write(os.path.join(out, "report_timing.tsv"), format_report_timing(timing), created)
+        _write(os.path.join(out, "graph.tsv"), format_graph_description(records))
+    _write(os.path.join(out, "fit_summary.tsv"), format_fit_summary(records))
+    _write(os.path.join(out, "report_timing.tsv"), format_report_timing(timing))
     preserved = sum(r.preserved for r in prune_rows)
     print(f"symbolified {preserved} surviving edges (tau={args.tau}, top_m={args.top_m})")
     return 0

@@ -181,15 +181,31 @@ def write_stats(path, variate_names, mean, std):
 
 
 def read_stats(path):
+    """(names, means, stds) from a ``write_stats`` file. A malformed line,
+    or a mean or std that is not finite, or a std that is not positive,
+    raises ValueError naming the file and line."""
     names, means, stds = [], [], []
     with open(path, encoding="utf-8") as fh:
-        for line in fh:
+        for lineno, line in enumerate(fh, start=1):
             if not line.strip():
                 continue
-            name, mu, sigma = line.rstrip("\n").split("\t")
+            row = line.rstrip("\n")
+            try:
+                name, mu, sigma = row.split("\t")
+                mu, sigma = float(mu), float(sigma)
+            except ValueError:
+                raise ValueError(
+                    f"{path}: line {lineno}: expected name<TAB>mean<TAB>std, "
+                    f"got {row!r}"
+                ) from None
+            if not (np.isfinite(mu) and np.isfinite(sigma) and sigma > 0):
+                raise ValueError(
+                    f"{path}: line {lineno}: variate {name!r} needs a finite "
+                    f"mean and a finite positive std, got {mu!r} and {sigma!r}"
+                )
             names.append(name)
-            means.append(float(mu))
-            stds.append(float(sigma))
+            means.append(mu)
+            stds.append(sigma)
     return names, np.asarray(means), np.asarray(stds)
 
 

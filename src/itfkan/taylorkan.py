@@ -272,10 +272,6 @@ class KanNetwork:
                 )
         self.layers = list(layers)
 
-    @property
-    def depth(self):
-        return len(self.layers)
-
     def forward(self, x, probe=None, tag=""):
         """Apply the layer chain; optionally record per-layer input ranges
         into ``probe`` keyed by (tag, layer index), for calibration."""
@@ -320,26 +316,24 @@ def merge_range(probe, key, lo, hi):
         probe[key] = (lo, hi)
 
 
-def build_trend_kan(length, degree, rng, hidden=None):
+def build_trend_kan(length, degree, rng):
     """Two-layer L -> L -> L network whose first ``degree`` hidden nodes
     receive fixed polynomial edges."""
-    hidden = length if hidden is None else hidden
     return KanNetwork(
         [
-            TaylorKanLayer(length, hidden, rng, trend_degree=degree),
-            TaylorKanLayer(hidden, length, rng),
+            TaylorKanLayer(length, length, rng, trend_degree=degree),
+            TaylorKanLayer(length, length, rng),
         ]
     )
 
 
-def build_seasonal_kan(length, freqs, rng, hidden=None):
+def build_seasonal_kan(length, freqs, rng):
     """Two-layer L -> L -> L network whose first K hidden nodes receive
     fixed Fourier edges at the supplied frequencies."""
-    hidden = length if hidden is None else hidden
     return KanNetwork(
         [
-            TaylorKanLayer(length, hidden, rng, fourier_freqs=freqs),
-            TaylorKanLayer(hidden, length, rng),
+            TaylorKanLayer(length, length, rng, fourier_freqs=freqs),
+            TaylorKanLayer(length, length, rng),
         ]
     )
 

@@ -317,17 +317,6 @@ def pow_int(a, n):
     return Tensor._from_op(out, "pow_int", (a,), bw)
 
 
-def sqrt(a):
-    s = np.sqrt(a.data)
-
-    def bw(g):
-        # derivative blows up at 0; exact zeros get a zero gradient
-        d = np.where(s == 0.0, 0.0, 0.5 / np.where(s == 0.0, 1.0, s))
-        return (g * d,)
-
-    return Tensor._from_op(s, "sqrt", (a,), bw)
-
-
 def exp(a):
     e = np.exp(a.data)
 
@@ -377,22 +366,6 @@ def silu(a):
         return (g * (s * (1.0 + a.data * (1.0 - s))),)
 
     return Tensor._from_op(a.data * s, "silu", (a,), bw)
-
-
-def atan2(y, x):
-    """Elementwise atan2 with phase 0 and zero gradient at (0, 0)."""
-    if y.shape != x.shape:
-        raise ShapeError("atan2", y.shape, x.shape)
-    out = np.arctan2(y.data, x.data)
-
-    def bw(g):
-        denom = y.data * y.data + x.data * x.data
-        safe = np.where(denom == 0.0, 1.0, denom)
-        gy = np.where(denom == 0.0, 0.0, g * x.data / safe)
-        gx = np.where(denom == 0.0, 0.0, -g * y.data / safe)
-        return gy, gx
-
-    return Tensor._from_op(out, "atan2", (y, x), bw)
 
 
 # --- reductions and shape ops ----------------------------------------------
@@ -471,12 +444,6 @@ def permute(a, axes):
     return Tensor._from_op(a.data.transpose(axes), "permute", (a,), bw)
 
 
-def transpose2d(a):
-    if a.ndim != 2:
-        raise ShapeError("transpose2d", a.shape)
-    return permute(a, (1, 0))
-
-
 def concat(tensors, axis):
     tensors = list(tensors)
     if not tensors:
@@ -550,16 +517,6 @@ def patch_windows(a, patch_len, stride):
         return (gx,)
 
     return Tensor._from_op(out, "patch_windows", (a,), bw)
-
-
-def expand_last(a, n):
-    """Append a trailing axis of length n by repetition; gradient sums it."""
-    out = np.broadcast_to(a.data[..., None], a.shape + (n,)).copy()
-
-    def bw(g):
-        return (g.sum(axis=-1),)
-
-    return Tensor._from_op(out, "expand_last", (a,), bw)
 
 
 def matmul(a, b):
@@ -969,34 +926,3 @@ def patch_kans(grid, params):
         return tuple(grads)
 
     return Tensor._from_op(out, "patch_kans", parents, bw)
-
-
-def gradient_check(f, x, eps=1e-5):
-    """Max relative error between analytic and central finite-difference
-    gradients of a scalar-valued f at x, relative to max(1, |analytic|)."""
-    if eps <= 0:
-        raise ValueError("eps must be positive")
-    probe = Tensor(x.data.copy(), requires_grad=True)
-    out = f(probe)
-    val = out.item()
-    if not np.isfinite(val):
-        raise ValueError("f(x) is not finite")
-    backward(out)
-    analytic = (
-        probe.grad.copy() if probe.grad is not None else np.zeros_like(probe.data)
-    )
-
-    flat = probe.data.reshape(-1)
-    fd = np.zeros_like(flat)
-    with no_grad():
-        for i in range(flat.size):
-            orig = flat[i]
-            flat[i] = orig + eps
-            hi = f(probe).item()
-            flat[i] = orig - eps
-            lo = f(probe).item()
-            flat[i] = orig
-            fd[i] = (hi - lo) / (2.0 * eps)
-    fd = fd.reshape(probe.shape)
-    denom = np.maximum(1.0, np.abs(analytic))
-    return float(np.max(np.abs(analytic - fd) / denom))

@@ -3,43 +3,32 @@
 The seasonal representation is segmented into overlapping patches (with a
 tail pad that replicates the final time step), each patch window is
 compressed to a d-vector by a shared affine map, a real DFT across the
-patch axis yields amplitude/phase, and the one-sided spectrum is expanded
-back over patches into a real 2-D time-frequency grid. One single-layer
-KAN per patch then mixes the frequency axis, and an affine unpatch map
+patch axis gives the one-sided spectrum, and each bin is expanded back
+over patches into a real 2-D time-frequency grid. One single-layer KAN
+per patch then mixes the frequency axis, and an affine unpatch map
 restores the original series length.
 
 The DFT follows the patch-index convention p = 1..P, so the grid row for
 frequency k regains exactly k full periods across the patch axis.
 
-DFT and expansion together are a fixed linear map over the patch axis, and
-the model computes its grid that way, as one matmul (``spectrum_grid``).
-``dft_patches`` and ``tf_expand`` remain the interpretable amplitude/phase
-spectrum and the oracle the map is tested against. The two agree to
-rounding in value and gradient except at exactly zero amplitude, where the
-amplitude/phase chain's sqrt/atan2 guards zero the gradient and the map
-gives the true derivative.
+DFT and expansion together are a fixed linear map over the patch axis, so
+the grid is one matmul (``spectrum_grid``). The tests check it, in value
+and input gradient, against a naive O(P^2) DFT expanded bin by bin.
 """
 
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
 
 from .taylorkan import KanNetwork, TaylorKanLayer, merge_range
 from .tensor import (
     Tensor,
-    atan2,
-    cos,
-    expand_last,
     l2_penalty,
     matmul,
     patch_kans,
     patch_windows,
     permute,
-    pow_int,
     reshape,
-    sin,
-    sqrt,
 )
 
 
@@ -54,12 +43,6 @@ class PatchConfig:
                 f"need 1 <= stride <= patch_len, got stride={self.stride}, "
                 f"patch_len={self.patch_len}"
             )
-
-
-class SpectrumResult(NamedTuple):
-    amplitude: Tensor  # (N, K, d), nonnegative
-    phase: Tensor      # (N, K, d), in (-pi, pi]
-    n_patches: int
 
 
 def patch_count(length, cfg):
@@ -93,79 +76,36 @@ class PatchCompressor:
         return [(f"{prefix}.w", self.w), (f"{prefix}.b", self.b)]
 
 
-_DFT_CACHE = {}
+_GRID_MAPS = {}
 
 
-def _dft_tables(n_patches):
-    """cos/sin tables over k = 0..K-1 and p = 1..P, and the (K*P, P) grid
-    map whose row (k, p), column q is cos(2*pi*k*(p - q)/P)."""
-    key = n_patches
-    if key not in _DFT_CACHE:
-        k_bins = n_freq_bins(n_patches)
+def _grid_map(n_patches):
+    """The (K*P, P) grid map whose row (k, p), column q is
+    cos(2*pi*k*(p - q)/P), for k = 0..K-1 and p, q = 1..P."""
+    if n_patches not in _GRID_MAPS:
         p_idx = np.arange(1, n_patches + 1)
-        k_idx = np.arange(k_bins)
-        angles = 2.0 * np.pi * np.outer(k_idx, p_idx) / n_patches  # (K, P)
+        k_idx = np.arange(n_freq_bins(n_patches))
         # k*(p - q) reduced mod P exactly in integers before the cosine
         turns = (k_idx[:, None, None] * (p_idx[:, None] - p_idx)) % n_patches
-        grid_map = np.cos(2.0 * np.pi * turns / n_patches).reshape(-1, n_patches)
-        _DFT_CACHE[key] = (np.cos(angles), np.sin(angles), grid_map)
-    return _DFT_CACHE[key]
-
-
-def dft_patches(patches):
-    """Real DFT along the patch axis of (N, P, d); returns amplitude/phase.
-
-    Amplitude and phase stay inside the differentiable graph (sqrt/atan2
-    primitives); bins with exactly zero amplitude take phase 0 with a zero
-    gradient.
-    """
-    n, n_patches, d = patches.shape
-    if n_patches < 2:
-        raise ValueError("need at least 2 patches for a spectrum")
-    cos_t, sin_t, _ = _dft_tables(n_patches)
-    x = permute(patches, (0, 2, 1))  # (N, d, P)
-    re = matmul(x, Tensor(cos_t.T))        # (N, d, K)
-    im = matmul(x, Tensor(-sin_t.T))
-    amp = sqrt(pow_int(re, 2) + pow_int(im, 2))
-    phase = atan2(im, re)
-    return SpectrumResult(
-        amplitude=permute(amp, (0, 2, 1)),
-        phase=permute(phase, (0, 2, 1)),
-        n_patches=n_patches,
-    )
-
-
-def tf_expand(spectrum):
-    """Expand the one-sided spectrum to the real (N, K, P, d) grid.
-
-    Entry (k, p) is A_k * cos(phi_k + 2*pi*k*p/P) for p = 1..P: row 0 is
-    constant over patches and row k completes k periods.
-    """
-    amp, phase, n_patches = spectrum
-    cos_t, sin_t, _ = _dft_tables(n_patches)
-    d = amp.shape[-1]
-    u = amp * cos(phase)  # (N, K, d)
-    v = amp * sin(phase)
-    u4 = permute(expand_last(u, n_patches), (0, 1, 3, 2))  # (N, K, P, d)
-    v4 = permute(expand_last(v, n_patches), (0, 1, 3, 2))
-    cos_e = expand_last(Tensor(cos_t), d)  # (K, P, d)
-    sin_e = expand_last(Tensor(sin_t), d)
-    return u4 * cos_e - v4 * sin_e
+        _GRID_MAPS[n_patches] = np.cos(2.0 * np.pi * turns / n_patches).reshape(
+            -1, n_patches
+        )
+    return _GRID_MAPS[n_patches]
 
 
 def spectrum_grid(patches):
     """The (N, K, P, d) time-frequency grid of (N, P, d) patches, as the
     linear map it is.
 
-    Equals ``tf_expand(dft_patches(patches))``: A_k cos(phi_k + 2*pi*k*p/P)
-    = Re_k cos(2*pi*k*p/P) - Im_k sin(2*pi*k*p/P)
-    = sum_q x_q cos(2*pi*k*(p - q)/P), so the grid is one (K*P, P) matmul
-    over the patch axis, with no amplitude or phase in between.
+    Entry (k, p) expands DFT bin X_k = sum_q x_q e^{-2*pi*i*k*q/P} over
+    the patches: Re(X_k e^{2*pi*i*k*p/P}) = sum_q x_q cos(2*pi*k*(p - q)/P),
+    so the grid is one (K*P, P) matmul over the patch axis. Row 0 is
+    constant over patches and row k completes k periods.
     """
     n, n_patches, d = patches.shape
     if n_patches < 2:
         raise ValueError("need at least 2 patches for a spectrum")
-    grid_map = _dft_tables(n_patches)[2]
+    grid_map = _grid_map(n_patches)
     x = permute(patches, (0, 2, 1))  # (N, d, P)
     flat = matmul(x, Tensor(grid_map.T))  # (N, d, K*P)
     grid = reshape(flat, (n, d, n_freq_bins(n_patches), n_patches))

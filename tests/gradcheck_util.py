@@ -1,8 +1,8 @@
-"""Shared finite-difference checks for parameter gradients."""
+"""Shared central finite-difference checks of autodiff gradients."""
 
 import numpy as np
 
-from itfkan.tensor import backward, no_grad
+from itfkan.tensor import Tensor, backward, no_grad
 
 
 def param_fd_errors(loss_fn, named_params, eps=1e-5):
@@ -10,12 +10,18 @@ def param_fd_errors(loss_fn, named_params, eps=1e-5):
     loss_fn() and a central finite difference, relative to max(1, |grad|).
 
     loss_fn rebuilds the scalar loss from current parameter values, so
-    in-place perturbation of ``param.data`` is visible to it.
+    in-place perturbation of ``param.data`` is visible to it. Raises
+    ValueError for eps <= 0 or a non-finite loss.
     """
+    if eps <= 0:
+        raise ValueError("eps must be positive")
     named_params = list(named_params)
     for _, p in named_params:
         p.grad = None
-    backward(loss_fn())
+    loss = loss_fn()
+    if not np.isfinite(loss.item()):
+        raise ValueError("loss is not finite")
+    backward(loss)
     errors = {}
     for name, p in named_params:
         analytic = p.grad.copy() if p.grad is not None else np.zeros_like(p.data)
@@ -35,3 +41,10 @@ def param_fd_errors(loss_fn, named_params, eps=1e-5):
     for _, p in named_params:
         p.grad = None
     return errors
+
+
+def gradient_check(f, x, eps=1e-5):
+    """``param_fd_errors`` of the scalar f(x) with respect to a contiguous
+    copy of the input tensor x, so x itself may be a strided view."""
+    probe = Tensor(x.data.copy(), requires_grad=True)
+    return param_fd_errors(lambda: f(probe), [("x", probe)], eps)["x"]

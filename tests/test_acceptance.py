@@ -20,7 +20,7 @@ from itfkan.model import ForecastModel, ModelConfig, prediction_loss, total_loss
 from itfkan.optim import Adam
 from itfkan.taylorkan import build_seasonal_kan, build_trend_kan
 from itfkan.tensor import Tensor, backward
-from itfkan.tfsynergy import PatchKans, SpectrumResult, dft_patches, tf_expand
+from itfkan.tfsynergy import PatchKans, spectrum_grid
 from itfkan.decomposition import Embedding, moving_average_decompose
 from itfkan.data import synthetic_series, write_csv
 
@@ -102,23 +102,26 @@ def _naive_dft(series):
     return out
 
 
+def _grid(series):
+    n = len(series)
+    return spectrum_grid(Tensor(series.reshape(1, n, 1))).data[0, :, :, 0]
+
+
 def test_c4_spectral_correctness():
     start = time.monotonic()
     rng = np.random.default_rng(4)
     for n in (2, 4, 8, 17):
         series = rng.normal(size=n)
-        spec = dft_patches(Tensor(series.reshape(1, n, 1)))
         ref = _naive_dft(series)
-        assert np.max(np.abs(spec.amplitude.data[0, :, 0] - np.abs(ref))) < 1e-9
-        mask = np.abs(ref) > 1e-12
-        assert np.max(
-            np.abs(spec.phase.data[0, mask, 0] - np.angle(ref[mask]))
-        ) < 1e-9
+        # bin k expanded over patches p = 1..n: Re(X_k e^{2 pi i k p / n})
+        turns = np.exp(2j * np.pi * np.outer(np.arange(len(ref)), np.arange(1, n + 1)) / n)
+        ref_grid = (ref[:, None] * turns).real
+        assert np.max(np.abs(_grid(series) - ref_grid)) < 1e-9
 
         tone_bin = max(1, n // 4)
         t = np.arange(1, n + 1)
         tone = np.sin(2 * np.pi * tone_bin * t / n + 0.3)
-        grid = tf_expand(dft_patches(Tensor(tone.reshape(1, n, 1)))).data[0, :, :, 0]
+        grid = _grid(tone)
         weights = np.full(grid.shape[0], 2.0)
         weights[0] = 1.0
         if n % 2 == 0:

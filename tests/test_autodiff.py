@@ -1,7 +1,10 @@
+import zlib
+
 import numpy as np
 import pytest
 
-from itfkan import Adam, Graph, ShapeError, Tensor, backward, gradient_check, no_grad
+from gradcheck_util import gradient_check
+from itfkan import Adam, Graph, ShapeError, Tensor, backward, no_grad
 from itfkan import tensor as T
 from itfkan.optim import adam_update
 
@@ -138,7 +141,8 @@ def test_matmul_shape_error_names_op():
 # --- per-primitive gradient checks -------------------------------------------
 
 UNARY = [
-    ("sqrt", T.sqrt, (0.2, 3.0)),
+    # the n = 0 branch of pow_int's backward
+    ("pow0", lambda v: T.pow_int(v, 0), (-2.0, 2.0)),
     ("exp", T.exp, (-2.0, 2.0)),
     ("sin", T.sin, (-3.0, 3.0)),
     ("cos", T.cos, (-3.0, 3.0)),
@@ -149,9 +153,14 @@ UNARY = [
 ]
 
 
+def name_seed(name):
+    """A seed fixed per test case; ``hash`` of a str changes per process."""
+    return zlib.crc32(name.encode())
+
+
 @pytest.mark.parametrize("name,op,rng_range", UNARY)
 def test_unary_primitive_gradients(name, op, rng_range):
-    rng = np.random.default_rng(hash(name) % 2**32)
+    rng = np.random.default_rng(name_seed(name))
     worst = 0.0
     for _ in range(100):
         x = Tensor(rng.uniform(*rng_range, size=(5,)))
@@ -159,9 +168,9 @@ def test_unary_primitive_gradients(name, op, rng_range):
     assert worst < 1e-4, f"{name}: {worst}"
 
 
-@pytest.mark.parametrize("name", ["add", "sub", "mul", "div", "matmul", "atan2"])
+@pytest.mark.parametrize("name", ["add", "sub", "mul", "div", "matmul"])
 def test_binary_primitive_gradients(name):
-    rng = np.random.default_rng(hash(name) % 2**32)
+    rng = np.random.default_rng(name_seed(name))
     other = Tensor(rng.uniform(0.5, 2.0, size=(4, 4)))
     ops = {
         "add": lambda v: (v + other).sum(),
@@ -169,7 +178,6 @@ def test_binary_primitive_gradients(name):
         "mul": lambda v: (v * other).sum(),
         "div": lambda v: (v / other).sum(),
         "matmul": lambda v: T.matmul(v, other).sum(),
-        "atan2": lambda v: T.atan2(v, other).sum(),
     }
     worst = 0.0
     for _ in range(100):
@@ -207,12 +215,11 @@ def test_matmul_skips_gradient_of_constant_operand():
         ("reshape", lambda v: v.reshape(6, 2).sum()),
         ("permute", lambda v: v.permute(2, 0, 1).sum()),
         ("slice", lambda v: (v[:, 1:3] * 2.0).sum()),
-        ("expand_last", lambda v: (T.expand_last(v, 3) * 0.5).sum()),
         ("concat", lambda v: T.concat([v, v * 2.0], axis=1).sum()),
     ],
 )
 def test_shape_op_gradients(name, op):
-    rng = np.random.default_rng(hash(name) % 2**32)
+    rng = np.random.default_rng(name_seed(name))
     worst = 0.0
     for _ in range(20):
         x = Tensor(rng.normal(size=(3, 4, 1)) if name == "permute" else rng.normal(size=(3, 4)))
@@ -220,21 +227,12 @@ def test_shape_op_gradients(name, op):
     assert worst < 1e-4, f"{name}: {worst}"
 
 
-def test_atan2_zero_zero_guard():
-    y = t([0.0])
-    x = t([0.0])
-    out = T.atan2(y, x)
-    assert out.data[0] == 0.0
-    backward(out.sum())
-    assert y.grad[0] == 0.0 and x.grad[0] == 0.0
-
-
 def test_pow_int_rejects_fractional():
     with pytest.raises(TypeError):
         T.pow_int(t([2.0]), 0.5)
 
 
-# --- gradient_check contract --------------------------------------------------
+# --- the finite-difference checker -------------------------------------------
 
 def test_gradient_check_linear_is_exact():
     x = Tensor(np.random.default_rng(0).normal(size=(5,)))

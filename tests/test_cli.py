@@ -179,6 +179,29 @@ def test_eval_truncated_checkpoint_exits_1(workspace, capsys):
     assert "CheckpointError" in err and "'head.b2' data at byte" in err
 
 
+def test_eval_missing_stats_exits_2(workspace, capsys):
+    cfg_path, out_dir = workspace
+    assert main(["train", "--config", str(cfg_path)]) == 0
+    ckpt = out_dir / "checkpoint.itfk"
+    os.remove(str(ckpt) + ".stats")
+    capsys.readouterr()
+    assert main(["eval", "--config", str(cfg_path), "--checkpoint", str(ckpt)]) == 2
+    assert f"checkpoint stats not found: {ckpt}.stats" in capsys.readouterr().err
+
+
+def test_eval_malformed_stats_names_file_and_line(workspace, capsys):
+    cfg_path, out_dir = workspace
+    assert main(["train", "--config", str(cfg_path)]) == 0
+    ckpt = out_dir / "checkpoint.itfk"
+    stats = out_dir / "checkpoint.itfk.stats"
+    first, second = stats.read_text().splitlines()
+    no_std = second.rsplit("\t", 1)[0]
+    stats.write_text(f"{first}\n{no_std}\n")
+    capsys.readouterr()
+    assert main(["eval", "--config", str(cfg_path), "--checkpoint", str(ckpt)]) == 1
+    assert f"{stats}: line 2: expected name<TAB>mean<TAB>std" in capsys.readouterr().err
+
+
 def test_eval_matches_train_metrics(workspace, capsys):
     cfg_path, out_dir = workspace
     assert main(["train", "--config", str(cfg_path)]) == 0
@@ -294,4 +317,8 @@ def test_prune_writes_report_and_checkpoint(workspace, tmp_path):
     for line in lines:
         fields = line.split("\t")
         assert fields[3] == "0"  # nothing survives tau=100
-    assert (prune_dir / "checkpoint_pruned.itfk").exists()
+    # the pruned checkpoint carries its stats sidecar, so eval runs on it
+    assert main([
+        "eval", "--config", str(cfg_path),
+        "--checkpoint", str(prune_dir / "checkpoint_pruned.itfk"),
+    ]) == 0

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -150,6 +152,22 @@ def test_stats_sidecar_roundtrip(tmp_path):
     assert names == ["a", "b"]
     np.testing.assert_array_equal(mean, mean2)
     np.testing.assert_array_equal(std, std2)
+
+
+@pytest.mark.parametrize("row", ["b\t0.5", "b\t0.5\t1.0\t2.0", "b\tx\t1.0"])
+def test_read_stats_names_malformed_line(tmp_path, row):
+    path = tmp_path / "stats.tsv"
+    path.write_text(f"a\t0.0\t1.0\n\n{row}\n")
+    with pytest.raises(ValueError, match=re.escape(f"{path}: line 3: expected name")):
+        read_stats(str(path))
+
+
+@pytest.mark.parametrize("std", ["nan", "inf", "0.0", "-1.5"])
+def test_read_stats_rejects_bad_std(tmp_path, std):
+    path = tmp_path / "stats.tsv"
+    path.write_text(f"a\t0.0\t1.0\nb\t0.5\t{std}\n")
+    with pytest.raises(ValueError, match=re.escape(f"{path}: line 2: variate 'b' needs")):
+        read_stats(str(path))
 
 
 def test_season_period_lookup():

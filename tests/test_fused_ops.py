@@ -8,10 +8,10 @@ before the fused ops; they stay here as oracles for values and gradients.
 import numpy as np
 import pytest
 
-from gradcheck_util import param_fd_errors
+from gradcheck_util import gradient_check, param_fd_errors
 from itfkan import tensor as T
 from itfkan.model import ForecastModel, ModelConfig
-from itfkan.tensor import ShapeError, Tensor, backward, gradient_check, no_grad
+from itfkan.tensor import ShapeError, Tensor, backward, no_grad
 
 FD_TOL = 1e-6
 PARITY_RTOL = 1e-12
@@ -20,9 +20,9 @@ PARITY_RTOL = 1e-12
 # --- oracles: the primitive chains -------------------------------------------
 
 def taylor_chain(x, w, a0, a1, a2):
-    base = T.matmul(T.silu(x), T.transpose2d(w))
-    lin = T.matmul(x, T.transpose2d(w * a1))
-    quad = T.matmul(T.pow_int(x, 2), T.transpose2d(w * a2))
+    base = T.matmul(T.silu(x), T.permute(w, (1, 0)))
+    lin = T.matmul(x, T.permute(w * a1, (1, 0)))
+    quad = T.matmul(T.pow_int(x, 2), T.permute(w * a2, (1, 0)))
     const = T.sum_axis(w * a0, axis=1)
     return base + lin + quad + const
 

@@ -12,7 +12,7 @@ from itfkan.taylorkan import (
     top_k_frequencies,
 )
 from itfkan import tensor as T
-from itfkan.tensor import Graph, Tensor, backward, gradient_check
+from itfkan.tensor import Graph, Tensor, backward
 
 
 def rng():

@@ -1,35 +1,46 @@
 import numpy as np
 import pytest
 
-from itfkan.tensor import Tensor, backward, gradient_check
+from gradcheck_util import gradient_check
+from itfkan.tensor import Tensor, backward
 from itfkan.tfsynergy import (
     PatchCompressor,
     PatchConfig,
     PatchKans,
-    SpectrumResult,
     Unpatcher,
-    dft_patches,
     n_freq_bins,
     patch_count,
     spectrum_grid,
-    tf_expand,
 )
 
 
 def naive_dft(series):
-    """Independent O(P^2) oracle, patch index running 1..P."""
+    """Independent O(P^2) oracle along axis 0, patch index running 1..P."""
     n = len(series)
-    bins = n // 2 + 1
-    out = np.zeros(bins, dtype=complex)
-    for k in range(bins):
+    out = np.zeros((n // 2 + 1,) + np.shape(series)[1:], dtype=complex)
+    for k in range(len(out)):
         for p in range(1, n + 1):
             out[k] += series[p - 1] * np.exp(-2j * np.pi * k * p / n)
     return out
 
 
-def spectrum_of(series):
+def naive_grid(series):
+    """naive_dft's bins expanded over patches p = 1..P along axis 0: entry
+    (k, p) is Re(X_k e^{2 pi i k p / P}) = |X_k| cos(phase_k + 2 pi k p / P),
+    the amplitude/phase expansion."""
+    n = len(series)
+    spectrum = naive_dft(series)
+    grid = np.zeros((len(spectrum), n) + spectrum.shape[1:])
+    for k in range(len(spectrum)):
+        for p in range(1, n + 1):
+            grid[k, p - 1] = (spectrum[k] * np.exp(2j * np.pi * k * p / n)).real
+    return grid
+
+
+def grid_of(series):
+    """spectrum_grid of one series, as its (K, P) grid."""
     patches = Tensor(np.asarray(series, dtype=float).reshape(1, -1, 1))
-    return dft_patches(patches)
+    return spectrum_grid(patches).data[0, :, :, 0]
 
 
 # --- patch arithmetic ---------------------------------------------------------
@@ -76,72 +87,52 @@ def test_patch_windows_match_manual_slices():
 # --- spectrum -----------------------------------------------------------------
 
 def test_constant_sequence_is_dc_only():
-    spec = spectrum_of([3.0, 3.0, 3.0, 3.0])
-    amps = spec.amplitude.data[0, :, 0]
-    np.testing.assert_allclose(amps[0], 4 * 3.0, rtol=1e-12)
-    np.testing.assert_allclose(amps[1:], 0.0, atol=1e-12)
+    grid = grid_of([3.0, 3.0, 3.0, 3.0])
+    np.testing.assert_allclose(grid[0], 4 * 3.0, rtol=1e-12)
+    np.testing.assert_allclose(grid[1:], 0.0, atol=1e-12)
 
 
 def test_alternating_sequence_is_nyquist_only():
-    spec = spectrum_of([1.0, -1.0, 1.0, -1.0, 1.0, -1.0])
-    amps = spec.amplitude.data[0, :, 0]
-    np.testing.assert_allclose(amps[-1], 6.0, rtol=1e-12)
-    np.testing.assert_allclose(amps[:-1], 0.0, atol=1e-12)
+    series = np.array([1.0, -1.0, 1.0, -1.0, 1.0, -1.0])
+    grid = grid_of(series)
+    np.testing.assert_allclose(grid[-1], 6.0 * series, rtol=1e-12)
+    np.testing.assert_allclose(grid[:-1], 0.0, atol=1e-12)
 
 
 @pytest.mark.parametrize("n", [2, 4, 8, 17, 31])
 def test_dft_matches_naive_oracle(n):
     rng = np.random.default_rng(n)
     series = rng.normal(size=n)
-    spec = spectrum_of(series)
-    ref = naive_dft(series)
-    np.testing.assert_allclose(spec.amplitude.data[0, :, 0], np.abs(ref), atol=1e-9)
-    mask = np.abs(ref) > 1e-12
-    np.testing.assert_allclose(
-        spec.phase.data[0, mask, 0], np.angle(ref[mask]), atol=1e-9
-    )
+    np.testing.assert_allclose(grid_of(series), naive_grid(series), atol=1e-9)
 
 
 def test_parseval_on_patch_axis():
     rng = np.random.default_rng(5)
     series = rng.normal(size=12)
-    spec = spectrum_of(series)
-    amps = spec.amplitude.data[0, :, 0]
-    # expand the one-sided spectrum: interior bins count twice
-    weights = np.full_like(amps, 2.0)
+    n = len(series)
+    # a row's energy over the patches is n |X_k|^2 at DC and Nyquist and
+    # n |X_k|^2 / 2 in between, where the one-sided spectrum counts twice
+    row_energy = (grid_of(series) ** 2).sum(axis=1)
+    weights = np.full_like(row_energy, 4.0)
     weights[0] = 1.0
-    if len(series) % 2 == 0:
+    if n % 2 == 0:
         weights[-1] = 1.0
-    energy_freq = np.sum(weights * amps**2) / len(series)
+    energy_freq = np.sum(weights * row_energy) / n**2
     np.testing.assert_allclose(energy_freq, np.sum(series**2), rtol=1e-9)
 
 
-def test_dft_rejects_single_patch():
-    with pytest.raises(ValueError):
-        dft_patches(Tensor(np.zeros((1, 1, 2))))
-
-
-# --- grid expansion --------------------------------------------------------------
-
-def test_zero_amplitude_row_is_zero():
-    amp = np.zeros((1, 3, 1))
-    amp[0, 1, 0] = 0.0
-    phase = np.zeros((1, 3, 1))
-    grid = tf_expand(SpectrumResult(Tensor(amp), Tensor(phase), 4))
-    np.testing.assert_array_equal(grid.data[0, 1], 0.0)
-
+# --- grid rows -------------------------------------------------------------------
 
 def test_dc_row_is_patch_invariant():
     rng = np.random.default_rng(7)
     series = rng.normal(size=8)
-    grid = tf_expand(spectrum_of(series))
-    rows = grid.data[0, 0, :, 0]
+    rows = grid_of(series)[0]
     np.testing.assert_allclose(rows, rows[0], rtol=1e-12)
 
 
 def test_row_k_has_k_periods():
     series = np.random.default_rng(9).normal(size=16)
-    grid = tf_expand(spectrum_of(series)).data[0, :, :, 0]
+    grid = grid_of(series)
     for k in range(1, 8):
         # count sign changes of the centered row: 2 per period
         row = grid[k] - grid[k].mean()
@@ -154,7 +145,7 @@ def test_single_tone_reconstruction(n):
     t = np.arange(1, n + 1)
     tone_bin = max(1, n // 4)
     series = np.sin(2 * np.pi * tone_bin * t / n + 0.3)
-    grid = tf_expand(spectrum_of(series)).data[0, :, :, 0]  # (K, P)
+    grid = grid_of(series)  # (K, P)
     weights = np.full(grid.shape[0], 2.0)
     weights[0] = 1.0
     if n % 2 == 0:
@@ -175,22 +166,22 @@ def grid_and_input_grad(fn, x, weights):
 @pytest.mark.parametrize("n", [2, 3, 4, 8, 17])
 def test_spectrum_grid_matches_amplitude_phase_chain(n):
     rng = np.random.default_rng(40 + n)
-    x = rng.normal(size=(3, n, 4))  # generic: every amplitude non-zero
+    x = rng.normal(size=(3, n, 4))
     weights = rng.normal(size=(3, n_freq_bins(n), n, 4))
     grid, grad = grid_and_input_grad(spectrum_grid, x, weights)
-    ref_grid, ref_grad = grid_and_input_grad(
-        lambda t: tf_expand(dft_patches(t)), x, weights
-    )
-    assert np.abs(dft_patches(Tensor(x)).amplitude.data).min() > 1e-6
+    # (K, P, N, d) -> (N, K, P, d)
+    ref_grid = naive_grid(np.moveaxis(x, 1, 0)).transpose(2, 0, 1, 3)
+    # the grid is linear in x, and column q of its map is the grid of the
+    # unit impulse at patch q
+    ref_grad = np.einsum("nkpd,kpq->nqd", weights, naive_grid(np.eye(n)))
     assert grid.shape == ref_grid.shape
     np.testing.assert_allclose(grid, ref_grid, rtol=0, atol=1e-12 * np.abs(ref_grid).max())
     np.testing.assert_allclose(grad, ref_grad, rtol=0, atol=1e-12 * np.abs(ref_grad).max())
 
 
 def test_spectrum_grid_gradient_at_zero_amplitude():
-    # at x = 0 every bin has exactly zero amplitude, where the amplitude/phase
-    # chain's sqrt/atan2 guards zero the gradient; the linear map keeps the
-    # true derivative
+    # at x = 0 every bin has zero amplitude, where amplitude and phase have
+    # no derivative; the linear map has its true one
     x = Tensor(np.zeros((2, 6, 3)))
     weights = Tensor(np.random.default_rng(48).normal(size=(2, 4, 6, 3)))
     err = gradient_check(lambda t: (spectrum_grid(t) * weights).sum(), x)
@@ -294,10 +285,7 @@ def test_gradients_flow_through_full_chain():
     x = Tensor(np.random.default_rng(13).normal(size=(2, length, width)))
 
     def loss_fn():
-        h = comp(x)
-        spec = dft_patches(h)
-        tf = tf_expand(spec)
-        return (up(kans(tf)) ** 2).sum() * 0.1
+        return (up(kans(spectrum_grid(comp(x)))) ** 2).sum() * 0.1
 
     params = comp.parameters("patch") + kans.parameters("tf")[:8] + up.parameters("unpatch")
     errors = param_fd_errors(loss_fn, params)
@@ -312,6 +300,6 @@ def test_input_gradient_through_chain():
     n_patches = patch_count(6, cfg)
     kans = PatchKans(n_patches, n_freq_bins(n_patches), rng)
     x = Tensor(np.random.default_rng(15).normal(size=(1, 6, 1)), requires_grad=True)
-    loss = (kans(tf_expand(dft_patches(comp(x)))) ** 2).sum()
+    loss = (kans(spectrum_grid(comp(x))) ** 2).sum()
     backward(loss)
     assert x.grad is not None and np.all(np.isfinite(x.grad))

@@ -302,10 +302,10 @@ def cmd_eval(args):
         names, mean, std = read_stats(stats_path)
     except FileNotFoundError:
         raise ConfigError(f"checkpoint stats not found: {stats_path}") from None
-    if len(names) != ds.values.shape[1]:
+    if names != ds.variate_names:
         raise ConfigError(
-            f"config dataset has {ds.values.shape[1]} variates, checkpoint "
-            f"stats have {len(names)}"
+            f"checkpoint stats {stats_path} list variates {names}, config "
+            f"dataset has columns {ds.variate_names}"
         )
     split.mean, split.std = mean, std
     windows = _window_splits(cfg, split)
@@ -398,7 +398,8 @@ def build_parser():
     p_eval.set_defaults(func=cmd_eval)
 
     p_prune = sub.add_parser("prune", help="prune a checkpoint by edge norm")
-    common(p_prune, config_required=False)
+    p_prune.add_argument("--checkpoint", required=True, help="checkpoint path")
+    p_prune.add_argument("--out", default=None, help="output directory")
     p_prune.add_argument("--tau", type=float, default=DEFAULT_TAU)
     p_prune.set_defaults(func=cmd_prune)
 

@@ -4,8 +4,12 @@ Pruning zeroes every adjustable edge whose L2 norm falls below a
 threshold; fixed-form injected edges are exempt and excluded from the
 counts. Symbolification fits each surviving edge activation with the best
 library formula c * f(a*x + b) + d over the input range the edge actually
-received (recorded by a calibration forward pass, padded 10%), ranking
-candidates by coefficient of determination on held-out sample points.
+received (padded 10%), ranking candidates by coefficient of determination
+on held-out sample points. The ranges come from calibration on the
+unpruned model, which runs the model's no-grad ops only as far as the
+inputs of the layers that keep an edge (``calibrate_ranges``): at a
+typical threshold every survivor sits in a per-patch KAN, and calibration
+is then embed, decompose and the time-frequency grid, no KAN layer at all.
 Each family is fitted in a canonical form with no redundant parameters
 (see ``_canonical_fit``): identity and square in closed form; cube, exp
 and one joint sin/cos fit by a search over a single parameter; gaussian
@@ -25,7 +29,9 @@ from typing import Optional
 
 import numpy as np
 
-from .tensor import Tensor, no_grad, sigmoid
+from .decomposition import moving_average_decompose
+from .tensor import Tensor, no_grad, permute, sigmoid
+from .tfsynergy import spectrum_grid
 
 FIT_SAMPLES = 257  # odd: alternating points split into fit / held-out sets
 A_GRID = np.logspace(-2, 1, 41)
@@ -79,9 +85,22 @@ class PruneRow:
 
 # --- pruning -------------------------------------------------------------------
 
+def _kept(layer, tau):
+    """Mask of the adjustable edges of ``layer`` that pruning at ``tau`` keeps."""
+    return layer.active & (layer.taylor_norms() >= tau)
+
+
+def _kan_layers(model):
+    """((tag, layer index), layer) for every KAN layer of the model; the tags
+    are "trend", "seasonal" and "tf.p{p}"."""
+    pairs = [(("trend", li), layer) for li, layer in enumerate(model.trend_kan.layers)]
+    pairs += [(("seasonal", li), layer) for li, layer in enumerate(model.seasonal_kan.layers)]
+    pairs += [((f"tf.p{p}", 0), net.layers[0]) for p, net in enumerate(model.tf_kans.nets)]
+    return pairs
+
+
 def _prune_layer(layer, tau):
-    keep = layer.taylor_norms() >= tau
-    layer.apply_prune(keep)
+    layer.apply_prune(_kept(layer, tau))
     preserved = int(layer.active.sum())
     return layer.n_adjustable - preserved, preserved
 
@@ -108,16 +127,60 @@ def prune(model, tau):
 
 # --- calibration ------------------------------------------------------------------
 
-def calibrate_ranges(model, inputs, batch_size=64):
-    """Forward the (W, N, L) windows, recording per-node input ranges for
-    every KAN layer; returns {(tag, layer_idx): (lo, hi)}."""
-    probe = {}
+def merge_range(ranges, key, lo, hi):
+    """Widen ranges[key] (a (lo, hi) pair of arrays) to cover lo..hi."""
+    if key in ranges:
+        old_lo, old_hi = ranges[key]
+        ranges[key] = (np.minimum(old_lo, lo), np.maximum(old_hi, hi))
+    else:
+        ranges[key] = (lo, hi)
+
+
+def calibrate_ranges(model, inputs, batch_size=64, layers=None):
+    """Per-node input ranges of the KAN layers over the (W, N, L) windows;
+    returns {(tag, layer_idx): (lo, hi)} for the keys in ``layers`` (every
+    KAN layer if None; see ``_kan_layers``).
+
+    The windows go through the model's own no-grad ops in ``batch_size``
+    batches, since a layer's output depends on its batch's row count in the
+    last bits, but only as far as the wanted inputs: embed and decompose;
+    the patcher and the time-frequency grid if a "tf.p*" key is wanted; a
+    time-axis KAN up to its last wanted layer, which does not run. No
+    network's last layer, per-patch KAN, unpatcher or head ever runs."""
+    known = [key for key, _ in _kan_layers(model)]
+    wanted = set(known if layers is None else layers)
+    unknown = wanted.difference(known)
+    if unknown:
+        raise ValueError(f"no KAN layers {sorted(unknown)}")
+    ranges = {}
+    if not wanted:
+        return ranges
+    tf_keys = [(p, (f"tf.p{p}", 0)) for p in range(model.n_patches)]
+    tf_keys = [(p, key) for p, key in tf_keys if key in wanted]
+    chains = []  # (tag, its layers up to the last wanted one)
+    for tag, net in (("trend", model.trend_kan), ("seasonal", model.seasonal_kan)):
+        depth = max((li + 1 for li in range(len(net.layers)) if (tag, li) in wanted), default=0)
+        chains.append((tag, net.layers[:depth]))
     with no_grad():
         for start in range(0, len(inputs), batch_size):
             xb = inputs[start : start + batch_size]
-            rows = xb.shape[0] * xb.shape[1]
-            model.forward(Tensor(xb.reshape(rows, xb.shape[2])), probe=probe)
-    return probe
+            x = Tensor(xb.reshape(xb.shape[0] * xb.shape[1], xb.shape[2]))
+            trend, seasonal, _ = moving_average_decompose(model.embed(x), model.config.kernel)
+            if tf_keys:
+                grid = spectrum_grid(model.patcher(seasonal)).data
+                lo, hi = grid.min(axis=(0, 3)), grid.max(axis=(0, 3))  # (K, P)
+                for p, key in tf_keys:
+                    merge_range(ranges, key, lo[:, p], hi[:, p])
+                del grid  # freed before the time-axis KANs allocate theirs
+            for (tag, chain), branch in zip(chains, (trend, seasonal)):
+                h = permute(branch, (0, 2, 1))  # (N, d, L), as the forward feeds it
+                for li, layer in enumerate(chain):
+                    if (tag, li) in wanted:
+                        lo, hi = h.data.min(axis=(0, 1)), h.data.max(axis=(0, 1))
+                        merge_range(ranges, (tag, li), lo, hi)
+                    if li + 1 < len(chain):
+                        h = layer.forward(h)
+    return ranges
 
 
 def padded_range(lo, hi, pad=0.1):
@@ -144,8 +207,9 @@ def _scores(u_rows, y):
     su = u_rows.sum(axis=1)
     suu = np.einsum("ij,ij->i", u_rows, u_rows)
     suy = u_rows @ y
-    det = n * suu - su * su
-    with np.errstate(invalid="ignore", divide="ignore"):
+    # rows of huge values (exp of a wide argument) overflow here and score inf
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        det = n * suu - su * su
         c = np.where(
             det > 1e-12 * np.maximum(1.0, n * suu), (n * suy - su * sy) / det, 0.0
         )
@@ -479,15 +543,15 @@ class EdgeRecord:
     highlight: bool = False
 
 
-def _network_records(net_name, tag, layers, probe, pending):
+def _network_records(net_name, tag, layers, calibrated, pending):
     """Records for one network's injected and surviving adjustable edges.
     Adjustable records are returned unfitted; each is queued on ``pending``
     as ``(record, (edge, lo, hi))`` for ``_fit_edges``. Pruned edges get no
     view: the final sort is a total order, so visiting only the kept pairs
-    yields the same records."""
+    yields the same records. ``calibrated`` holds the input ranges of every
+    layer with a surviving edge (``calibrate_ranges``)."""
     records = []
     for li, layer in enumerate(layers):
-        ranges = probe.get((tag, li))
         label = f"{tag}.{li}" if not tag.startswith("tf.") else tag
         r = layer.inject_rows
         kind = "trend-poly" if layer.inject_kind == "trend" else "fourier"
@@ -501,10 +565,8 @@ def _network_records(net_name, tag, layers, probe, pending):
                 )
         for i, row in zip(*np.nonzero(layer.active.T)):
             i, j = int(i), int(row) + r
-            if ranges is not None:
-                lo, hi = padded_range(ranges[0][i], ranges[1][i])
-            else:
-                lo, hi = -1.0, 1.0
+            node_lo, node_hi = calibrated[(tag, li)]
+            lo, hi = padded_range(node_lo[i], node_hi[i])
             edge = layer.edge(i, j)
             record = EdgeRecord(net_name, label, i, j, "taylor", edge.l2_norm(), None, "")
             records.append(record)
@@ -559,17 +621,20 @@ def generate_report(model, tau, top_m, calib_inputs, batch_size=64, timing=None)
     the edges (see ``format_report_timing``).
     """
     start = time.perf_counter()
-    probe = calibrate_ranges(model, calib_inputs, batch_size=batch_size)
+    # The layers to calibrate are read before pruning, and so are their
+    # ranges: layer 1's inputs are the unpruned layer 0's outputs.
+    kept = [key for key, layer in _kan_layers(model) if _kept(layer, tau).any()]
+    ranges = calibrate_ranges(model, calib_inputs, batch_size=batch_size, layers=kept)
     calibrated = time.perf_counter()
     prune_rows = prune(model, tau)
     pruned = time.perf_counter()
     records, pending = [], []
-    records += _network_records("TrendKAN", "trend", model.trend_kan.layers, probe, pending)
+    records += _network_records("TrendKAN", "trend", model.trend_kan.layers, ranges, pending)
     records += _network_records(
-        "SeasonalKAN", "seasonal", model.seasonal_kan.layers, probe, pending
+        "SeasonalKAN", "seasonal", model.seasonal_kan.layers, ranges, pending
     )
     for p, sub in enumerate(model.tf_kans.nets):
-        records += _network_records("TFKAN", f"tf.p{p}", sub.layers, probe, pending)
+        records += _network_records("TFKAN", f"tf.p{p}", sub.layers, ranges, pending)
     fit_start = time.perf_counter()
     results, workers = _fit_edges([job for _, job in pending])
     fitted = time.perf_counter()

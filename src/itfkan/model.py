@@ -110,7 +110,7 @@ class ForecastModel:
         )
         self.head_b2 = Tensor(np.zeros(config.horizon), requires_grad=True)
 
-    def forward(self, x, probe=None):
+    def forward(self, x):
         """(N, L) standardized windows -> (N, F) forecasts."""
         cfg = self.config
         n, length = x.shape
@@ -120,17 +120,17 @@ class ForecastModel:
         # the time-frequency branch runs first so that, without a tape, its
         # large grid is freed before the time-axis KANs allocate theirs
         grid = spectrum_grid(self.patcher(seasonal))
-        h_tf = self.unpatcher(self.tf_kans(grid, probe=probe))
+        h_tf = self.unpatcher(self.tf_kans(grid))
         del grid
-        h_trend = self._along_time(self.trend_kan, trend, probe, "trend")
-        h_seasonal = self._along_time(self.seasonal_kan, seasonal, probe, "seasonal")
+        h_trend = self._along_time(self.trend_kan, trend, "trend")
+        h_seasonal = self._along_time(self.seasonal_kan, seasonal, "seasonal")
         h = h_trend + h_seasonal + h_tf
         collapsed = reshape(matmul(h, self.head_w1) + self.head_b1, (n, length))
         return matmul(collapsed, self.head_w2) + self.head_b2
 
     @staticmethod
-    def _along_time(net, x, probe, tag):
-        out = net.forward(permute(x, (0, 2, 1)), probe=probe, tag=tag)
+    def _along_time(net, x, tag):
+        out = net.forward(permute(x, (0, 2, 1)), tag=tag)
         return permute(out, (0, 2, 1))
 
     def reg_losses(self):

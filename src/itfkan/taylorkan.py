@@ -272,14 +272,12 @@ class KanNetwork:
                 )
         self.layers = list(layers)
 
-    def forward(self, x, probe=None, tag=""):
-        """Apply the layer chain; optionally record per-layer input ranges
-        into ``probe`` keyed by (tag, layer index), for calibration."""
-        for idx, layer in enumerate(self.layers):
-            if probe is not None:
-                leading = tuple(range(x.ndim - 1))
-                lo, hi = x.data.min(axis=leading), x.data.max(axis=leading)
-                merge_range(probe, (tag, idx), lo, hi)
+    def forward(self, x, tag=""):
+        """Apply the layer chain. ``tag`` names the branch ("trend",
+        "seasonal"); the forward ignores it, but perfbench's span hooks
+        (``_kan_name`` in ``perfbench/hooks.py``) read it to time each
+        branch apart."""
+        for layer in self.layers:
             x = layer.forward(x)
         return x
 
@@ -305,15 +303,6 @@ class KanNetwork:
         for idx, layer in enumerate(self.layers):
             params.extend(layer.parameters(f"{prefix}.l{idx}"))
         return params
-
-
-def merge_range(probe, key, lo, hi):
-    """Widen probe[key] (a (lo, hi) pair of arrays) to cover lo..hi."""
-    if key in probe:
-        old_lo, old_hi = probe[key]
-        probe[key] = (np.minimum(old_lo, lo), np.maximum(old_hi, hi))
-    else:
-        probe[key] = (lo, hi)
 
 
 def build_trend_kan(length, degree, rng):

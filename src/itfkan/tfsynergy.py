@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .taylorkan import KanNetwork, TaylorKanLayer, merge_range
+from .taylorkan import KanNetwork, TaylorKanLayer
 from .tensor import (
     Tensor,
     l2_penalty,
@@ -127,19 +127,14 @@ class PatchKans:
             for _ in range(n_patches)
         ]
 
-    def __call__(self, tf, probe=None):
-        """(N, K, P, d) grid -> (N, P, d); optionally record each patch's
-        input ranges into ``probe`` under ("tf.p{p}", 0), for calibration."""
+    def __call__(self, tf):
+        """(N, K, P, d) grid -> (N, P, d)."""
         n, k_bins, n_patches, d = tf.shape
         if n_patches != self.n_patches or k_bins != self.k_bins:
             raise ValueError(
                 f"grid is {k_bins}x{n_patches}, networks expect "
                 f"{self.k_bins}x{self.n_patches}"
             )
-        if probe is not None:
-            lo, hi = tf.data.min(axis=(0, 3)), tf.data.max(axis=(0, 3))  # (K, P)
-            for p in range(n_patches):
-                merge_range(probe, (f"tf.p{p}", 0), lo[:, p], hi[:, p])
         layers = [net.layers[0] for net in self.nets]
         return patch_kans(tf, [(lay.w, lay.a0, lay.a1, lay.a2) for lay in layers])
 

@@ -202,6 +202,19 @@ def test_eval_malformed_stats_names_file_and_line(workspace, capsys):
     assert f"{stats}: line 2: expected name<TAB>mean<TAB>std" in capsys.readouterr().err
 
 
+def test_eval_stats_in_another_column_order_exits_2(workspace, capsys):
+    cfg_path, out_dir = workspace
+    assert main(["train", "--config", str(cfg_path)]) == 0
+    ckpt = out_dir / "checkpoint.itfk"
+    stats = out_dir / "checkpoint.itfk.stats"
+    first, second = stats.read_text().splitlines()
+    stats.write_text(f"{second}\n{first}\n")  # rows b, a for columns a, b
+    capsys.readouterr()
+    assert main(["eval", "--config", str(cfg_path), "--checkpoint", str(ckpt)]) == 2
+    err = capsys.readouterr().err
+    assert f"{stats}" in err and "['b', 'a']" in err and "['a', 'b']" in err
+
+
 def test_eval_matches_train_metrics(workspace, capsys):
     cfg_path, out_dir = workspace
     assert main(["train", "--config", str(cfg_path)]) == 0
@@ -302,6 +315,22 @@ def test_prune_negative_tau_exits_2(workspace, capsys):
         "prune", "--checkpoint", str(out_dir / "checkpoint.itfk"), "--tau", "-1",
     ])
     assert code == 2
+
+
+@pytest.mark.parametrize("option", [["--config", "run.cfg"], ["--seed", "9"]])
+def test_prune_rejects_options_it_would_ignore(workspace, capsys, option):
+    cfg_path, out_dir = workspace
+    with pytest.raises(SystemExit) as exc:
+        main(["prune", "--checkpoint", str(out_dir / "checkpoint.itfk"), *option])
+    assert exc.value.code == 2
+    assert f"unrecognized arguments: {' '.join(option)}" in capsys.readouterr().err
+
+
+def test_prune_requires_checkpoint(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["prune", "--tau", "0.1"])
+    assert exc.value.code == 2
+    assert "--checkpoint" in capsys.readouterr().err
 
 
 def test_prune_writes_report_and_checkpoint(workspace, tmp_path):

@@ -6,6 +6,8 @@ import numpy as np
 import pytest
 
 import itfkan.interpret as interpret
+import itfkan.tensor as tensor
+import itfkan.tfsynergy as tfsynergy
 from itfkan.interpret import (
     FAMILIES,
     FAMILY_ORDER,
@@ -24,8 +26,9 @@ from itfkan.interpret import (
     symbolify_edge,
 )
 from itfkan.model import ForecastModel, ModelConfig
-from itfkan.taylorkan import TaylorEdge
-from itfkan.tensor import Tensor
+from itfkan.taylorkan import TaylorEdge, TaylorKanLayer
+from itfkan.tensor import Tensor, no_grad
+from itfkan.tfsynergy import Unpatcher
 
 ULP = np.finfo(np.float64).eps
 # per-coefficient scalings by a few ulp, as a retrained model might move them
@@ -323,6 +326,14 @@ def test_fit_seconds_per_family():
     assert all(seconds > 0.0 for seconds in timing.values())
 
 
+@pytest.mark.filterwarnings("error")
+def test_wide_range_fit_warns_nothing():
+    """exp of a wide argument overflows in the candidate scores; those rows
+    score inf without a RuntimeWarning."""
+    fit = symbolify_edge(TaylorEdge(1.0, [0.0, 0.1, 0.01]), -40.0, 40.0)
+    assert fit.family in FAMILIES and 0.99 < fit.r2 <= 1.0
+
+
 def test_rejects_too_few_samples():
     with pytest.raises(ValueError):
         symbolify_edge(np.sin, -1.0, 1.0, n_samples=32)
@@ -446,26 +457,135 @@ def test_report_formats_parse():
 def test_calibration_ranges_cover_inputs():
     model = micro_model(seed=17)
     windows = calib_windows(model, count=6, seed=18)
-    probe = calibrate_ranges(model, windows, batch_size=2)
-    assert ("trend", 0) in probe and ("seasonal", 0) in probe
-    lo, hi = probe[("trend", 0)]
+    ranges = calibrate_ranges(model, windows, batch_size=2)
+    assert ("trend", 0) in ranges and ("seasonal", 0) in ranges
+    lo, hi = ranges[("trend", 0)]
     assert lo.shape == (model.config.lookback,)
     assert np.all(lo <= hi)
 
 
-# --- fitting the surviving edges on several workers ----------------------------------
+def time_axis_inputs(model, windows, batch_size):
+    """Per-node input ranges of each time-axis KAN layer, as the model's own
+    no-grad forward feeds them, batch by batch."""
+    keys = {id(layer): key for key, layer in interpret._kan_layers(model)}
+    seen = {}
+    real = TaylorKanLayer.forward
 
-def kan_layers(model):
-    return (
-        model.trend_kan.layers
-        + model.seasonal_kan.layers
-        + [net.layers[0] for net in model.tf_kans.nets]
+    def recording(layer, x):
+        flat = x.data.reshape(-1, x.shape[-1])
+        seen.setdefault(keys[id(layer)], []).append((flat.min(axis=0), flat.max(axis=0)))
+        return real(layer, x)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(TaylorKanLayer, "forward", recording)
+        with no_grad():
+            for start in range(0, len(windows), batch_size):
+                xb = windows[start : start + batch_size]
+                model.forward(Tensor(xb.reshape(-1, xb.shape[2])))
+    return {
+        key: (np.min([lo for lo, _ in pairs], axis=0), np.max([hi for _, hi in pairs], axis=0))
+        for key, pairs in seen.items()
+    }
+
+
+def test_calibration_matches_forward_inputs():
+    model = micro_model(seed=30)
+    windows = calib_windows(model, count=5, seed=31)  # the last batch is partial
+    ranges = calibrate_ranges(model, windows, batch_size=2)
+    assert sorted(ranges) == sorted(key for key, _ in interpret._kan_layers(model))
+    expected = time_axis_inputs(model, windows, batch_size=2)
+    assert sorted(expected) == [("seasonal", 0), ("seasonal", 1), ("trend", 0), ("trend", 1)]
+    for key, (lo, hi) in expected.items():
+        np.testing.assert_array_equal(ranges[key][0], lo)
+        np.testing.assert_array_equal(ranges[key][1], hi)
+
+
+TF_KEYS = [(f"tf.p{p}", 0) for p in range(3)]
+
+
+@pytest.mark.parametrize(
+    "layers", [TF_KEYS, [("trend", 1)], [("seasonal", 0)], [("seasonal", 1), ("tf.p2", 0)], []],
+)
+def test_calibration_subset_equals_full(layers):
+    model = micro_model(seed=32)
+    windows = calib_windows(model, count=5, seed=33)
+    full = calibrate_ranges(model, windows, batch_size=2)
+    part = calibrate_ranges(model, windows, batch_size=2, layers=layers)
+    assert sorted(part) == sorted(layers)
+    for key in layers:
+        np.testing.assert_array_equal(part[key][0], full[key][0])
+        np.testing.assert_array_equal(part[key][1], full[key][1])
+
+
+def test_calibration_rejects_unknown_layer():
+    model = micro_model(seed=34)
+    with pytest.raises(ValueError, match="trend"):
+        calibrate_ranges(model, calib_windows(model), layers=[("trend", 2)])
+
+
+@pytest.mark.parametrize(
+    "layers, layer_calls", [(TF_KEYS, 0), ([("trend", 1)], 3), ([], 0)],
+)
+def test_calibration_runs_only_what_it_reads(monkeypatch, layers, layer_calls):
+    """tf keys need no KAN layer at all, and trend.1 needs trend.0 only (one
+    call per batch); the per-patch KANs, the unpatcher and the head never run."""
+    calls = {"layer": 0, "patch_kans": 0, "unpatch": 0, "forward": 0}
+
+    def counting(name, real):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return real(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(TaylorKanLayer, "forward", counting("layer", TaylorKanLayer.forward))
+    monkeypatch.setattr(tensor, "patch_kans", counting("patch_kans", tensor.patch_kans))
+    monkeypatch.setattr(
+        tfsynergy, "patch_kans", counting("patch_kans", tfsynergy.patch_kans)
     )
+    monkeypatch.setattr(Unpatcher, "__call__", counting("unpatch", Unpatcher.__call__))
+    monkeypatch.setattr(
+        ForecastModel, "forward", counting("forward", ForecastModel.forward)
+    )
+    model = micro_model(seed=35)
+    calibrate_ranges(model, calib_windows(model, count=5), batch_size=2, layers=layers)
+    assert calls == {"layer": layer_calls, "patch_kans": 0, "unpatch": 0, "forward": 0}
 
+
+def test_report_calibrates_the_unpruned_model(monkeypatch):
+    """Layer 1's ranges come from the unpruned layer 0, as the trained model
+    computes them: calibrating after pruning would move them."""
+    model = micro_model(seed=36)
+    windows = calib_windows(model, count=5, seed=37)
+    trend = model.trend_kan.layers
+    tau = float(np.median(np.concatenate([lay.taylor_norms().ravel() for lay in trend])))
+    assert not interpret._kept(trend[0], tau).all() and interpret._kept(trend[1], tau).any()
+    unpruned = calibrate_ranges(copy.deepcopy(model), windows)
+    pruned_model = copy.deepcopy(model)
+    prune(pruned_model, tau)
+    after = calibrate_ranges(pruned_model, windows)[("trend", 1)]
+    assert not np.array_equal(after[0], unpruned[("trend", 1)][0])
+
+    def record_ranges(jobs):  # each edge's fitted range, kept in (b, c)
+        fits = [SymbolicFit("constant", 0.0, lo, hi, 0.0, 1.0) for _, lo, hi in jobs]
+        return [(fit, 0.0, {}) for fit in fits], 1
+
+    monkeypatch.setattr(interpret, "_fit_edges", record_ranges)
+    _, records = generate_report(model, tau, 2, windows)
+    fitted = [r for r in records if r.kind == "taylor"]
+    assert any(r.layer == "trend.1" for r in fitted)
+    labels = {"trend.0": ("trend", 0), "trend.1": ("trend", 1),
+              "seasonal.0": ("seasonal", 0), "seasonal.1": ("seasonal", 1)}
+    for r in fitted:
+        lo, hi = unpruned[labels.get(r.layer, (r.layer, 0))]
+        assert (r.fit.b, r.fit.c) == interpret.padded_range(lo[r.i], hi[r.i]), r
+
+
+# --- fitting the surviving edges on several workers ----------------------------------
 
 def tau_keeping(model, edges):
     """A threshold that keeps the ``edges`` largest-norm adjustable edges."""
-    norms = np.concatenate([layer.taylor_norms().ravel() for layer in kan_layers(model)])
+    layers = [layer for _, layer in interpret._kan_layers(model)]
+    norms = np.concatenate([layer.taylor_norms().ravel() for layer in layers])
     return float(np.sort(norms)[::-1][edges - 1])
 
 

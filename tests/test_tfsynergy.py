@@ -2,7 +2,9 @@ import numpy as np
 import pytest
 
 from gradcheck_util import gradient_check
-from itfkan.tensor import Tensor, backward
+from itfkan.interpret import calibrate_ranges
+from itfkan.model import ForecastModel, ModelConfig
+from itfkan.tensor import Tensor, backward, no_grad
 from itfkan.tfsynergy import (
     PatchCompressor,
     PatchConfig,
@@ -225,16 +227,31 @@ def test_single_patch_single_bin_matches_edge():
     np.testing.assert_allclose(out.data[:, 0, :], edge(tf.data[:, 0, 0, :]), rtol=1e-12)
 
 
-def test_patchkans_records_per_patch_ranges():
-    kans = PatchKans(3, 2, np.random.default_rng(16))
-    grid = np.random.default_rng(17).normal(size=(4, 2, 3, 5))
-    probe = {}
-    kans(Tensor(grid), probe=probe)
-    kans(Tensor(grid[:1] * 3.0), probe=probe)
-    both = np.concatenate([grid, grid[:1] * 3.0])
-    assert sorted(probe) == [(f"tf.p{p}", 0) for p in range(3)]
-    for p in range(3):
-        lo, hi = probe[(f"tf.p{p}", 0)]
+def test_calibration_records_per_patch_ranges(monkeypatch):
+    """``calibrate_ranges`` gives each patch's KAN the range, per frequency
+    bin, of the grid rows the model's forward feeds it, over every batch."""
+    cfg = ModelConfig(lookback=8, horizon=2, embed_dim=3, kernel=3, top_k=1,
+                      patch_len=4, stride=2, trend_degree=1)
+    model = ForecastModel(cfg, [0.5], seed=16)
+    windows = np.random.default_rng(17).normal(size=(3, 2, 8))
+    grids = []
+    real = PatchKans.__call__
+
+    def recording(kans, grid):
+        grids.append(grid.data.copy())
+        return real(kans, grid)
+
+    monkeypatch.setattr(PatchKans, "__call__", recording)
+    with no_grad():
+        for start in (0, 2):  # batches of 2 windows and of 1
+            model.forward(Tensor(windows[start : start + 2].reshape(-1, 8)))
+    monkeypatch.undo()
+    both = np.concatenate(grids)
+    keys = [(f"tf.p{p}", 0) for p in range(model.n_patches)]
+    ranges = calibrate_ranges(model, windows, batch_size=2, layers=keys)
+    assert sorted(ranges) == keys
+    for p, key in enumerate(keys):
+        lo, hi = ranges[key]
         np.testing.assert_array_equal(lo, both[:, :, p, :].min(axis=(0, 2)))
         np.testing.assert_array_equal(hi, both[:, :, p, :].max(axis=(0, 2)))
 

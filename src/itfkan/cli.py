@@ -151,9 +151,24 @@ def load_config(path, **overrides):
 
 # --- shared pipeline pieces ------------------------------------------------------
 
-def _load_splits(cfg):
+def _load_splits(cfg, stats_path=None):
+    """The dataset and its standardized splits. With ``stats_path``, a
+    checkpoint's ``.stats`` sidecar, every split is z-scored with the
+    statistics the checkpoint was trained on, not the CSV's own."""
     ds = ingest_csv(cfg.dataset, frequency=cfg.frequency)
-    split = split_standardize(ds, mode=cfg.split)
+    stats = None
+    if stats_path is not None:
+        try:
+            names, mean, std = read_stats(stats_path)
+        except FileNotFoundError:
+            raise ConfigError(f"checkpoint stats not found: {stats_path}") from None
+        if names != ds.variate_names:
+            raise ConfigError(
+                f"checkpoint stats {stats_path} list variates {names}, config "
+                f"dataset has columns {ds.variate_names}"
+            )
+        stats = (mean, std)
+    split = split_standardize(ds, mode=cfg.split, stats=stats)
     min_rows = cfg.lookback + cfg.horizon
     for name, part in (("train", split.train), ("val", split.val), ("test", split.test)):
         if len(part) < min_rows:
@@ -296,18 +311,7 @@ def cmd_eval(args):
                 f"config {field_name}={getattr(cfg, field_name)} does not match "
                 f"checkpoint {field_name}={expected}"
             )
-    ds, split = _load_splits(cfg)
-    stats_path = (args.checkpoint or cfg.checkpoint) + ".stats"
-    try:
-        names, mean, std = read_stats(stats_path)
-    except FileNotFoundError:
-        raise ConfigError(f"checkpoint stats not found: {stats_path}") from None
-    if names != ds.variate_names:
-        raise ConfigError(
-            f"checkpoint stats {stats_path} list variates {names}, config "
-            f"dataset has columns {ds.variate_names}"
-        )
-    split.mean, split.std = mean, std
+    ds, split = _load_splits(cfg, (args.checkpoint or cfg.checkpoint) + ".stats")
     windows = _window_splits(cfg, split)
     values = _test_metrics(model, cfg, ds, split, windows)
     sys.stdout.write(_format_metrics(values))

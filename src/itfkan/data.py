@@ -122,8 +122,9 @@ def _ratio_boundaries(total, ratios):
     return {"train": (0, train_hi), "val": (train_hi, val_hi), "test": (val_hi, total)}
 
 
-def split_standardize(ds, mode="auto", ratios=(0.7, 0.1, 0.2), min_rows=2):
-    """Chronological split plus per-variate z-scoring with train statistics."""
+def split_standardize(ds, mode="auto", ratios=(0.7, 0.1, 0.2), min_rows=2, stats=None):
+    """Chronological split plus per-variate z-scoring with the train split's
+    statistics, or with ``stats``, a (mean, std) pair, if given."""
     total = len(ds.values)
     if mode == "auto":
         mode = "ett" if ds.name.lower().startswith("ett") else "ratio"
@@ -138,9 +139,12 @@ def split_standardize(ds, mode="auto", ratios=(0.7, 0.1, 0.2), min_rows=2):
             raise ValueError(
                 f"{split} split has {hi - lo} rows, need at least {min_rows}"
             )
-    train_raw = ds.values[slice(*bounds["train"])]
-    mean = train_raw.mean(axis=0)
-    std = np.maximum(train_raw.std(axis=0), STD_FLOOR)
+    if stats is None:
+        train_raw = ds.values[slice(*bounds["train"])]
+        mean = train_raw.mean(axis=0)
+        std = np.maximum(train_raw.std(axis=0), STD_FLOOR)
+    else:
+        mean, std = stats
     parts = {
         split: (ds.values[slice(*bounds[split])] - mean) / std for split in bounds
     }

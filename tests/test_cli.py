@@ -227,6 +227,26 @@ def test_eval_matches_train_metrics(workspace, capsys):
     assert capsys.readouterr().out == train_metrics
 
 
+def test_eval_standardizes_with_the_checkpoint_statistics(workspace, tmp_path, capsys):
+    """eval z-scores every split with the ``.stats`` sidecar, as it
+    de-standardizes: a CSV whose train rows moved, with the same test rows,
+    gives the same metrics."""
+    cfg_path, out_dir = workspace
+    assert main(["train", "--config", str(cfg_path)]) == 0
+    ckpt = str(out_dir / "checkpoint.itfk")
+    capsys.readouterr()
+    assert main(["eval", "--config", str(cfg_path), "--checkpoint", ckpt]) == 0
+    metrics = capsys.readouterr().out
+    values = synthetic_series(420, 2, seed=11)
+    values[:100, 0] += 5.0  # train rows only: the ratio split's first 294
+    shifted_csv = tmp_path / "shifted.csv"
+    write_csv(str(shifted_csv), values, ["a", "b"])
+    shifted_cfg = tmp_path / "shifted.cfg"
+    write_config(shifted_cfg, dataset=str(shifted_csv), out=str(out_dir))
+    assert main(["eval", "--config", str(shifted_cfg), "--checkpoint", ckpt]) == 0
+    assert capsys.readouterr().out == metrics
+
+
 def test_eval_horizon_mismatch_names_field(workspace, tmp_path, capsys):
     cfg_path, out_dir = workspace
     assert main(["train", "--config", str(cfg_path)]) == 0

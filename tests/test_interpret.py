@@ -304,6 +304,8 @@ def test_linear_free_edge_is_exactly_silu(w, a0, text):
         ("sin", (0.7, 0.0, 1.5, 0.0)),
         ("exp", (0.6, 0.5, 2.0, -1.0)),   # c*e^b is one constant
         ("exp", (-0.9, 0.2, -1.5, 3.0)),
+        ("gaussian", (-0.8, 0.3, 2.0, -1.0)),  # (a, b) and (-a, -b) are one fit
+        ("silu", (1.3, -0.45, 1.5, 0.5)),
     ],
 )
 def test_synthetic_text_survives_ulp_perturbations(kind, params):
@@ -317,6 +319,96 @@ def test_synthetic_text_survives_ulp_perturbations(kind, params):
     text = render_fit(symbolify_edge(target(params), -2.0, 3.0))
     for scale in ULP_SCALES:
         assert render_fit(symbolify_edge(target(params * scale), -2.0, 3.0)) == text
+
+
+def grid_a_values(name):
+    """The a-values of ``name``'s (a, b) grid, as ``_canonical_fit`` has them."""
+    a_grid = interpret.A_GRID
+    return np.concatenate([a_grid, -a_grid]) if name == "silu" else a_grid
+
+
+def grid_cell(name, x, y, x_absmax):
+    """The best (ss, a, b) of ``name``'s (a, b) grid."""
+    return interpret._grid_search(FAMILIES[name], x, y, x_absmax, grid_a_values(name))
+
+
+@pytest.mark.parametrize(
+    "name,params",
+    [
+        # a halfway (in log) between grid points, b off the b grid
+        ("gaussian", (np.sqrt(interpret.A_GRID[20] * interpret.A_GRID[21]), 0.37, 1.7, -0.4)),
+        ("gaussian", (np.sqrt(interpret.A_GRID[33] * interpret.A_GRID[34]), -1.3, -0.6, 2.0)),
+        ("silu", (-np.sqrt(interpret.A_GRID[26] * interpret.A_GRID[27]), 0.53, -2.2, 0.9)),
+        ("silu", (np.sqrt(interpret.A_GRID[24] * interpret.A_GRID[25]), -0.21, 3.1, -1.0)),
+    ],
+)
+def test_polish_recovers_exact_targets_between_grid_points(name, params):
+    a, b, c, d = params
+    target = lambda x: c * FAMILIES[name](a * x + b) + d
+    fit = interpret._fit_family(name, *samples(target, -3.0, 3.0))
+    assert fit.family == name
+    np.testing.assert_allclose([fit.a, fit.b, fit.c, fit.d], params, rtol=1e-8, atol=1e-8)
+
+
+def random_taylor_edges(count, seed):
+    rng = np.random.default_rng(seed)
+    for _ in range(count):
+        lo = rng.uniform(-3.0, 0.5)
+        yield TaylorEdge(rng.uniform(-2.0, 2.0), rng.normal(size=3)), lo, lo + rng.uniform(0.5, 4.0)
+
+
+@pytest.mark.parametrize("name", ["gaussian", "silu"])
+def test_polish_never_fits_worse_than_its_grid_cell(name):
+    """The polish takes only steps that lower the fit-set residual, measured
+    the way it measures it: centered, with c in closed form."""
+    for edge, lo, hi in random_taylor_edges(12, seed=91):
+        x, y, _, _, x_absmax = samples(edge, lo, hi)
+        _, a0, b0 = grid_cell(name, x, y, x_absmax)
+        a, b, _, _ = interpret._polish(name, x, y, a0, b0)
+        yc = y - y.mean()
+        polished = interpret._Projected(name, x, yc, a, b).ss
+        assert polished <= interpret._Projected(name, x, yc, a0, b0).ss
+        assert interpret.A_GRID[0] <= abs(a) <= interpret.A_GRID[-1]
+        assert np.sign(a) == np.sign(a0)
+
+
+def test_polish_keeps_a_flat_cell():
+    """exp(-(10x + 40)^2) underflows to 0 on [-1, 1]: the fit is the mean."""
+    x = np.linspace(-1.0, 1.0, 129)
+    y = np.sin(x)
+    assert interpret._polish("gaussian", x, y, 10.0, 40.0) == (10.0, 40.0, 0.0, y.mean())
+
+
+@pytest.mark.parametrize("name", ["gaussian", "silu"])
+def test_grid_blocks_pick_the_per_a_cell(name):
+    """Scoring the grid a block of a-values at a time picks bitwise the cell
+    that one ``_scores`` call per a-value picks."""
+    func = FAMILIES[name]
+    for edge, lo, hi in random_taylor_edges(6, seed=17):
+        x, y, _, _, x_absmax = samples(edge, lo, hi)
+        best = (np.inf, 1.0, 0.0)
+        for a in grid_a_values(name):
+            span = max(np.pi, abs(a) * x_absmax)
+            bs = np.linspace(-span, span, interpret.B_POINTS)
+            ss = interpret._scores(interpret._rows(func, x, np.full(len(bs), a), bs), y)[0]
+            idx = int(np.argmin(ss))
+            if ss[idx] < best[0]:
+                best = (float(ss[idx]), float(a), float(bs[idx]))
+        assert grid_cell(name, x, y, x_absmax) == best
+
+
+def test_scores_of_non_finite_rows_are_inf():
+    x = np.linspace(-1.0, 2.0, 65)
+    y = np.sin(x)
+    finite = np.stack([x, x * x, np.exp(x)])
+    rows = np.concatenate([finite, [np.where(x > 0.5, np.inf, x)], [np.where(x < 0.0, np.nan, x)]])
+    scores = interpret._scores(rows, y)
+    assert scores[0][3] == np.inf and scores[0][4] == np.inf
+    # the finite rows score as if the non-finite cells were zeros
+    zeroed = interpret._scores(np.where(np.isfinite(rows), rows, 0.0), y)
+    for got, want in zip(scores, zeroed):
+        np.testing.assert_array_equal(got[:3], want[:3])
+    assert np.all(np.isfinite(zeroed[0]))
 
 
 def test_fit_seconds_per_family():

@@ -299,19 +299,27 @@ def _load_checkpoint_model(path):
         raise ConfigError(f"checkpoint not found: {path}") from None
 
 
-def cmd_eval(args):
-    cfg = load_config(args.config, seed=args.seed, out=args.out)
-    model, raw = _load_checkpoint_model(args.checkpoint or cfg.checkpoint)
-    mc = model.config
-    for field_name, expected in (
-        ("lookback", mc.lookback), ("horizon", mc.horizon),
-    ):
+def _open_checkpoint(cfg, args):
+    """(model, dataset, splits) for a command that runs a checkpoint on the
+    config's dataset: the config's lookback and horizon must be the
+    checkpoint's, and every split is z-scored with the checkpoint's
+    ``.stats`` sidecar, the statistics it was trained on."""
+    path = args.checkpoint or cfg.checkpoint
+    model, _ = _load_checkpoint_model(path)
+    for field_name in ("lookback", "horizon"):
+        expected = getattr(model.config, field_name)
         if getattr(cfg, field_name) != expected:
             raise ConfigError(
                 f"config {field_name}={getattr(cfg, field_name)} does not match "
                 f"checkpoint {field_name}={expected}"
             )
-    ds, split = _load_splits(cfg, (args.checkpoint or cfg.checkpoint) + ".stats")
+    ds, split = _load_splits(cfg, path + ".stats")
+    return model, ds, split
+
+
+def cmd_eval(args):
+    cfg = load_config(args.config, seed=args.seed, out=args.out)
+    model, ds, split = _open_checkpoint(cfg, args)
     windows = _window_splits(cfg, split)
     values = _test_metrics(model, cfg, ds, split, windows)
     sys.stdout.write(_format_metrics(values))
@@ -347,13 +355,7 @@ def cmd_symbolify(args, emit_graph=False):
     if args.tau < 0:
         raise ConfigError("--tau must be >= 0")
     cfg = load_config(args.config, seed=args.seed, out=args.out)
-    model, _ = _load_checkpoint_model(args.checkpoint or cfg.checkpoint)
-    if cfg.lookback != model.config.lookback:
-        raise ConfigError(
-            f"config lookback={cfg.lookback} does not match checkpoint "
-            f"lookback={model.config.lookback}"
-        )
-    _, split = _load_splits(cfg)
+    model, _, split = _open_checkpoint(cfg, args)
     calib = _calibration_windows(cfg, split)
     out = args.out or cfg.out
     os.makedirs(out, exist_ok=True)

@@ -22,6 +22,8 @@ SEASON_PERIOD = {
 }
 
 ETT_MONTH_ROWS = {"h": 30 * 24, "m": 30 * 24 * 4}
+SPLIT_RATIOS = (0.7, 0.1, 0.2)  # train / val / test of a ratio split
+MIN_SPLIT_ROWS = 2
 STD_FLOOR = 1e-8
 
 
@@ -53,7 +55,7 @@ class SplitData:
     boundaries: dict
 
 
-def ingest_csv(path, name=None, frequency="hourly"):
+def ingest_csv(path, frequency="hourly"):
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
         try:
@@ -94,10 +96,8 @@ def ingest_csv(path, name=None, frequency="hourly"):
             f"{path}: row {linenos[r]}, column {variate_names[c]!r}: "
             f"non-finite value {float(values[r, c])}"
         )
-    stem = name
-    if stem is None:
-        stem = path.rsplit("/", 1)[-1]
-        stem = stem[:-4] if stem.lower().endswith(".csv") else stem
+    stem = path.rsplit("/", 1)[-1]
+    stem = stem[:-4] if stem.lower().endswith(".csv") else stem
     return SeriesDataset(
         name=stem, values=values, variate_names=variate_names, frequency=frequency
     )
@@ -116,13 +116,13 @@ def _ett_boundaries(name, total):
     return {"train": (0, train_hi), "val": (train_hi, val_hi), "test": (val_hi, test_hi)}
 
 
-def _ratio_boundaries(total, ratios):
-    train_hi = int(total * ratios[0])
-    val_hi = train_hi + int(total * ratios[1])
+def _ratio_boundaries(total):
+    train_hi = int(total * SPLIT_RATIOS[0])
+    val_hi = train_hi + int(total * SPLIT_RATIOS[1])
     return {"train": (0, train_hi), "val": (train_hi, val_hi), "test": (val_hi, total)}
 
 
-def split_standardize(ds, mode="auto", ratios=(0.7, 0.1, 0.2), min_rows=2, stats=None):
+def split_standardize(ds, mode="auto", stats=None):
     """Chronological split plus per-variate z-scoring with the train split's
     statistics, or with ``stats``, a (mean, std) pair, if given."""
     total = len(ds.values)
@@ -131,13 +131,13 @@ def split_standardize(ds, mode="auto", ratios=(0.7, 0.1, 0.2), min_rows=2, stats
     if mode == "ett":
         bounds = _ett_boundaries(ds.name, total)
     elif mode == "ratio":
-        bounds = _ratio_boundaries(total, ratios)
+        bounds = _ratio_boundaries(total)
     else:
         raise ValueError(f"unknown split mode {mode!r}")
     for split, (lo, hi) in bounds.items():
-        if hi - lo < min_rows:
+        if hi - lo < MIN_SPLIT_ROWS:
             raise ValueError(
-                f"{split} split has {hi - lo} rows, need at least {min_rows}"
+                f"{split} split has {hi - lo} rows, need at least {MIN_SPLIT_ROWS}"
             )
     if stats is None:
         train_raw = ds.values[slice(*bounds["train"])]

@@ -2,14 +2,17 @@
 
 Pruning zeroes every adjustable edge whose L2 norm falls below a
 threshold; fixed-form injected edges are exempt and excluded from the
-counts. Symbolification fits each surviving edge activation with the best
-library formula c * f(a*x + b) + d over the input range the edge actually
-received (padded 10%), ranking candidates by coefficient of determination
-on held-out sample points. The ranges come from calibration on the
-unpruned model, which runs the model's no-grad ops only as far as the
-inputs of the layers that keep an edge (``calibrate_ranges``): at a
-typical threshold every survivor sits in a per-patch KAN, and calibration
-is then embed, decompose and the time-frequency grid, no KAN layer at all.
+counts. The zeros are the prune state: an edge whose four coefficients
+are all 0 is pruned (``TaylorKanLayer.active``). Pruning, calibration
+and the report each walk ``ForecastModel.kan_layers``. Symbolification
+fits each surviving edge activation with the best library formula
+c * f(a*x + b) + d over the input range the edge actually received
+(padded 10%), ranking candidates by coefficient of determination on
+held-out sample points. The ranges come from calibration on the unpruned
+model, which runs the model's no-grad ops only as far as the inputs of
+the layers that keep an edge (``calibrate_ranges``): at a typical
+threshold every survivor sits in a per-patch KAN, and calibration is
+then embed, decompose and the time-frequency grid, no KAN layer at all.
 Each family is fitted in a canonical form with no redundant parameters
 (see ``_canonical_fit``): identity and square in closed form; cube, exp
 and one joint sin/cos fit by a search over a single parameter; gaussian
@@ -17,8 +20,7 @@ and one joint sin/cos fit by a search over a single parameter; gaussian
 Levenberg-Marquardt search over (a, b) that converges instead of
 sweeping. Without redundant parameters no two fits of a family tie, so
 the rendered text follows the edge, not its rounding, and an edge takes
-about 20 ms to fit on one core (180 ms before the canonical forms, 50 ms
-before the polish).
+about 20 ms to fit on one core.
 The surviving edges are independent fits, so a report spreads them over
 every CPU the process may run on; each fit runs the same code on the same
 inputs wherever it lands, so the report does not depend on the worker
@@ -64,7 +66,8 @@ FAMILY_ORDER = [
 # The fits ``symbolify_edge`` ranks, in order: "trig" is one fit for sin and
 # cos, named after the form with the smaller phase.
 FIT_ORDER = ("identity", "square", "cube", "trig", "exp", "gaussian", "silu", "constant")
-NETWORKS = ("TrendKAN", "SeasonalKAN", "TFKAN")
+# report name of each network by the branch of its layers' tags ("tf.p3" -> "tf")
+NETWORKS = {"trend": "TrendKAN", "seasonal": "SeasonalKAN", "tf": "TFKAN"}
 
 
 @dataclass
@@ -97,39 +100,30 @@ def _kept(layer, tau):
     return layer.active & (layer.taylor_norms() >= tau)
 
 
-def _kan_layers(model):
-    """((tag, layer index), layer) for every KAN layer of the model; the tags
-    are "trend", "seasonal" and "tf.p{p}"."""
-    pairs = [(("trend", li), layer) for li, layer in enumerate(model.trend_kan.layers)]
-    pairs += [(("seasonal", li), layer) for li, layer in enumerate(model.seasonal_kan.layers)]
-    pairs += [((f"tf.p{p}", 0), net.layers[0]) for p, net in enumerate(model.tf_kans.nets)]
-    return pairs
-
-
-def _prune_layer(layer, tau):
-    layer.apply_prune(_kept(layer, tau))
-    preserved = int(layer.active.sum())
-    return layer.n_adjustable - preserved, preserved
+def _names(tag, li):
+    """(network, report label, prune-report label) of the KAN layer (tag, li)
+    of ``ForecastModel.kan_layers``: the per-patch layers share one network
+    and one prune-report row."""
+    branch = tag.split(".")[0]
+    if branch == "tf":
+        return NETWORKS[branch], tag, "-"
+    return NETWORKS[branch], f"{tag}.{li}", str(li)
 
 
 def prune(model, tau):
     """Zero low-norm adjustable edges in every KAN; returns report rows."""
     if tau < 0:
         raise ValueError("prune threshold must be >= 0")
-    rows = []
-    for net_name, net in (("TrendKAN", model.trend_kan), ("SeasonalKAN", model.seasonal_kan)):
-        for li, layer in enumerate(net.layers):
-            pruned, preserved = _prune_layer(layer, tau)
-            rows.append(PruneRow(net_name, str(li), pruned, preserved, layer.n_adjustable))
-    tf_pruned = tf_preserved = tf_total = 0
-    for sub in model.tf_kans.nets:
-        layer = sub.layers[0]
-        pruned, preserved = _prune_layer(layer, tau)
-        tf_pruned += pruned
-        tf_preserved += preserved
-        tf_total += layer.n_adjustable
-    rows.append(PruneRow("TFKAN", "-", tf_pruned, tf_preserved, tf_total))
-    return rows
+    rows = {}
+    for (tag, li), layer in model.kan_layers():
+        layer.apply_prune(_kept(layer, tau))
+        network, _, label = _names(tag, li)
+        row = rows.setdefault((network, label), PruneRow(network, label, 0, 0, 0))
+        preserved = int(layer.active.sum())
+        row.pruned += layer.n_adjustable - preserved
+        row.preserved += preserved
+        row.total += layer.n_adjustable
+    return list(rows.values())
 
 
 # --- calibration ------------------------------------------------------------------
@@ -146,7 +140,7 @@ def merge_range(ranges, key, lo, hi):
 def calibrate_ranges(model, inputs, batch_size=64, layers=None):
     """Per-node input ranges of the KAN layers over the (W, N, L) windows;
     returns {(tag, layer_idx): (lo, hi)} for the keys in ``layers`` (every
-    KAN layer if None; see ``_kan_layers``).
+    KAN layer if None; see ``ForecastModel.kan_layers``).
 
     The windows go through the model's own no-grad ops in ``batch_size``
     batches, since a layer's output depends on its batch's row count in the
@@ -154,7 +148,7 @@ def calibrate_ranges(model, inputs, batch_size=64, layers=None):
     the patcher and the time-frequency grid if a "tf.p*" key is wanted; a
     time-axis KAN up to its last wanted layer, which does not run. No
     network's last layer, per-patch KAN, unpatcher or head ever runs."""
-    known = [key for key, _ in _kan_layers(model)]
+    known = [key for key, _ in model.kan_layers()]
     wanted = set(known if layers is None else layers)
     unknown = wanted.difference(known)
     if unknown:
@@ -164,10 +158,9 @@ def calibrate_ranges(model, inputs, batch_size=64, layers=None):
         return ranges
     tf_keys = [(p, (f"tf.p{p}", 0)) for p in range(model.n_patches)]
     tf_keys = [(p, key) for p, key in tf_keys if key in wanted]
-    chains = []  # (tag, its layers up to the last wanted one)
-    for tag, net in (("trend", model.trend_kan), ("seasonal", model.seasonal_kan)):
-        depth = max((li + 1 for li in range(len(net.layers)) if (tag, li) in wanted), default=0)
-        chains.append((tag, net.layers[:depth]))
+    branches = (("trend", model.trend_kan), ("seasonal", model.seasonal_kan))
+    # layers of each time-axis KAN up to the last wanted one
+    depth = {tag: max((li + 1 for t, li in wanted if t == tag), default=0) for tag, _ in branches}
     with no_grad():
         for start in range(0, len(inputs), batch_size):
             xb = inputs[start : start + batch_size]
@@ -179,20 +172,21 @@ def calibrate_ranges(model, inputs, batch_size=64, layers=None):
                 for p, key in tf_keys:
                     merge_range(ranges, key, lo[:, p], hi[:, p])
                 del grid  # freed before the time-axis KANs allocate theirs
-            for (tag, chain), branch in zip(chains, (trend, seasonal)):
+            for (tag, net), branch in zip(branches, (trend, seasonal)):
                 h = permute(branch, (0, 2, 1))  # (N, d, L), as the forward feeds it
-                for li, layer in enumerate(chain):
+                for li in range(depth[tag]):
+                    if li:
+                        h = net.layers[li - 1].forward(h)
                     if (tag, li) in wanted:
                         lo, hi = h.data.min(axis=(0, 1)), h.data.max(axis=(0, 1))
                         merge_range(ranges, (tag, li), lo, hi)
-                    if li + 1 < len(chain):
-                        h = layer.forward(h)
     return ranges
 
 
-def padded_range(lo, hi, pad=0.1):
+def padded_range(lo, hi):
+    """lo..hi widened by 10% of its span at each end."""
     span = hi - lo
-    return lo - pad * span, hi + pad * span
+    return lo - 0.1 * span, hi + 0.1 * span
 
 
 # --- symbolic fitting ---------------------------------------------------------------
@@ -644,34 +638,31 @@ class EdgeRecord:
     highlight: bool = False
 
 
-def _network_records(net_name, tag, layers, calibrated, pending):
-    """Records for one network's injected and surviving adjustable edges.
-    Adjustable records are returned unfitted; each is queued on ``pending``
-    as ``(record, (edge, lo, hi))`` for ``_fit_edges``. Pruned edges get no
-    view: the final sort is a total order, so visiting only the kept pairs
-    yields the same records. ``calibrated`` holds the input ranges of every
-    layer with a surviving edge (``calibrate_ranges``)."""
+def _layer_records(tag, li, layer, calibrated, pending):
+    """Records for the injected and surviving adjustable edges of the KAN
+    layer (tag, li). Adjustable records are returned unfitted; each is
+    queued on ``pending`` as ``(record, (edge, lo, hi))`` for ``_fit_edges``.
+    Pruned edges get no view: the final sort is a total order, so visiting
+    only the kept pairs yields the same records. ``calibrated`` holds the
+    input ranges of every layer with a surviving edge (``calibrate_ranges``)."""
+    network, label, _ = _names(tag, li)
     records = []
-    for li, layer in enumerate(layers):
-        label = f"{tag}.{li}" if not tag.startswith("tf.") else tag
-        r = layer.inject_rows
-        kind = "trend-poly" if layer.inject_kind == "trend" else "fourier"
-        for i in range(layer.in_dim):
-            for j in range(r):
-                edge = layer.edge(i, j)
-                records.append(
-                    EdgeRecord(
-                        net_name, label, i, j, kind, edge.l2_norm(), None, edge.formula(),
-                    )
-                )
-        for i, row in zip(*np.nonzero(layer.active.T)):
-            i, j = int(i), int(row) + r
-            node_lo, node_hi = calibrated[(tag, li)]
-            lo, hi = padded_range(node_lo[i], node_hi[i])
+    r = layer.inject_rows
+    kind = "trend-poly" if layer.inject_kind == "trend" else "fourier"
+    for i in range(layer.in_dim):
+        for j in range(r):
             edge = layer.edge(i, j)
-            record = EdgeRecord(net_name, label, i, j, "taylor", edge.l2_norm(), None, "")
-            records.append(record)
-            pending.append((record, (edge, lo, hi)))
+            records.append(
+                EdgeRecord(network, label, i, j, kind, edge.l2_norm(), None, edge.formula())
+            )
+    for i, row in zip(*np.nonzero(layer.active.T)):
+        i, j = int(i), int(row) + r
+        node_lo, node_hi = calibrated[(tag, li)]
+        lo, hi = padded_range(node_lo[i], node_hi[i])
+        edge = layer.edge(i, j)
+        record = EdgeRecord(network, label, i, j, "taylor", edge.l2_norm(), None, "")
+        records.append(record)
+        pending.append((record, (edge, lo, hi)))
     return records
 
 
@@ -712,7 +703,7 @@ def _fit_edges(jobs):
         pool.shutdown(cancel_futures=True)
 
 
-def generate_report(model, tau, top_m, calib_inputs, batch_size=64, timing=None):
+def generate_report(model, tau, top_m, calib_inputs, timing=None):
     """Prune at tau, then symbolify surviving adjustable edges and render
     injected ones exactly. Returns (prune_rows, edge_records).
 
@@ -724,25 +715,21 @@ def generate_report(model, tau, top_m, calib_inputs, batch_size=64, timing=None)
     start = time.perf_counter()
     # The layers to calibrate are read before pruning, and so are their
     # ranges: layer 1's inputs are the unpruned layer 0's outputs.
-    kept = [key for key, layer in _kan_layers(model) if _kept(layer, tau).any()]
-    ranges = calibrate_ranges(model, calib_inputs, batch_size=batch_size, layers=kept)
+    kept = [key for key, layer in model.kan_layers() if _kept(layer, tau).any()]
+    ranges = calibrate_ranges(model, calib_inputs, layers=kept)
     calibrated = time.perf_counter()
     prune_rows = prune(model, tau)
     pruned = time.perf_counter()
     records, pending = [], []
-    records += _network_records("TrendKAN", "trend", model.trend_kan.layers, ranges, pending)
-    records += _network_records(
-        "SeasonalKAN", "seasonal", model.seasonal_kan.layers, ranges, pending
-    )
-    for p, sub in enumerate(model.tf_kans.nets):
-        records += _network_records("TFKAN", f"tf.p{p}", sub.layers, ranges, pending)
+    for (tag, li), layer in model.kan_layers():
+        records += _layer_records(tag, li, layer, ranges, pending)
     fit_start = time.perf_counter()
     results, workers = _fit_edges([job for _, job in pending])
     fitted = time.perf_counter()
     for (record, _), (fit, _, _) in zip(pending, results):
         record.fit, record.formula = fit, render_fit(fit)
     records.sort(key=lambda r: (r.network, r.layer, -r.l2, r.i, r.j))
-    for net_name in NETWORKS:
+    for net_name in NETWORKS.values():
         candidates = sorted(
             (r for r in records if r.network == net_name and r.kind == "taylor"),
             key=lambda r: -r.l2,
@@ -824,7 +811,7 @@ def format_fit_summary(records):
     """Per network: fitted edges, the count per family and R2 min/p10/p50.
     Deterministic, like the other report files."""
     lines = ["network\tedges\t" + "\t".join(FAMILY_ORDER) + "\tr2_min\tr2_p10\tr2_p50"]
-    for net_name in NETWORKS:
+    for net_name in NETWORKS.values():
         fits = [r.fit for r in records if r.network == net_name and r.fit is not None]
         counts = [sum(f.family == name for f in fits) for name in FAMILY_ORDER]
         if fits:

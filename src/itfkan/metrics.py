@@ -20,17 +20,6 @@ class MetricSet:
     mase: float
     owa: Optional[float] = None
 
-    def items(self):
-        entries = [
-            ("mse", self.mse),
-            ("mae", self.mae),
-            ("smape", self.smape),
-            ("mase", self.mase),
-        ]
-        if self.owa is not None:
-            entries.append(("owa", self.owa))
-        return entries
-
 
 def _pair(forecast, target):
     forecast = np.asarray(forecast, dtype=np.float64)

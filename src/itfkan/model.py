@@ -140,6 +140,16 @@ class ForecastModel:
             self.tf_kans.reg_loss(),
         )
 
+    def kan_layers(self):
+        """((tag, layer index), layer) for every KAN layer, in parameter
+        order: the tags are "trend", "seasonal" and "tf.p{p}", whose one
+        layer has index 0. Pruning, calibration and the report walk this
+        list."""
+        pairs = [(("trend", li), layer) for li, layer in enumerate(self.trend_kan.layers)]
+        pairs += [(("seasonal", li), layer) for li, layer in enumerate(self.seasonal_kan.layers)]
+        pairs += [((f"tf.p{p}", 0), layer) for p, layer in enumerate(self.tf_kans.layers)]
+        return pairs
+
     def parameters(self):
         params = self.embed.parameters()
         params += self.trend_kan.parameters("trend")
@@ -188,11 +198,6 @@ class ForecastModel:
                     f"!= model shape {t.data.shape}"
                 )
             t.data[...] = tensors[name]
-        # prune masks are not stored; pruned edges are the all-zero ones
-        layers = model.trend_kan.layers + model.seasonal_kan.layers
-        layers += [net.layers[0] for net in model.tf_kans.nets]
-        for layer in layers:
-            layer.restore_active()
         return model, raw_config
 
 

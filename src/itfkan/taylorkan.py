@@ -146,7 +146,6 @@ class TaylorKanLayer:
         self.a0 = Tensor(rng.uniform(-scale, scale, (rows, in_dim)), requires_grad=True)
         self.a1 = Tensor(rng.uniform(-scale, scale, (rows, in_dim)), requires_grad=True)
         self.a2 = Tensor(rng.uniform(-scale, scale, (rows, in_dim)), requires_grad=True)
-        self.active = np.ones((rows, in_dim), dtype=bool)
 
         r = self.inject_rows
         if self.inject_kind == "trend":
@@ -177,6 +176,14 @@ class TaylorKanLayer:
     @property
     def n_adjustable(self):
         return (self.out_dim - self.inject_rows) * self.in_dim
+
+    @property
+    def active(self):
+        """Mask of the unpruned adjustable edges, shape (rows, in_dim). An
+        edge is pruned exactly when w, a0, a1 and a2 are all 0, which is
+        what ``apply_prune`` writes and what a checkpoint stores."""
+        w, a0, a1, a2 = (t.data != 0.0 for t in (self.w, self.a0, self.a1, self.a2))
+        return w | a0 | a1 | a2
 
     def forward(self, x):
         if x.shape[-1] != self.in_dim:
@@ -212,20 +219,10 @@ class TaylorKanLayer:
         return (a1 * a1 + a2 * a2) / TAYLOR_ORDER
 
     def apply_prune(self, keep):
-        """Zero adjustable edges where ``keep`` is False and mark inactive."""
+        """Zero the adjustable edges where ``keep`` is False."""
         drop = ~keep
         for t in (self.w, self.a0, self.a1, self.a2):
             t.data[drop] = 0.0
-        self.active &= keep
-
-    def restore_active(self):
-        """Rebuild ``active`` from the weights: an edge ``apply_prune``
-        zeroed has w, a0, a1 and a2 all exactly 0, which is how a pruned
-        edge is stored in a checkpoint."""
-        zeroed = np.ones_like(self.active)
-        for t in (self.w, self.a0, self.a1, self.a2):
-            zeroed &= t.data == 0.0
-        self.active = ~zeroed
 
     def edge(self, i, j):
         """Scalar view of edge input-node i -> output-node j."""
@@ -262,7 +259,7 @@ class TaylorKanLayer:
 
 
 class KanNetwork:
-    """A chain of TaylorKanLayers applied along the last axis."""
+    """A chain of TaylorKanLayers along the last axis (the trend and seasonal KANs)."""
 
     def __init__(self, layers):
         for prev, nxt in zip(layers, layers[1:]):

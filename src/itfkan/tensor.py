@@ -105,9 +105,6 @@ class Tensor:
     def item(self):
         return float(self.data.reshape(()))
 
-    def zero_grad(self):
-        self.grad = None
-
     def __repr__(self):
         flag = ", requires_grad=True" if self.requires_grad else ""
         return f"Tensor(shape={tuple(self.shape)}, op={self.op!r}{flag})"

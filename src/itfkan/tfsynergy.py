@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .taylorkan import KanNetwork, TaylorKanLayer
+from .taylorkan import TaylorKanLayer
 from .tensor import (
     Tensor,
     l2_penalty,
@@ -115,17 +115,15 @@ def spectrum_grid(patches):
 class PatchKans:
     """One single-layer KAN per patch, mixing the frequency axis.
 
-    Each patch keeps its own network (parameters, pruning, reports); the
-    forward pass runs all of them as one fused op over the whole grid.
+    ``layers`` holds each patch's bare ``TaylorKanLayer`` (parameters,
+    pruning, reports); the forward pass runs all of them as one fused op
+    over the whole grid.
     """
 
     def __init__(self, n_patches, k_bins, rng):
         self.n_patches = n_patches
         self.k_bins = k_bins
-        self.nets = [
-            KanNetwork([TaylorKanLayer(k_bins, k_bins, rng)])
-            for _ in range(n_patches)
-        ]
+        self.layers = [TaylorKanLayer(k_bins, k_bins, rng) for _ in range(n_patches)]
 
     def __call__(self, tf):
         """(N, K, P, d) grid -> (N, P, d)."""
@@ -135,22 +133,21 @@ class PatchKans:
                 f"grid is {k_bins}x{n_patches}, networks expect "
                 f"{self.k_bins}x{self.n_patches}"
             )
-        layers = [net.layers[0] for net in self.nets]
-        return patch_kans(tf, [(lay.w, lay.a0, lay.a1, lay.a2) for lay in layers])
+        return patch_kans(tf, [(lay.w, lay.a0, lay.a1, lay.a2) for lay in self.layers])
 
     def reg_loss(self):
-        """Sum of every per-patch network's penalty, as one tape node."""
-        return l2_penalty([term for net in self.nets for term in net.reg_terms()])
+        """Sum of every per-patch layer's penalty, as one tape node."""
+        return l2_penalty([term for layer in self.layers for term in layer.reg_terms()])
 
     def edge_total(self):
-        return sum(
-            sum(c["total"] for c in net.layer_counts()) for net in self.nets
-        )
+        return sum(layer.n_total for layer in self.layers)
 
     def parameters(self, prefix):
+        """Each patch's layer under ``{prefix}.p{p}.l0``, the name a one-layer
+        network would give it, so checkpoints keep their tensor names."""
         params = []
-        for p, net in enumerate(self.nets):
-            params.extend(net.parameters(f"{prefix}.p{p}"))
+        for p, layer in enumerate(self.layers):
+            params.extend(layer.parameters(f"{prefix}.p{p}.l0"))
         return params
 
 

@@ -214,7 +214,7 @@ def test_c7_pruning_properties():
     for layer in (
         explicit.trend_kan.layers
         + explicit.seasonal_kan.layers
-        + [sub.layers[0] for sub in explicit.tf_kans.nets]
+        + explicit.tf_kans.layers
     ):
         drop = layer.taylor_norms() < tau
         for t in (layer.w, layer.a0, layer.a1, layer.a2):

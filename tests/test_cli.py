@@ -328,6 +328,63 @@ def test_report_text_survives_ulp_perturbations(workspace, tmp_path, monkeypatch
             assert np.all(np.abs(shift) < 1e-6 * np.maximum(np.abs(params), 1.0)), (fit, moved)
 
 
+def test_report_standardizes_with_the_checkpoint_statistics(workspace, tmp_path):
+    """report z-scores the calibration windows with the ``.stats`` sidecar,
+    as eval does: a CSV whose column ``a`` doubled gives other ranges, and so
+    other fits, where the CSV's own z-score would cancel the factor."""
+    cfg_path, out_dir = workspace
+    assert main(["train", "--config", str(cfg_path)]) == 0
+    ckpt = str(out_dir / "checkpoint.itfk")
+    values = synthetic_series(420, 2, seed=11)
+    values[:, 0] *= 2.0
+    doubled_csv = tmp_path / "doubled.csv"
+    write_csv(str(doubled_csv), values, ["a", "b"])
+    doubled_cfg = tmp_path / "doubled.cfg"
+    write_config(doubled_cfg, dataset=str(doubled_csv), out=str(out_dir))
+    edges = []
+    for cfg in (cfg_path, doubled_cfg):
+        report_dir = tmp_path / f"report-{cfg.stem}"
+        assert main([
+            "report", "--config", str(cfg), "--checkpoint", ckpt,
+            "--tau", "0.05", "--out", str(report_dir),
+        ]) == 0
+        edges.append((report_dir / "symbolic_edges.tsv").read_text())
+    assert edges[0] != edges[1]
+
+
+def test_report_horizon_mismatch_names_field(workspace, tmp_path, capsys):
+    cfg_path, out_dir = workspace
+    assert main(["train", "--config", str(cfg_path)]) == 0
+    other_cfg = tmp_path / "other.cfg"
+    write_config(
+        other_cfg,
+        dataset=parse_config_text(cfg_path.read_text())["dataset"],
+        out=str(tmp_path / "report-out"),
+        horizon=4,
+    )
+    capsys.readouterr()
+    code = main([
+        "report", "--config", str(other_cfg),
+        "--checkpoint", str(out_dir / "checkpoint.itfk"), "--tau", "0.05",
+    ])
+    assert code == 2
+    assert "config horizon=4 does not match checkpoint horizon=8" in capsys.readouterr().err
+
+
+def test_report_missing_stats_exits_2(workspace, tmp_path, capsys):
+    cfg_path, out_dir = workspace
+    assert main(["train", "--config", str(cfg_path)]) == 0
+    ckpt = out_dir / "checkpoint.itfk"
+    os.remove(str(ckpt) + ".stats")
+    capsys.readouterr()
+    code = main([
+        "report", "--config", str(cfg_path), "--checkpoint", str(ckpt),
+        "--tau", "0.05", "--out", str(tmp_path / "report-out"),
+    ])
+    assert code == 2
+    assert f"checkpoint stats not found: {ckpt}.stats" in capsys.readouterr().err
+
+
 def test_prune_negative_tau_exits_2(workspace, capsys):
     cfg_path, out_dir = workspace
     assert main(["train", "--config", str(cfg_path)]) == 0

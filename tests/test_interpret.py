@@ -112,7 +112,7 @@ def test_pruned_forward_is_bitwise_explicit_zero():
     for layer in (
         explicit.trend_kan.layers
         + explicit.seasonal_kan.layers
-        + [sub.layers[0] for sub in explicit.tf_kans.nets]
+        + explicit.tf_kans.layers
     ):
         drop = layer.taylor_norms() < tau
         for t in (layer.w, layer.a0, layer.a1, layer.a2):
@@ -146,10 +146,27 @@ def test_prune_masks_survive_reload(tmp_path):
     # tau = 0 prunes nothing new, so it counts the edges the reload kept
     assert sum(r.preserved for r in prune(loaded, 0.0)) == kept
     for before, after in zip(
-        model.trend_kan.layers + [net.layers[0] for net in model.tf_kans.nets],
-        loaded.trend_kan.layers + [net.layers[0] for net in loaded.tf_kans.nets],
+        model.trend_kan.layers + model.tf_kans.layers,
+        loaded.trend_kan.layers + loaded.tf_kans.layers,
     ):
         np.testing.assert_array_equal(after.active, before.active)
+
+
+def test_hand_zeroed_edge_counts_as_pruned_in_memory(tmp_path):
+    """An edge whose w, a0, a1 and a2 are all 0 is pruned, whether it was
+    zeroed by hand in memory or read back from a checkpoint."""
+    model = micro_model(seed=5)
+    layer = model.trend_kan.layers[1]
+    for t in (layer.w, layer.a0, layer.a1, layer.a2):
+        t.data[0, 2] = 0.0
+    assert not layer.active[0, 2] and layer.active.sum() == layer.n_adjustable - 1
+    path = str(tmp_path / "zeroed.itfk")
+    model.save(path)
+    loaded, _ = ForecastModel.load(path)
+    rows = prune(model, 0.0)
+    assert (rows[1].network, rows[1].layer) == ("TrendKAN", "1")
+    assert rows[1].preserved == layer.n_adjustable - 1
+    assert [r.preserved for r in prune(loaded, 0.0)] == [r.preserved for r in rows]
 
 
 # --- symbolification -------------------------------------------------------------
@@ -559,7 +576,7 @@ def test_calibration_ranges_cover_inputs():
 def time_axis_inputs(model, windows, batch_size):
     """Per-node input ranges of each time-axis KAN layer, as the model's own
     no-grad forward feeds them, batch by batch."""
-    keys = {id(layer): key for key, layer in interpret._kan_layers(model)}
+    keys = {id(layer): key for key, layer in model.kan_layers()}
     seen = {}
     real = TaylorKanLayer.forward
 
@@ -584,7 +601,7 @@ def test_calibration_matches_forward_inputs():
     model = micro_model(seed=30)
     windows = calib_windows(model, count=5, seed=31)  # the last batch is partial
     ranges = calibrate_ranges(model, windows, batch_size=2)
-    assert sorted(ranges) == sorted(key for key, _ in interpret._kan_layers(model))
+    assert sorted(ranges) == sorted(key for key, _ in model.kan_layers())
     expected = time_axis_inputs(model, windows, batch_size=2)
     assert sorted(expected) == [("seasonal", 0), ("seasonal", 1), ("trend", 0), ("trend", 1)]
     for key, (lo, hi) in expected.items():
@@ -676,7 +693,7 @@ def test_report_calibrates_the_unpruned_model(monkeypatch):
 
 def tau_keeping(model, edges):
     """A threshold that keeps the ``edges`` largest-norm adjustable edges."""
-    layers = [layer for _, layer in interpret._kan_layers(model)]
+    layers = [layer for _, layer in model.kan_layers()]
     norms = np.concatenate([layer.taylor_norms().ravel() for layer in layers])
     return float(np.sort(norms)[::-1][edges - 1])
 

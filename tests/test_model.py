@@ -88,8 +88,7 @@ def numpy_forward(model, x):
         grid[:, :, p - 1] = amp * np.cos(ang)
 
     h_tf_patch = np.zeros((n, n_patches, d))
-    for p, net in enumerate(model.tf_kans.nets):
-        layer = net.layers[0]
+    for p, layer in enumerate(model.tf_kans.layers):
         vals = np.moveaxis(grid[:, :, p, :], 1, 2)  # (N, d, K)
         out = np.zeros(vals.shape[:-1] + (k_bins,))
         for j in range(k_bins):
@@ -361,6 +360,26 @@ def test_training_deterministic():
 
 
 # --- checkpoints -----------------------------------------------------------------------
+
+def test_kan_layers_cover_each_kan_parameter_once():
+    """``kan_layers`` lists every trend, seasonal and per-patch KAN layer
+    once, in parameter order, under the names the checkpoint uses."""
+    model = tiny_model(seed=4)
+    listed = [
+        (name, t)
+        for (tag, li), layer in model.kan_layers()
+        for name, t in layer.parameters(f"{tag}.l{li}")
+    ]
+    kan_params = [
+        (name, t) for name, t in model.parameters()
+        if name.split(".")[0] in ("trend", "seasonal", "tf")
+    ]
+    assert [name for name, _ in listed] == [name for name, _ in kan_params]
+    assert len({name for name, _ in listed}) == len(listed)
+    assert all(a is b for (_, a), (_, b) in zip(listed, kan_params))
+    tags = [tag for (tag, _), _ in model.kan_layers()]
+    assert tags == ["trend"] * 2 + ["seasonal"] * 2 + [f"tf.p{p}" for p in range(model.n_patches)]
+
 
 def test_checkpoint_roundtrip_bit_exact(tmp_path):
     model = tiny_model(seed=25)

@@ -285,7 +285,7 @@ def reg_case(name, seed):
     gen = np.random.default_rng(15)
     if name == "tf":
         net = PatchKans(3, 4, gen)
-        layers = [sub.layers[0] for sub in net.nets]
+        layers = net.layers
     else:
         build = build_trend_kan if name == "trend" else build_seasonal_kan
         net = build(6, 3 if name == "trend" else [0.5, 0.25], gen)

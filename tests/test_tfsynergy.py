@@ -210,17 +210,16 @@ def test_edge_total_formula_other_shapes():
 
 def test_zeroed_kans_output_zero():
     kans = PatchKans(3, 2, np.random.default_rng(2))
-    for net in kans.nets:
-        for layer in net.layers:
-            for t in (layer.w, layer.a0, layer.a1, layer.a2):
-                t.data[:] = 0.0
+    for layer in kans.layers:
+        for t in (layer.w, layer.a0, layer.a1, layer.a2):
+            t.data[:] = 0.0
     tf = Tensor(np.random.default_rng(3).normal(size=(2, 2, 3, 4)))
     np.testing.assert_array_equal(kans(tf).data, 0.0)
 
 
 def test_single_patch_single_bin_matches_edge():
     kans = PatchKans(1, 1, np.random.default_rng(4))
-    layer = kans.nets[0].layers[0]
+    layer = kans.layers[0]
     tf = Tensor(np.random.default_rng(5).normal(size=(3, 1, 1, 2)))
     out = kans(tf)
     edge = layer.edge(0, 0)

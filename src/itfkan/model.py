@@ -17,7 +17,16 @@ from .checkpoint import CheckpointError, load_checkpoint, save_checkpoint
 from .decomposition import Embedding, moving_average_decompose
 from .optim import Adam
 from .taylorkan import build_seasonal_kan, build_trend_kan
-from .tensor import Tensor, abs_, backward, matmul, no_grad, permute, reshape
+from .tensor import (
+    Tensor,
+    abs_,
+    backward,
+    harmonic_base,
+    matmul,
+    no_grad,
+    permute,
+    reshape,
+)
 from .tfsynergy import (
     PatchCompressor,
     PatchConfig,
@@ -188,6 +197,10 @@ class ForecastModel:
         config = ModelConfig(**kwargs)
         if "frequencies" not in tensors:
             raise CheckpointError(f"{path}: checkpoint missing tensor frequencies")
+        try:
+            harmonic_base(tensors["frequencies"])
+        except ValueError as exc:
+            raise CheckpointError(f"{path}: tensor frequencies: {exc}") from exc
         model = cls(config, tensors["frequencies"], seed=0)
         for name, t in model.parameters():
             if name not in tensors:

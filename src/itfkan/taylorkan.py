@@ -17,6 +17,7 @@ from .tensor import (
     Tensor,
     concat,
     fourier_inject,
+    harmonic_base,
     l2_penalty,
     poly_inject,
     sigmoid,
@@ -126,8 +127,7 @@ class TaylorKanLayer:
             self.inject_rows = trend_degree
         elif fourier_freqs is not None:
             freqs = np.asarray(fourier_freqs, dtype=np.float64)
-            if freqs.size < 1:
-                raise ValueError("need at least one frequency")
+            harmonic_base(freqs)  # fourier_inject's frequency rule, checked now
             self.inject_kind = "fourier"
             self.inject_rows = freqs.size
             self.freqs = freqs
@@ -141,8 +141,12 @@ class TaylorKanLayer:
                 f"{self.inject_rows} injected ones"
             )
 
+        # pykan's base-weight init (KAN, arXiv 2404.19756): a node sums
+        # in_dim edges, so w of order 1 per edge would compound over two
+        # L-wide layers into first forecasts in the thousands
+        bound = 1.0 / np.sqrt(in_dim)
+        self.w = Tensor(rng.uniform(-bound, bound, (rows, in_dim)), requires_grad=True)
         scale = 0.1 / np.sqrt(in_dim)
-        self.w = Tensor(np.ones((rows, in_dim)), requires_grad=True)
         self.a0 = Tensor(rng.uniform(-scale, scale, (rows, in_dim)), requires_grad=True)
         self.a1 = Tensor(rng.uniform(-scale, scale, (rows, in_dim)), requires_grad=True)
         self.a2 = Tensor(rng.uniform(-scale, scale, (rows, in_dim)), requires_grad=True)

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import itfkan.interpret as interpret
+from itfkan.checkpoint import load_checkpoint, save_checkpoint
 from itfkan.cli import (
     ConfigError,
     RunConfig,
@@ -12,8 +13,15 @@ from itfkan.cli import (
     parse_config_text,
     resolve_config,
 )
-from itfkan.data import synthetic_series, write_csv
+from itfkan.data import (
+    ingest_csv,
+    make_windows,
+    split_standardize,
+    synthetic_series,
+    write_csv,
+)
 from itfkan.interpret import render_fit, symbolify_edge
+from itfkan.model import ForecastModel
 from itfkan.taylorkan import TaylorEdge
 
 
@@ -92,6 +100,28 @@ def test_train_missing_dataset_key_exits_2(tmp_path, capsys):
 def test_train_missing_file_exits_2(tmp_path, capsys):
     code = main(["train", "--config", str(tmp_path / "absent.cfg")])
     assert code == 2
+
+
+def test_short_training_forecasts_better_than_mean_and_seasonal_naive(tmp_path):
+    """A forecaster, not just a trainer: three epochs on a two-variate
+    synthetic panel must beat the test targets' mean (z-scored MSE below
+    their variance) and the seasonal-naive scale (MASE below MASE_BOUND)."""
+    MASE_BOUND = 1.0
+    data_path = tmp_path / "panel.csv"
+    write_csv(str(data_path), synthetic_series(600, 2, seed=5), ["a", "b"])
+    cfg_path = tmp_path / "run.cfg"
+    write_config(
+        cfg_path, dataset=str(data_path), out=str(tmp_path / "out"), lookback=48,
+        horizon=12, embed_dim=4, kernel=13, top_k=3, patch_len=8, stride=8,
+        lr=0.005, batch_size=16, epochs=3, patience=3,
+    )
+    assert main(["train", "--config", str(cfg_path)]) == 0
+    text = (tmp_path / "out" / "metrics.txt").read_text()
+    metrics = {k: float(v) for k, v in (line.split("=") for line in text.split())}
+    split = split_standardize(ingest_csv(str(data_path)), mode="ratio")
+    _, test_y = make_windows(split.test, 48, 12)
+    assert metrics["mse"] < test_y.var(), (metrics, test_y.var())
+    assert metrics["mase"] < MASE_BOUND, metrics
 
 
 def test_train_writes_artifacts(workspace, capsys):
@@ -177,6 +207,19 @@ def test_eval_truncated_checkpoint_exits_1(workspace, capsys):
     assert main(["eval", "--config", str(cfg_path), "--checkpoint", str(ckpt)]) == 1
     err = capsys.readouterr().err
     assert "CheckpointError" in err and "'head.b2' data at byte" in err
+
+
+def test_eval_checkpoint_frequencies_without_a_common_base_exits_1(workspace, capsys):
+    cfg_path, out_dir = workspace
+    assert main(["train", "--config", str(cfg_path)]) == 0
+    ckpt = str(out_dir / "checkpoint.itfk")
+    config, tensors = load_checkpoint(ckpt)
+    tensors["frequencies"] = np.array([0.5, 1 / np.pi])
+    save_checkpoint(ckpt, list(config.items()), list(tensors.items()))
+    capsys.readouterr()
+    assert main(["eval", "--config", str(cfg_path), "--checkpoint", ckpt]) == 1
+    err = capsys.readouterr().err
+    assert "CheckpointError" in err and "tensor frequencies: frequency 0.3183" in err
 
 
 def test_eval_missing_stats_exits_2(workspace, capsys):
@@ -341,14 +384,20 @@ def test_report_standardizes_with_the_checkpoint_statistics(workspace, tmp_path)
     write_csv(str(doubled_csv), values, ["a", "b"])
     doubled_cfg = tmp_path / "doubled.cfg"
     write_config(doubled_cfg, dataset=str(doubled_csv), out=str(out_dir))
+    # a threshold that keeps the 8 largest-norm adjustable edges to fit
+    model, _ = ForecastModel.load(ckpt)
+    norms = np.concatenate([layer.taylor_norms().ravel() for _, layer in model.kan_layers()])
+    tau = float(np.sort(norms)[::-1][7])
     edges = []
     for cfg in (cfg_path, doubled_cfg):
         report_dir = tmp_path / f"report-{cfg.stem}"
         assert main([
             "report", "--config", str(cfg), "--checkpoint", ckpt,
-            "--tau", "0.05", "--out", str(report_dir),
+            "--tau", repr(tau), "--out", str(report_dir),
         ]) == 0
         edges.append((report_dir / "symbolic_edges.tsv").read_text())
+        rows = [line.split("\t") for line in edges[-1].splitlines()[1:]]
+        assert sum(r[3] not in ("trend-poly", "fourier") for r in rows) == 8
     assert edges[0] != edges[1]
 
 

@@ -5,6 +5,8 @@ The ``*_chain`` functions below are the primitive-op forms the model used
 before the fused ops; they stay here as oracles for values and gradients.
 """
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -215,6 +217,92 @@ def test_fused_ops_reject_bad_shapes():
     params = [[Tensor(np.zeros((3, 3)))] * 4] * 3
     with pytest.raises(ShapeError):
         T.patch_kans(grid, params)
+
+
+# --- the Fourier prior's harmonics ------------------------------------------------
+
+def test_harmonic_base_of_prior_bins():
+    base, multiples = T.harmonic_base([2.0 * b / 96 for b in (5, 6, 7, 13, 14)])
+    assert base == pytest.approx(1 / 48, rel=1e-15)
+    assert multiples.tolist() == [5, 6, 7, 13, 14]
+    base, multiples = T.harmonic_base(FREQS)
+    assert base == 0.25 and multiples.tolist() == [1, 2, 6]
+
+
+def test_fourier_harmonics_match_numpy_trig():
+    """Every multiple 1..48 of the base 2/96 in one call: column 2j of the
+    output is cos(f_j pi x), column 2j + 1 is sin(f_j pi x), through one-hot
+    coefficients on a single input, over |x| <= 20 with exact zeros."""
+    freqs = [2.0 * m / 96 for m in range(1, 49)]
+    rng = np.random.default_rng(50)
+    x = np.concatenate([np.linspace(-20.0, 20.0, 4001), rng.uniform(-20.0, 20.0, 4000)])
+    assert np.count_nonzero(x == 0.0) == 1
+    x[::9] = 0.0
+    r = 2 * len(freqs)
+    ca = [Tensor(np.zeros((1, r))) for _ in range(len(freqs) + 1)]
+    sb = [Tensor(np.zeros((1, r))) for _ in freqs]
+    for j in range(len(freqs)):
+        ca[j + 1].data[0, 2 * j] = 1.0
+        sb[j].data[0, 2 * j + 1] = 1.0
+    out = T.fourier_inject(Tensor(x[:, None]), freqs, ca, sb).data
+    ang = x[:, None] * (np.array(freqs) * np.pi)
+    assert np.max(np.abs(out[:, 0::2] - np.cos(ang))) <= 1e-12
+    assert np.max(np.abs(out[:, 1::2] - np.sin(ang))) <= 1e-12
+
+
+def test_fourier_inject_calls_trig_once_per_slab(monkeypatch):
+    calls = {"cos": 0, "sin": 0}
+    for name in calls:
+        def counted(*args, _name=name, _fn=getattr(np, name), **kwargs):
+            calls[_name] += 1
+            return _fn(*args, **kwargs)
+        monkeypatch.setattr(T.np, name, counted)
+    x = time_axis_input(np.random.default_rng(51), (5, 3, 4), 5)
+    monkeypatch.setattr(T, "SLAB", 2 * x.size // x.shape[0])
+    freqs = [0.25, 0.5, 1.5, 2.0, 3.25]
+    ca = [param(np.random.default_rng(52), (5, 2)) for _ in range(len(freqs) + 1)]
+    sb = [param(np.random.default_rng(53), (5, 2)) for _ in freqs]
+    backward(weighted_sum(T.fourier_inject(x, freqs, ca, sb)))
+    assert calls == {"cos": 3, "sin": 3}  # three slabs, backward calls neither
+
+
+def test_fourier_inject_keeps_only_the_unit_angle():
+    """A taped forward keeps e^{i theta}, two values per input, however many
+    frequencies; an untaped one keeps nothing beyond its output."""
+    rng = np.random.default_rng(54)
+    x = time_axis_input(rng, (96, 8), 96)
+    assert len(T._slabs(x.shape)[0]) > 1
+    freqs = [2.0 * b / 96 for b in (5, 6, 7, 13, 14)]
+    ca = [param(rng, (96, 5)) for _ in range(len(freqs) + 1)]
+    sb = [param(rng, (96, 5)) for _ in freqs]
+    slack = 64 * 1024  # the op's interleaved coefficients and Python objects
+    for taped, bound in ((True, 2 * x.data.nbytes + slack), (False, slack)):
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            if taped:
+                out = T.fourier_inject(x, freqs, ca, sb)
+            else:
+                with no_grad():
+                    out = T.fourier_inject(x, freqs, ca, sb)
+            held = tracemalloc.get_traced_memory()[0] - before - out.data.nbytes
+        finally:
+            tracemalloc.stop()
+        assert held <= bound, (taped, held, x.data.nbytes)
+        del out
+
+
+@pytest.mark.parametrize(
+    "freqs,bad",
+    [([0.5, 1 / np.pi], 1 / np.pi), ([0.5, 0.5 * 513 / 512], 0.5 * 513 / 512),
+     ([0.5, -0.25], -0.25), ([0.5, np.nan], np.nan)],
+)
+def test_fourier_inject_rejects_frequencies_without_a_base(freqs, bad):
+    x = Tensor(np.zeros((2, 3)))
+    ca = [Tensor(np.zeros((3, 2))) for _ in range(len(freqs) + 1)]
+    sb = [Tensor(np.zeros((3, 2))) for _ in freqs]
+    with pytest.raises(ValueError, match=f"frequency {bad!r} "):
+        T.fourier_inject(x, freqs, ca, sb)
 
 
 # --- patch windows -------------------------------------------------------------

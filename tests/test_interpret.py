@@ -138,7 +138,7 @@ def test_prune_masks_survive_reload(tmp_path):
         stride=4,
     )
     model = ForecastModel(cfg, [0.25, 0.5], seed=1)
-    kept = sum(r.preserved for r in prune(model, 2e-3))
+    kept = sum(r.preserved for r in prune(model, tau_keeping(model, 4)))
     assert kept == 4
     path = str(tmp_path / "pruned.itfk")
     model.save(path)

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from itfkan.checkpoint import CheckpointError, load_checkpoint
+from itfkan.checkpoint import CheckpointError, load_checkpoint, save_checkpoint
 from itfkan.model import (
     EpochStats,
     ForecastModel,
@@ -417,6 +417,16 @@ def test_checkpoint_truncation_names_tensor_and_offset(tmp_path):
         cut.write_bytes(raw[:size])
         with pytest.raises(CheckpointError):
             ForecastModel.load(str(cut))
+
+
+def test_checkpoint_frequencies_without_a_common_base_name_the_tensor(tmp_path):
+    path = str(tmp_path / "model.itfk")
+    tiny_model(seed=29).save(path)
+    config, tensors = load_checkpoint(path)
+    tensors["frequencies"] = np.array([0.5, 1 / np.pi])
+    save_checkpoint(path, list(config.items()), list(tensors.items()))
+    with pytest.raises(CheckpointError, match=r"tensor frequencies: frequency 0\.3183"):
+        ForecastModel.load(path)
 
 
 def test_checkpoint_rejects_trailing_bytes(tmp_path):

@@ -176,6 +176,13 @@ def test_fourier_single_frequency_trig_oracle():
     )
 
 
+def test_fourier_layer_rejects_frequencies_without_a_common_base():
+    with pytest.raises(ValueError, match=f"frequency {1 / np.pi!r} is not a multiple"):
+        TaylorKanLayer(3, 4, rng(), fourier_freqs=[0.5, 1 / np.pi])
+    with pytest.raises(ValueError, match="above the cap of 512"):
+        TaylorKanLayer(3, 4, rng(), fourier_freqs=[1 / 512, 1.5])
+
+
 # --- regularization -----------------------------------------------------------------
 
 def test_reg_loss_zero_when_zeroed():

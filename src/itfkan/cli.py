@@ -10,11 +10,13 @@ import argparse
 import os
 import shutil
 import sys
-from dataclasses import dataclass, fields
+from dataclasses import MISSING, dataclass, fields
 
 import numpy as np
 
 from .data import (
+    SEASON_PERIOD,
+    SPLIT_MODES,
     destandardize,
     ingest_csv,
     make_windows,
@@ -34,7 +36,7 @@ from .interpret import (
     prune,
 )
 from .metrics import mae, metric_set, mse, naive2_rows
-from .model import ForecastModel, ModelConfig, evaluate_forecasts, train
+from .model import TASKS, ForecastModel, ModelConfig, evaluate_forecasts, parse_fields, train
 from .taylorkan import top_k_frequencies
 
 DEFAULT_TAU = 5e-4
@@ -46,23 +48,11 @@ class ConfigError(ValueError):
     pass
 
 
-@dataclass
-class RunConfig:
+@dataclass(kw_only=True)
+class RunConfig(ModelConfig):
+    """A run's settings: ModelConfig's, which a checkpoint stores, then these."""
     dataset: str
-    lookback: int
-    horizon: int
     task: str = "long"
-    embed_dim: int = 32
-    kernel: int = 25
-    trend_degree: int = 3
-    top_k: int = 5
-    patch_len: int = 6
-    stride: int = 6
-    reg_lambda: float = 0.01
-    lr: float = 0.0005
-    batch_size: int = 64
-    epochs: int = 10
-    patience: int = 3
     seed: int = 0
     out: str = "out"
     split: str = "auto"
@@ -70,17 +60,15 @@ class RunConfig:
     checkpoint: str = ""
 
     def __post_init__(self):
-        if self.task not in ("long", "short"):
-            raise ConfigError(f"task must be long or short, got {self.task!r}")
-        if self.split not in ("auto", "ett", "ratio"):
-            raise ConfigError(f"split must be auto, ett or ratio, got {self.split!r}")
+        super().__post_init__()
+        choices = {"task": TASKS, "split": SPLIT_MODES, "frequency": tuple(SEASON_PERIOD)}
+        for name, allowed in choices.items():
+            value = getattr(self, name)
+            if value not in allowed:
+                raise ValueError(f"{name} must be one of {', '.join(allowed)}, got {value!r}")
 
     def model_config(self):
-        try:
-            shared = {f.name: getattr(self, f.name) for f in fields(ModelConfig)}
-            return ModelConfig(**shared)
-        except ValueError as exc:
-            raise ConfigError(str(exc)) from None
+        return ModelConfig(**{f.name: getattr(self, f.name) for f in fields(ModelConfig)})
 
     def as_lines(self):
         out = []
@@ -89,10 +77,6 @@ class RunConfig:
             rendered = repr(value) if isinstance(value, float) else str(value)
             out.append(f"{f.name} = {rendered}")
         return "\n".join(out) + "\n"
-
-
-_FIELD_TYPES = {f.name: f.type for f in fields(RunConfig)}
-_REQUIRED = ("dataset", "lookback", "horizon")
 
 
 def parse_config_text(text, origin="<config>"):
@@ -116,28 +100,17 @@ def resolve_config(raw, origin="<config>", **overrides):
     for key, value in overrides.items():
         if value is not None:
             raw[key] = str(value)
-    unknown = sorted(set(raw) - set(_FIELD_TYPES))
+    known = fields(RunConfig)
+    unknown = sorted(set(raw) - {f.name for f in known})
     if unknown:
         raise ConfigError(f"{origin}: unknown keys: {', '.join(unknown)}")
-    missing = [k for k in _REQUIRED if k not in raw]
+    missing = [f.name for f in known if f.default is MISSING and f.name not in raw]
     if missing:
         raise ConfigError(f"{origin}: missing required keys: {', '.join(missing)}")
-    kwargs = {}
-    for key, value in raw.items():
-        ftype = _FIELD_TYPES[key]
-        try:
-            if ftype in (int, "int"):
-                kwargs[key] = int(value)
-            elif ftype in (float, "float"):
-                kwargs[key] = float(value)
-            else:
-                kwargs[key] = value
-        except ValueError:
-            raise ConfigError(f"{origin}: key {key!r}: cannot parse {value!r}") from None
     try:
-        return RunConfig(**kwargs)
-    except TypeError as exc:
-        raise ConfigError(f"{origin}: {exc}") from None
+        return parse_fields(RunConfig, raw, origin)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from None
 
 
 def load_config(path, **overrides):

@@ -21,6 +21,7 @@ SEASON_PERIOD = {
     "hourly": 24,
 }
 
+SPLIT_MODES = ("auto", "ett", "ratio")  # auto: ett for ETT* names, else ratio
 ETT_MONTH_ROWS = {"h": 30 * 24, "m": 30 * 24 * 4}
 SPLIT_RATIOS = (0.7, 0.1, 0.2)  # train / val / test of a ratio split
 MIN_SPLIT_ROWS = 2
@@ -125,15 +126,15 @@ def _ratio_boundaries(total):
 def split_standardize(ds, mode="auto", stats=None):
     """Chronological split plus per-variate z-scoring with the train split's
     statistics, or with ``stats``, a (mean, std) pair, if given."""
+    if mode not in SPLIT_MODES:
+        raise ValueError(f"unknown split mode {mode!r}; expected one of {SPLIT_MODES}")
     total = len(ds.values)
     if mode == "auto":
         mode = "ett" if ds.name.lower().startswith("ett") else "ratio"
     if mode == "ett":
         bounds = _ett_boundaries(ds.name, total)
-    elif mode == "ratio":
-        bounds = _ratio_boundaries(total)
     else:
-        raise ValueError(f"unknown split mode {mode!r}")
+        bounds = _ratio_boundaries(total)
     for split, (lo, hi) in bounds.items():
         if hi - lo < MIN_SPLIT_ROWS:
             raise ValueError(

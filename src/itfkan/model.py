@@ -57,7 +57,8 @@ class ModelConfig:
     patience: int = 3
 
     def __post_init__(self):
-        for f in fields(self):
+        # fields(ModelConfig), not fields(self): a subclass checks its own
+        for f in fields(ModelConfig):
             value = getattr(self, f.name)
             if f.name in ("reg_lambda", "patience"):
                 if value < 0:
@@ -66,6 +67,33 @@ class ModelConfig:
                 raise ValueError(f"{f.name} must be positive, got {value}")
         if self.kernel % 2 == 0:
             raise ValueError("kernel must be odd")
+
+
+def parse_fields(cls, raw, origin):
+    """Dataclass ``cls`` from ``raw``'s key -> text: int and float fields
+    parsed by type, other fields kept as text, other keys ignored. A value
+    that does not parse or that ``cls`` rejects raises ValueError naming
+    ``origin``."""
+    kwargs = {}
+    for f in fields(cls):
+        if f.name not in raw:
+            continue
+        value = raw[f.name]
+        try:
+            kwargs[f.name] = f.type(value) if f.type in (int, float) else value
+        except ValueError:
+            raise ValueError(f"{origin}: key {f.name!r}: cannot parse {value!r}") from None
+    try:
+        return cls(**kwargs)
+    except ValueError as exc:
+        raise ValueError(f"{origin}: {exc}") from None
+
+
+def _check_frequencies(frequencies, top_k):
+    """ValueError unless ``frequencies`` are ``top_k`` harmonics of one base."""
+    if len(frequencies) != top_k:
+        raise ValueError(f"expected {top_k} frequencies, got {len(frequencies)}")
+    harmonic_base(frequencies)
 
 
 class LossBreakdown(NamedTuple):
@@ -90,10 +118,7 @@ class NonFiniteError(FloatingPointError):
 
 class ForecastModel:
     def __init__(self, config, frequencies, seed=0):
-        if len(frequencies) != config.top_k:
-            raise ValueError(
-                f"expected {config.top_k} frequencies, got {len(frequencies)}"
-            )
+        _check_frequencies(frequencies, config.top_k)
         self.config = config
         self.frequencies = np.asarray(frequencies, dtype=np.float64)
         rng = np.random.default_rng(seed)
@@ -188,17 +213,18 @@ class ForecastModel:
     @classmethod
     def load(cls, path):
         raw_config, tensors = load_checkpoint(path)
-        kwargs = {}
+        # defaults never fill a key: a checkpoint carries every field
         for f in fields(ModelConfig):
             if f.name not in raw_config:
                 raise CheckpointError(f"{path}: checkpoint missing config key {f.name}")
-            caster = float if f.type in (float, "float") else int
-            kwargs[f.name] = caster(raw_config[f.name])
-        config = ModelConfig(**kwargs)
+        try:
+            config = parse_fields(ModelConfig, raw_config, path)
+        except ValueError as exc:
+            raise CheckpointError(str(exc)) from None
         if "frequencies" not in tensors:
             raise CheckpointError(f"{path}: checkpoint missing tensor frequencies")
         try:
-            harmonic_base(tensors["frequencies"])
+            _check_frequencies(tensors["frequencies"], config.top_k)
         except ValueError as exc:
             raise CheckpointError(f"{path}: tensor frequencies: {exc}") from exc
         model = cls(config, tensors["frequencies"], seed=0)

@@ -1,4 +1,6 @@
+import dataclasses
 import os
+import re
 
 import numpy as np
 import pytest
@@ -77,6 +79,27 @@ def test_bad_value_type_rejected():
         resolve_config(parse_config_text("dataset = a\nlookback = soon\nhorizon = 4\n"))
 
 
+@pytest.mark.parametrize("key, value", [
+    ("task", "medium"), ("split", "halves"), ("frequency", "fortnightly"),
+])
+def test_choice_outside_its_list_names_key_and_choices(key, value):
+    text = f"dataset = a\nlookback = 8\nhorizon = 4\n{key} = {value}\n"
+    with pytest.raises(ConfigError, match=rf"run\.cfg: {key} must be one of .*{value!r}"):
+        resolve_config(parse_config_text(text), origin="run.cfg")
+
+
+def test_readme_configuration_table_lists_every_field():
+    readme = os.path.join(os.path.dirname(__file__), "..", "README.md")
+    with open(readme, encoding="utf-8") as fh:
+        section = fh.read().split("\n## Configuration\n", 1)[1].split("\n## ", 1)[0]
+    keys = [
+        name
+        for row in section.splitlines() if row.startswith("| `")
+        for name in re.findall(r"`(\w+)`", row.split("|")[1])
+    ]
+    assert sorted(keys) == sorted(f.name for f in dataclasses.fields(RunConfig))
+
+
 def test_etth1_preset_matches_reference_settings():
     cfg = load_config(os.path.join(os.path.dirname(__file__), "..", "configs", "etth1.cfg"))
     assert cfg.embed_dim == 32
@@ -100,6 +123,20 @@ def test_train_missing_dataset_key_exits_2(tmp_path, capsys):
 def test_train_missing_file_exits_2(tmp_path, capsys):
     code = main(["train", "--config", str(tmp_path / "absent.cfg")])
     assert code == 2
+
+
+def test_train_unknown_frequency_exits_2_before_training(workspace, capsys):
+    cfg_path, out_dir = workspace
+    write_config(
+        cfg_path, dataset=str(cfg_path.parent / "panel.csv"), out=str(out_dir),
+        frequency="fortnightly",
+    )
+    assert main(["train", "--config", str(cfg_path)]) == 2
+    captured = capsys.readouterr()
+    assert f"{cfg_path}: frequency must be one of" in captured.err
+    assert "hourly" in captured.err and "'fortnightly'" in captured.err
+    assert "epoch 0" not in captured.out
+    assert not (out_dir / "history.tsv").exists()
 
 
 def test_short_training_forecasts_better_than_mean_and_seasonal_naive(tmp_path):
@@ -220,6 +257,40 @@ def test_eval_checkpoint_frequencies_without_a_common_base_exits_1(workspace, ca
     assert main(["eval", "--config", str(cfg_path), "--checkpoint", ckpt]) == 1
     err = capsys.readouterr().err
     assert "CheckpointError" in err and "tensor frequencies: frequency 0.3183" in err
+
+
+@pytest.mark.parametrize("key, value, message", [
+    ("kernel", "five", "key 'kernel': cannot parse 'five'"),
+    ("kernel", "4", "kernel must be odd"),
+    ("frequencies", np.array([0.25]), "tensor frequencies: expected 2 frequencies, got 1"),
+])
+def test_eval_bad_checkpoint_config_names_file_and_key_exits_1(
+    workspace, capsys, key, value, message
+):
+    cfg_path, out_dir = workspace
+    assert main(["train", "--config", str(cfg_path)]) == 0
+    ckpt = str(out_dir / "checkpoint.itfk")
+    config, tensors = load_checkpoint(ckpt)
+    (tensors if key == "frequencies" else config)[key] = value
+    save_checkpoint(ckpt, list(config.items()), list(tensors.items()))
+    capsys.readouterr()
+    assert main(["eval", "--config", str(cfg_path), "--checkpoint", ckpt]) == 1
+    assert f"CheckpointError: {ckpt}: {message}" in capsys.readouterr().err
+
+
+def test_eval_invalid_model_field_in_config_exits_2(workspace, tmp_path, capsys):
+    cfg_path, out_dir = workspace
+    assert main(["train", "--config", str(cfg_path)]) == 0
+    bad_cfg = tmp_path / "bad.cfg"
+    write_config(
+        bad_cfg, dataset=str(tmp_path / "panel.csv"), out=str(out_dir), kernel=4
+    )
+    capsys.readouterr()
+    code = main([
+        "eval", "--config", str(bad_cfg), "--checkpoint", str(out_dir / "checkpoint.itfk"),
+    ])
+    assert code == 2
+    assert f"error: {bad_cfg}: kernel must be odd" in capsys.readouterr().err
 
 
 def test_eval_missing_stats_exits_2(workspace, capsys):

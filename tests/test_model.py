@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -426,6 +428,32 @@ def test_checkpoint_frequencies_without_a_common_base_name_the_tensor(tmp_path):
     tensors["frequencies"] = np.array([0.5, 1 / np.pi])
     save_checkpoint(path, list(config.items()), list(tensors.items()))
     with pytest.raises(CheckpointError, match=r"tensor frequencies: frequency 0\.3183"):
+        ForecastModel.load(path)
+
+
+@pytest.mark.parametrize("value, message", [
+    ("five", "key 'kernel': cannot parse 'five'"),
+    ("4", "kernel must be odd"),
+])
+def test_checkpoint_bad_config_value_names_file_and_key(tmp_path, value, message):
+    path = str(tmp_path / "model.itfk")
+    tiny_model(seed=29).save(path)
+    config, tensors = load_checkpoint(path)
+    config["kernel"] = value
+    save_checkpoint(path, list(config.items()), list(tensors.items()))
+    with pytest.raises(CheckpointError, match=f"^{re.escape(f'{path}: {message}')}$"):
+        ForecastModel.load(path)
+
+
+def test_checkpoint_frequency_count_other_than_top_k_names_the_tensor(tmp_path):
+    path = str(tmp_path / "model.itfk")
+    tiny_model(seed=29).save(path)
+    config, tensors = load_checkpoint(path)
+    tensors["frequencies"] = np.array([0.25])
+    save_checkpoint(path, list(config.items()), list(tensors.items()))
+    with pytest.raises(
+        CheckpointError, match=re.escape(f"{path}: tensor frequencies: expected 2 frequencies, got 1")
+    ):
         ForecastModel.load(path)
 
 

@@ -8,6 +8,7 @@ frequency mixes, and unpatches. The three (N, L, d) representations are
 summed and projected d -> 1 then L -> F.
 """
 
+import math
 from dataclasses import dataclass, fields
 from typing import NamedTuple
 
@@ -57,13 +58,16 @@ class ModelConfig:
     patience: int = 3
 
     def __post_init__(self):
-        # fields(ModelConfig), not fields(self): a subclass checks its own
+        # fields(ModelConfig), not fields(self): a subclass checks its own.
+        # The bounds read "not value > 0" so that NaN fails them too.
         for f in fields(ModelConfig):
             value = getattr(self, f.name)
+            if f.type is float and not math.isfinite(value):
+                raise ValueError(f"{f.name} must be finite, got {value}")
             if f.name in ("reg_lambda", "patience"):
-                if value < 0:
+                if not value >= 0:
                     raise ValueError(f"{f.name} must be >= 0, got {value}")
-            elif value <= 0:
+            elif not value > 0:
                 raise ValueError(f"{f.name} must be positive, got {value}")
         if self.kernel % 2 == 0:
             raise ValueError("kernel must be odd")
@@ -318,7 +322,11 @@ def train(model, train_inputs, train_targets, val_inputs, val_targets,
     """Adam with early stopping on the validation prediction loss.
 
     Windows are (W, N, L) / (W, N, F); variates fold into the batch axis.
-    The best-validation parameter snapshot is restored before returning.
+    Each batch's tape is released after its step, before the next batch's
+    forward, so a training run holds at most one batch's graph; after
+    ``backward`` only the parameters hold gradients, and ``Adam.step``
+    clears those. The best-validation parameter snapshot is restored
+    before returning.
     """
     if len(train_inputs) == 0:
         raise ValueError("empty training set")
@@ -347,6 +355,7 @@ def train(model, train_inputs, train_targets, val_inputs, val_targets,
                 cfg.reg_lambda, task,
             )
             backward(loss)
+            del pred, loss  # the batch's tape: free it before the next forward
             _check_finite(params, bd.total, epoch, batches)
             opt.step()
             pred_sum += bd.pred

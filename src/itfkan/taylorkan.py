@@ -15,7 +15,6 @@ import numpy as np
 
 from .tensor import (
     Tensor,
-    concat,
     fourier_inject,
     harmonic_base,
     l2_penalty,
@@ -194,13 +193,12 @@ class TaylorKanLayer:
             raise ValueError(
                 f"layer expects last axis {self.in_dim}, got {x.shape[-1]}"
             )
-        out = taylor_kan(x, self.w, self.a0, self.a1, self.a2)
+        prior = None
         if self.inject_kind == "trend":
-            return concat([poly_inject(x, self.poly_coeffs), out], axis=-1)
-        if self.inject_kind == "fourier":
-            injected = fourier_inject(x, self.freqs, self.four_a, self.four_b)
-            return concat([injected, out], axis=-1)
-        return out
+            prior = poly_inject(x, self.poly_coeffs)
+        elif self.inject_kind == "fourier":
+            prior = fourier_inject(x, self.freqs, self.four_a, self.four_b)
+        return taylor_kan(x, self.w, self.a0, self.a1, self.a2, prior=prior)
 
     def reg_terms(self):
         """(tensor, scale) pairs whose sum of scale * sum(t**2) is the sum of

@@ -5,13 +5,18 @@ the output tensor whenever recording is enabled and at least one input
 requires gradients. ``backward`` walks the recorded graph once, in reverse
 topological order, accumulating gradients additively across fan-out.
 
+Only leaves keep a gradient. An op output's ``grad`` lives only until
+``backward`` has passed it through the op's backward rule, and is then
+None again; leaf tensors end with an owned, writable, row-major ``grad``.
+The graph itself (parents and backward rules) is left intact, so a
+non-leaf tensor can feed a later graph too.
+
 Gradients are copy-on-write. A backward closure maps the output gradient
 ``g`` to one array per parent, and a parent's first gradient is held by
 reference, so a closure must never write into ``g`` or into an array it
 returned: another tensor (a parent, a sibling parent of the same op, or
 the op's output) may hold that array as its ``grad``. Only ``backward``
-writes into a ``grad``, and only into one it allocated itself; leaf
-tensors end with an owned, writable, row-major ``grad``.
+writes into a ``grad``, and only into one it allocated itself.
 
 Elementwise binary ops broadcast only over *leading* batch axes: the
 shorter shape must equal the trailing dims of the longer one exactly.
@@ -204,11 +209,15 @@ class Graph:
 
 
 def backward(loss):
-    """Populate ``grad`` on every requires_grad tensor reachable from loss.
+    """Populate ``grad`` on every requires_grad leaf reachable from loss.
 
-    Copy-on-write (see the module docstring): a first gradient is held by
-    reference, the first accumulation into it allocates and later ones add
-    in place; leaves get an owned copy at the end if they need one.
+    An op output's gradient is released (``grad`` set to None) as soon as
+    its backward rule has used it, so the sweep holds only the gradients
+    still waiting for their op; after the call every op output's ``grad``
+    is None, loss's included. Copy-on-write (see the module docstring): a
+    first gradient is held by reference, the first accumulation into it
+    allocates and later ones add in place; leaves get an owned copy at the
+    end if they need one.
     """
     if loss.size != 1:
         raise ValueError(f"backward requires a scalar loss, got shape {loss.shape}")
@@ -219,7 +228,9 @@ def backward(loss):
     for t in reversed(graph.nodes):
         if t._backward is None or t.grad is None:
             continue
-        for p, g in zip(t.parents, t._backward(t.grad)):
+        grads = t._backward(t.grad)
+        t.grad = None  # used: the parents hold what they still need of it
+        for p, g in zip(t.parents, grads):
             if g is None or not p.requires_grad:
                 continue
             if p.op is None:
@@ -552,11 +563,12 @@ def matmul(a, b):
 # view, patch_kans a permuted grid) is copied while it is in cache. The
 # forward arithmetic does not depend on the tape, so a no-grad forward
 # equals a taped one bit for bit; only what backward keeps (sigmoids,
-# powers, the Fourier prior's unit angle e^{i theta}) depends on whether
-# the op is recorded, and that is written slab by slab into full-size
-# arrays. Each forward GEMM also rounds as the whole batch's GEMM would
-# (see ``_slabs``, ``_slab_rows`` and ``poly_inject``), so slabbing left
-# the forward's bits unchanged.
+# the Fourier prior's unit angle e^{i theta}) depends on whether the op
+# is recorded, and that is written slab by slab into full-size arrays.
+# What backward can rebuild cheaply from its slab copy of the input (the
+# polynomial prior's powers) is not kept at all. Each forward GEMM also
+# rounds as the whole batch's GEMM would (see ``_slabs``, ``_slab_rows``
+# and ``poly_inject``), so slabbing left the forward's bits unchanged.
 
 SLAB = 2 ** 15  # float64 values per slab of input; chosen by a measured sweep
 MAX_MULTIPLE = 512  # largest harmonic of the common base fourier_inject builds
@@ -640,7 +652,7 @@ def _batched(a):
     return a if a.ndim > 1 else a[None]
 
 
-def taylor_kan(x, w, a0, a1, a2):
+def taylor_kan(x, w, a0, a1, a2, prior=None):
     """Adjustable Taylor-KAN block along the last axis of x.
 
     out[..., j] = sum_i w[j, i] * (silu(x_i) + a0[j, i] + a1[j, i] x_i
@@ -648,23 +660,33 @@ def taylor_kan(x, w, a0, a1, a2):
     evaluates the sigmoid once; backward reuses it, summing the weight
     gradients' GEMMs over the basis [silu(x), x, x^2] across slabs and taking
     each slab's input gradient from GEMMs with [w, w*a1, 2*w*a2].
+
+    ``prior``, if given, is a tensor of shape x.shape[:-1] + (r,): a first
+    layer's injected edges. Its values then fill the output's first r
+    columns and the block's fill the rest, so the layer's output is one
+    array and one tape node with no concatenation.
     """
     if (
         w.ndim != 2
         or not w.shape == a0.shape == a1.shape == a2.shape
         or x.ndim < 1
         or x.shape[-1] != w.shape[1]
+        or prior is not None and prior.shape[:-1] != x.shape[:-1]
     ):
-        raise ShapeError("taylor_kan", x.shape, w.shape, a0.shape, a1.shape, a2.shape)
-    parents = (x, w, a0, a1, a2)
+        operands = (x, w, a0, a1, a2, prior)
+        raise ShapeError("taylor_kan", *(t.shape for t in operands if t is not None))
+    parents = (x, w, a0, a1, a2) + (() if prior is None else (prior,))
     keep = _records(parents)
     xd, wd = _batched(x.data), w.data
     n_out, n_in = wd.shape
+    lead = 0 if prior is None else prior.shape[-1]
     wa1 = wd * a1.data
     wa2 = wd * a2.data
     const = (wd * a0.data).sum(axis=1)
     slices, rows = _slabs(xd.shape)
-    out = np.empty(xd.shape[:-1] + (n_out,))
+    full = np.empty(xd.shape[:-1] + (lead + n_out,))
+    if prior is not None:
+        full[..., :lead] = _batched(prior.data)
     sig = np.empty(xd.shape) if keep else None
     xbuf, basis_buf, tbuf = _buffers(rows, n_in, n_in, n_out)
     for sl in slices:
@@ -673,14 +695,16 @@ def taylor_kan(x, w, a0, a1, a2):
         t = _scratch(tbuf, (xs.shape[0], n_out))
         # without a tape the sigmoid lives in the basis scratch it feeds
         s = sigmoid(xs, out=_rows(sig[sl]) if keep else basis)
-        o = _rows(out[sl])
+        o = _rows(full[sl])[:, lead:]
         np.matmul(np.multiply(s, xs, out=basis), wd.T, out=o)
         o += np.matmul(_slab_rows(xd, sl, basis_buf), wa1.T, out=t)
         o += np.matmul(np.square(xs, out=basis), wa2.T, out=t)
         o += const
 
     def bw(g):
-        g = g.reshape(out.shape)
+        g = g.reshape(full.shape)
+        g_prior = g[..., :lead]
+        g = g[..., lead:]
         gx = np.empty(xd.shape)
         c_silu, c_lin, c_quad = np.zeros((3, n_out, n_in))
         g_sum = np.zeros(n_out)
@@ -706,18 +730,20 @@ def taylor_kan(x, w, a0, a1, a2):
             gxs += np.multiply(np.matmul(gs, w_quad, out=t), xs, out=sq)
         g_sum = g_sum[:, None]
         gw = c_silu + c_lin * a1.data + c_quad * a2.data + g_sum * a0.data
-        return gx.reshape(x.shape), gw, g_sum * wd, c_lin * wd, c_quad * wd
+        grads = (gx.reshape(x.shape), gw, g_sum * wd, c_lin * wd, c_quad * wd)
+        return grads + (() if prior is None else (g_prior.reshape(prior.shape),))
 
-    out_shape = x.shape[:-1] + (n_out,)
-    return Tensor._from_op(out.reshape(out_shape), "taylor_kan", parents, bw)
+    out_shape = x.shape[:-1] + (lead + n_out,)
+    return Tensor._from_op(full.reshape(out_shape), "taylor_kan", parents, bw)
 
 
 def poly_inject(x, coeffs):
     """Polynomial prior edges along the last axis of x.
 
     out = sum_{k>=1} x^k @ coeffs[k] + coeffs[0].sum(axis=0), with every
-    coefficient tensor (in, r). Powers are built by repeated products once;
-    backward reuses them.
+    coefficient tensor (in, r). Powers are built by repeated products,
+    x^k = x^{k-1} * x. Backward keeps none of them: it rebuilds each slab's
+    powers by the same products, which gives the forward's bits.
     """
     coeffs = tuple(coeffs)
     if (
@@ -728,7 +754,6 @@ def poly_inject(x, coeffs):
     ):
         raise ShapeError("poly_inject", x.shape, *(c.shape for c in coeffs))
     parents = (x,) + coeffs
-    keep = _records(parents)
     xd = _batched(x.data)
     n_in, n_out = coeffs[0].shape
     # Only the backward runs in slabs. The forward keeps whole-batch GEMMs:
@@ -736,13 +761,10 @@ def poly_inject(x, coeffs):
     # kernel, and so their rounding, by row count up to thousands of rows,
     # and slabs would change the forward's bits.
     out = _mm(xd, coeffs[1].data)
-    powers = []
     power = xd
     for c in coeffs[2:]:
         power = np.multiply(power, xd, order="C")
         out += _mm(power, c.data)
-        if keep:
-            powers.append(power)
     out += coeffs[0].data.sum(axis=0)
 
     def bw(g):
@@ -751,19 +773,22 @@ def poly_inject(x, coeffs):
         grads = [np.zeros(c.shape) for c in coeffs[1:]]
         g_sum = np.zeros(n_out)
         slices, rows = _slabs(xd.shape)
-        xbuf, tb, gbuf = _buffers(rows, n_in, n_in, n_out)
+        xbuf, tb, gbuf, *pbufs = _buffers(rows, n_in, n_in, n_out, n_in, n_in)
         for sl in slices:
             gs = _rows(_slab(g, sl, gbuf))
-            pows = [_rows(_slab(xd, sl, xbuf))] + [_rows(p[sl]) for p in powers]
+            xs = _rows(_slab(xd, sl, xbuf))
             g_sum += gs.sum(axis=0)
             gxs = np.matmul(gs, coeffs[1].data.T, out=_rows(gx[sl]))
-            for k, (grad, c, pk) in enumerate(zip(grads, coeffs[1:], pows), start=1):
+            grads[0] += xs.T @ gs
+            prev = xs  # x^{k-1}
+            for k, (grad, c) in enumerate(zip(grads[1:], coeffs[2:]), start=2):
+                pk = np.multiply(prev, xs, out=_scratch(pbufs[k % 2], xs.shape))
                 grad += pk.T @ gs
-                if k > 1:
-                    slope = np.matmul(gs, c.data.T, out=_scratch(tb, gxs.shape))
-                    slope *= pows[k - 2]
-                    slope *= k
-                    gxs += slope
+                slope = np.matmul(gs, c.data.T, out=_scratch(tb, gxs.shape))
+                slope *= prev
+                slope *= k
+                gxs += slope
+                prev = pk
         g_const = np.broadcast_to(g_sum, coeffs[0].shape)
         return (gx.reshape(x.shape), g_const) + tuple(grads)
 

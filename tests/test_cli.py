@@ -293,6 +293,19 @@ def test_eval_invalid_model_field_in_config_exits_2(workspace, tmp_path, capsys)
     assert f"error: {bad_cfg}: kernel must be odd" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("key", ["lr", "reg_lambda"])
+@pytest.mark.parametrize("value", ["nan", "inf"])
+def test_non_finite_config_value_exits_2_naming_the_key(tmp_path, capsys, key, value):
+    cfg_path = tmp_path / "bad.cfg"
+    write_config(cfg_path, dataset=str(tmp_path / "panel.csv"), out=str(tmp_path / "out"),
+                 **{key: value})
+    with pytest.raises(ConfigError, match=f"{key} must be finite, got {value}"):
+        load_config(str(cfg_path))
+    assert main(["train", "--config", str(cfg_path)]) == 2
+    assert f"error: {cfg_path}: {key} must be finite, got {value}" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
 def test_eval_missing_stats_exits_2(workspace, capsys):
     cfg_path, out_dir = workspace
     assert main(["train", "--config", str(cfg_path)]) == 0

@@ -209,6 +209,9 @@ def test_fused_ops_reject_bad_shapes():
     w, a0, a1, a2 = (Tensor(rng.normal(size=(3, 5))) for _ in range(4))
     with pytest.raises(ShapeError):
         T.taylor_kan(x, w, a0, a1, a2)
+    with pytest.raises(ShapeError):  # the prior's leading axes are not x's
+        T.taylor_kan(x, *(Tensor(rng.normal(size=(3, 4))) for _ in range(4)),
+                     prior=Tensor(np.zeros((3, 2))))
     with pytest.raises(ShapeError):
         T.poly_inject(x, [Tensor(np.zeros((4, 2)))])
     with pytest.raises(ShapeError):
@@ -292,6 +295,23 @@ def test_fourier_inject_keeps_only_the_unit_angle():
         del out
 
 
+def test_poly_inject_keeps_no_powers():
+    """A taped forward keeps nothing beyond its output: backward rebuilds
+    the powers slab by slab."""
+    rng = np.random.default_rng(55)
+    x = time_axis_input(rng, (96, 8), 96)
+    coeffs = [param(rng, (96, 3)) for _ in range(4)]
+    slack = 64 * 1024
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        out = T.poly_inject(x, coeffs)
+        held = tracemalloc.get_traced_memory()[0] - before - out.data.nbytes
+    finally:
+        tracemalloc.stop()
+    assert held <= slack, (held, x.data.nbytes)
+
+
 @pytest.mark.parametrize(
     "freqs,bad",
     [([0.5, 1 / np.pi], 1 / np.pi), ([0.5, 0.5 * 513 / 512], 0.5 * 513 / 512),
@@ -368,33 +388,65 @@ def test_patch_windows_rejects_bad_shapes():
 
 def test_backward_never_writes_a_shared_gradient():
     rng = np.random.default_rng(23)
-    a = Tensor(rng.normal(size=(3, 4)), requires_grad=True)
     c = Tensor(rng.normal(size=(3, 4)))
     weights = rng.normal(size=(3, 4))
-    m = a * c
-    # add hands its one upstream gradient to both parents by reference; the
-    # mul node behind m then sends a its second gradient
-    s = T.add(a, m)
-    backward((s * Tensor(weights)).sum())
-    np.testing.assert_array_equal(m.grad, weights)
-    np.testing.assert_allclose(a.grad, weights * (1.0 + c.data), rtol=1e-15)
-    assert not np.shares_memory(a.grad, m.grad)
+    # add(a, b) hands its one upstream gradient to both leaves by reference,
+    # and a's other gradient comes through the mul node; the sweep reaches
+    # the add's branch first or second as the parents' order has it
+    for shared_first in (True, False):
+        a = Tensor(rng.normal(size=(3, 4)), requires_grad=True)
+        b = Tensor(rng.normal(size=(3, 4)), requires_grad=True)
+        branches = [T.add(a, b), a * c]
+        s = T.add(*(branches if shared_first else branches[::-1]))
+        backward((s * Tensor(weights)).sum())
+        np.testing.assert_array_equal(b.grad, weights)
+        np.testing.assert_array_equal(a.grad, weights + weights * c.data)
+        assert not np.shares_memory(a.grad, b.grad)
+        a.grad += 1.0  # writing one leaf's grad touches no other's
+        np.testing.assert_array_equal(b.grad, weights)
 
 
 def test_leaf_grads_are_owned_writable_and_row_major():
     rng = np.random.default_rng(24)
     x = Tensor(rng.normal(size=(3, 4)), requires_grad=True)
     y = Tensor(rng.normal(size=(3,)), requires_grad=True)
+    z = Tensor(rng.normal(size=(4, 3)), requires_grad=True)
     xt = x.permute(1, 0)
-    # x's only gradient is a transposed view of xt's; y's comes from a fan-out
-    backward(weighted_sum(xt + y) + weighted_sum(y, seed=98))
-    for leaf in (x, y):
+    # x's only gradient is a transposed view of the add's upstream, which z
+    # holds by reference; y's comes from a fan-out
+    backward(weighted_sum(xt + y + z) + weighted_sum(y, seed=98))
+    upstream = np.random.default_rng(99).normal(size=(4, 3))  # weighted_sum's
+    for leaf in (x, y, z):
         assert leaf.grad.flags.owndata and leaf.grad.flags.writeable
         assert leaf.grad.flags.c_contiguous
-    upstream = xt.grad.copy()
     np.testing.assert_array_equal(x.grad, upstream.T)
+    np.testing.assert_array_equal(z.grad, upstream)
+    assert not np.shares_memory(x.grad, z.grad)
     x.grad += 1.0  # writing a leaf grad touches no other tensor's grad
-    np.testing.assert_array_equal(xt.grad, upstream)
+    np.testing.assert_array_equal(z.grad, upstream)
+
+
+def test_backward_releases_every_interior_gradient():
+    cfg = ModelConfig(
+        lookback=24, horizon=8, embed_dim=3, kernel=5, trend_degree=3,
+        top_k=3, patch_len=4, stride=4,
+    )
+    model = ForecastModel(cfg, [1 / 12, 0.25, 0.5], seed=8)
+    x = Tensor(np.random.default_rng(9).normal(size=(5, 24)))
+    pred = model.forward(x)
+    loss = (pred * pred).mean() + model.reg_losses()[0]
+    nodes = T.Graph.from_output(loss).nodes
+    backward(loss)
+    assert all(t.grad is None for t in nodes)
+    for name, t in model.parameters():
+        assert t.grad is not None and t.grad.shape == t.shape, name
+    # the graph is intact: a second backward over it gives the same grads
+    first = {name: t.grad.copy() for name, t in model.parameters()}
+    for _, t in model.parameters():
+        t.grad = None
+    backward(loss)
+    for name, t in model.parameters():
+        np.testing.assert_array_equal(t.grad, first[name], err_msg=name)
 
 
 # --- model level ---------------------------------------------------------------
@@ -475,6 +527,36 @@ def test_fused_op_over_slabs_matches_chain(name, permuted, small_slabs):
     with no_grad():
         plain = fused(x)
     np.testing.assert_array_equal(plain.data, out_f)
+
+
+@pytest.mark.parametrize("kind", ["trend", "fourier"])
+@pytest.mark.parametrize("permuted", [True, False])
+def test_taylor_kan_prior_equals_concat_bitwise(kind, permuted, small_slabs):
+    """A prior written into taylor_kan's output gives the concatenation of
+    the two ops' outputs, and the same gradients, bit for bit."""
+    rng = np.random.default_rng(43)
+    _, _, x, named = slab_case("taylor_kan", rng, permuted)
+    small_slabs(x)
+    ps = [t for _, t in named]
+    if kind == "trend":
+        coeffs = [param(rng, (5, 3)) for _ in range(4)]
+        inject = lambda x_: T.poly_inject(x_, coeffs)  # noqa: E731
+    else:
+        coeffs = [param(rng, (5, 2)) for _ in range(2 * len(FREQS) + 1)]
+        inject = lambda x_: T.fourier_inject(  # noqa: E731
+            x_, FREQS, coeffs[: len(FREQS) + 1], coeffs[len(FREQS) + 1 :]
+        )
+    named = named + [(f"c{k}", c) for k, c in enumerate(coeffs)]
+    joined = lambda x_: T.taylor_kan(x_, *ps, prior=inject(x_))  # noqa: E731
+    concatenated = lambda x_: T.concat([inject(x_), T.taylor_kan(x_, *ps)], -1)  # noqa: E731
+    out_j, grads_j = grads_of(joined, x, named)
+    out_c, grads_c = grads_of(concatenated, x, named)
+    np.testing.assert_array_equal(out_j, out_c)
+    for key in grads_c:
+        np.testing.assert_array_equal(grads_j[key], grads_c[key], err_msg=key)
+    with no_grad():
+        plain = joined(x)
+    np.testing.assert_array_equal(plain.data, out_c)
 
 
 @pytest.mark.parametrize("name", ["taylor_kan", "poly_inject", "fourier_inject"])

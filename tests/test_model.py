@@ -1,4 +1,5 @@
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -361,6 +362,27 @@ def test_training_deterministic():
         np.testing.assert_array_equal(p1[name], p2[name])
 
 
+def test_train_holds_one_batch_tape_at_a_time():
+    """A 4-batch train peaks no higher than a 1-batch one: each batch's tape
+    is freed before the next batch's forward (traced heap, not RSS)."""
+    cfg = ModelConfig(lookback=96, horizon=24, embed_dim=8, batch_size=16, epochs=1)
+    rng = np.random.default_rng(34)
+    x, y = rng.normal(size=(64, 3, 96)), rng.normal(size=(64, 3, 24))
+    freqs = [2.0 * b / 96 for b in (4, 8, 12, 16, 24)]
+
+    def traced_peak(windows):
+        model = ForecastModel(cfg, freqs, seed=35)
+        tracemalloc.start()
+        try:
+            train(model, x[:windows], y[:windows], x[:1], y[:1])
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    one, four = traced_peak(16), traced_peak(64)
+    assert four <= 1.05 * one, (one, four)
+
+
 # --- checkpoints -----------------------------------------------------------------------
 
 def test_kan_layers_cover_each_kan_parameter_once():
@@ -442,6 +464,19 @@ def test_checkpoint_bad_config_value_names_file_and_key(tmp_path, value, message
     config["kernel"] = value
     save_checkpoint(path, list(config.items()), list(tensors.items()))
     with pytest.raises(CheckpointError, match=f"^{re.escape(f'{path}: {message}')}$"):
+        ForecastModel.load(path)
+
+
+@pytest.mark.parametrize("key", ["lr", "reg_lambda"])
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+def test_checkpoint_non_finite_config_value_names_file_and_key(tmp_path, key, value):
+    path = str(tmp_path / "model.itfk")
+    tiny_model(seed=29).save(path)
+    config, tensors = load_checkpoint(path)
+    config[key] = value
+    save_checkpoint(path, list(config.items()), list(tensors.items()))
+    message = f"{path}: {key} must be finite, got {float(value)}"
+    with pytest.raises(CheckpointError, match=f"^{re.escape(message)}$"):
         ForecastModel.load(path)
 
 

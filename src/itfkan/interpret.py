@@ -683,8 +683,13 @@ def _fit_edges(jobs):
     With one worker (or at most one job) the fits run in-process. Otherwise
     a fork pool inherits the calibrated, pruned model copy-on-write, so only
     the edge views and the fits are pickled. The fork is safe here: the
-    executor forks every worker before it starts its manager thread, and
-    OpenBLAS stops its own threads in an atfork handler. Jobs go out one at
+    executor forks every worker before it starts its manager thread, the
+    fused tensor ops join their slab threads before they return (a
+    persistent thread pool there would break this), and OpenBLAS stops its
+    own threads in an atfork handler. Python 3.12 and later warn when a
+    process with live threads forks, which the test suite turns into an
+    error; the suite has been run on Python 3.11 only, so that check is
+    unverified. Jobs go out one at
     a time, because fit times vary by about 1.5x. A worker's exception is
     re-raised here with its own type, and a worker that dies raises
     ``BrokenProcessPool`` instead of hanging.

@@ -26,7 +26,10 @@ bugs loud in the 4-D time-frequency grid.
 
 from __future__ import annotations
 
+import ctypes
+import functools
 import math
+import os
 import threading
 from fractions import Fraction
 
@@ -555,13 +558,22 @@ def matmul(a, b):
 # streams its input in slabs along the first leading axis, about SLAB values
 # each, small enough to stay in L2 across the op's passes (cache blocking).
 # Outputs and input gradients are allocated once, full size, and each slab
-# writes its part; weight gradients are summed over slabs. Scratch is one
-# slab, reused, and carved from one allocation per forward or backward pass
-# that no backward closure keeps: scratch left alive among the full-size
-# arrays fragments the heap, which then re-faults its pages every step. A
-# slab that is not row-major (the time-axis KANs see a permuted (N, d, L)
-# view, patch_kans a permuted grid) is copied while it is in cache. The
-# forward arithmetic does not depend on the tape, so a no-grad forward
+# writes its part. The slabs are independent, so ``_slab_loop`` runs them on
+# one thread per CPU of the affinity mask (the caller plus helper threads
+# started for that loop and joined before it returns), with numpy's OpenBLAS
+# set to one thread so that the workers' GEMMs do not contend for cores.
+# A slab's weight-gradient partials go to one of a few slots and are added
+# to the totals in slab order, so the sums, and every bit, are those of a
+# serial loop whatever the thread count; a finished slab's partials wait in
+# their slot while an earlier slab runs, so no worker idles for its turn.
+# Each worker has one slab of scratch, reused; all workers' scratch and the
+# slots are carved from one allocation per forward or backward pass that
+# no backward closure keeps: scratch left alive among the full-size arrays
+# fragments the heap, which then re-faults its pages every step. The slab
+# functions touch only numpy arrays, never a Tensor or the thread-local
+# recording state. A slab that is not row-major (the time-axis KANs see a
+# permuted (N, d, L) view, patch_kans a permuted grid) is copied while it
+# is in cache. The forward arithmetic does not depend on the tape, so a no-grad forward
 # equals a taped one bit for bit; only what backward keeps (sigmoids,
 # the Fourier prior's unit angle e^{i theta}) depends on whether the op
 # is recorded, and that is written slab by slab into full-size arrays.
@@ -590,12 +602,161 @@ def _slabs(shape):
     return slices, widest * math.prod(shape[1:-1])
 
 
-def _buffers(rows, *widths):
-    """Flat one-slab scratch buffers, rows x width values each, carved from
-    one allocation that lives only as long as the caller uses it."""
-    block = np.empty(rows * sum(widths))
-    ends = np.cumsum(widths) * rows
-    return [block[end - rows * w : end] for w, end in zip(widths, ends)]
+def _buffers(*sizes):
+    """Flat buffers of the given sizes (in float64 values), carved from one
+    allocation that lives only as long as the caller uses them."""
+    block = np.empty(sum(sizes))
+    ends = np.cumsum(sizes, dtype=int)
+    return [block[end - n : end] for n, end in zip(sizes, ends)]
+
+
+# OpenBLAS's thread-count setters, by the symbol prefixes and suffixes of its
+# builds: numpy's wheels bundle it as scipy_openblas with 64-bit integers.
+_BLAS_SETTERS = (
+    "scipy_openblas_set_num_threads64_",
+    "scipy_openblas_set_num_threads",
+    "openblas_set_num_threads64_",
+    "openblas_set_num_threads",
+)
+
+
+@functools.cache
+def _blas_on_one_thread():
+    """Set every OpenBLAS mapped into the process to one thread, once;
+    whether any was found.
+
+    Concurrent GEMMs on a multi-threaded OpenBLAS are slower than serial
+    ones: its threads contend with the slab workers for the cores, and spin
+    between calls. OPENBLAS_NUM_THREADS cannot help once numpy is loaded,
+    so this reaches the loaded library's own setter instead.
+    """
+    try:
+        with open("/proc/self/maps") as maps:  # address perms offset dev inode path
+            fields = [line.split(None, 5) for line in maps]
+        paths = {f[5].strip() for f in fields if len(f) == 6 and "openblas" in f[5]}
+    except OSError:
+        return False
+    found = False
+    for path in sorted(paths):
+        try:
+            lib = ctypes.CDLL(path)  # the mapped library itself, not a new copy
+        except OSError:
+            continue
+        setter = next((getattr(lib, s) for s in _BLAS_SETTERS if hasattr(lib, s)), None)
+        if setter is not None:
+            setter.argtypes = [ctypes.c_int]
+            setter.restype = None
+            setter(1)
+            found = True
+    return found
+
+
+def _workers(count):
+    """Threads for a loop over ``count`` slabs: one per CPU of the affinity
+    mask, read at call time, and at most one per slab. One, unless BLAS
+    could be set to one thread."""
+    workers = min(len(os.sched_getaffinity(0)), count)
+    if workers > 1 and not _blas_on_one_thread():
+        return 1
+    return max(workers, 1)
+
+
+PARTIAL_SLOTS = 4  # finished slabs' partials that may wait per worker
+
+
+class _SlabLoop:
+    """The state one ``_slab_loop`` shares between its workers.
+
+    Slab i writes its partials into slot i % len(slots). Whichever worker
+    finishes a slab adds every finished slab's partials that are next in
+    slab order to the totals, and frees their slots; a worker waits only
+    when the slot of the next slab still holds unsummed partials."""
+
+    def __init__(self, slices, work, totals, scratch, slots):
+        self.slices, self.work, self.totals = slices, work, totals
+        self.scratch, self.slots = scratch, slots
+        self.done = [False] * len(slots)  # a slot holds a finished slab's partials
+        self.cond = threading.Condition()
+        self.taken = 0  # slabs handed out, in order
+        self.summed = 0  # slabs whose partials are in the totals
+        self.error = None
+
+    def _take(self):
+        with self.cond:
+            self.cond.wait_for(
+                lambda: self.error is not None
+                or self.taken == len(self.slices)
+                or self.taken - self.summed < len(self.slots)
+            )
+            if self.error is not None or self.taken == len(self.slices):
+                return None
+            self.taken += 1
+            return self.taken - 1
+
+    def _finish(self, i):
+        with self.cond:
+            self.done[i % len(self.slots)] = True
+            while self.summed < self.taken and self.done[self.summed % len(self.slots)]:
+                slot = self.summed % len(self.slots)
+                for total, part in zip(self.totals, self.slots[slot]):
+                    total += part
+                self.done[slot] = False
+                self.summed += 1
+            self.cond.notify_all()
+
+    def fail(self, exc):
+        with self.cond:
+            if self.error is None:
+                self.error = exc
+            self.cond.notify_all()
+
+    def run(self, worker):
+        """Take slabs until none is left or a worker has failed."""
+        bufs = self.scratch[worker]
+        try:
+            while (i := self._take()) is not None:
+                self.work(self.slices[i], bufs, self.slots[i % len(self.slots)])
+                self._finish(i)
+        except BaseException as exc:
+            self.fail(exc)
+
+
+def _slab_loop(slices, sizes, work, totals=()):
+    """Run ``work(sl, bufs, parts)`` for every slab slice in ``slices`` on
+    ``_workers(len(slices))`` threads: the caller and helper threads started
+    here, all joined before this returns.
+
+    ``bufs`` is the worker's scratch, flat buffers of ``sizes`` values.
+    ``parts`` holds one array per array in ``totals``, of its shape, into
+    which ``work`` writes the slab's partials; they are added to the totals
+    in slab order, so the sums are the serial loop's bit for bit. An
+    exception raised by any worker stops the others and is raised here.
+    """
+    workers = _workers(len(slices))
+    # without totals a slot is an empty list, and one per slab never waits
+    n_slots = max(min(PARTIAL_SLOTS * workers, len(slices)) if totals else len(slices), 1)
+    flat = _buffers(*(tuple(sizes) * workers), *(tuple(t.size for t in totals) * n_slots))
+    scratch = [flat[w * len(sizes) : (w + 1) * len(sizes)] for w in range(workers)]
+    rest = flat[workers * len(sizes) :]
+    slots = [
+        [b.reshape(t.shape) for b, t in zip(rest[k * len(totals) :], totals)]
+        for k in range(n_slots)
+    ]
+    loop = _SlabLoop(slices, work, totals, scratch, slots)
+    threads = []
+    try:
+        for worker in range(1, workers):
+            thread = threading.Thread(target=loop.run, args=(worker,), name="itfkan-slab")
+            thread.start()
+            threads.append(thread)
+        loop.run(0)
+    except BaseException as exc:  # a helper that could not start
+        loop.fail(exc)
+    finally:
+        for thread in threads:
+            thread.join()
+    if loop.error is not None:
+        raise loop.error
 
 
 def _scratch(buf, shape):
@@ -688,8 +849,9 @@ def taylor_kan(x, w, a0, a1, a2, prior=None):
     if prior is not None:
         full[..., :lead] = _batched(prior.data)
     sig = np.empty(xd.shape) if keep else None
-    xbuf, basis_buf, tbuf = _buffers(rows, n_in, n_in, n_out)
-    for sl in slices:
+
+    def forward(sl, bufs, _):
+        xbuf, basis_buf, tbuf = bufs
         xs = _rows(_slab(xd, sl, xbuf))
         basis = _scratch(basis_buf, xs.shape)
         t = _scratch(tbuf, (xs.shape[0], n_out))
@@ -701,26 +863,30 @@ def taylor_kan(x, w, a0, a1, a2, prior=None):
         o += np.matmul(np.square(xs, out=basis), wa2.T, out=t)
         o += const
 
+    _slab_loop(slices, (rows * n_in, rows * n_in, rows * n_out), forward)
+
     def bw(g):
         g = g.reshape(full.shape)
         g_prior = g[..., :lead]
         g = g[..., lead:]
         gx = np.empty(xd.shape)
-        c_silu, c_lin, c_quad = np.zeros((3, n_out, n_in))
+        coeffs = np.zeros((3, n_out, n_in))  # summed over the basis silu(x), x, x^2
         g_sum = np.zeros(n_out)
         w_quad = 2.0 * wa2
-        gbuf, xbuf, silu_buf, sq_buf, tb = _buffers(rows, n_out, n_in, n_in, n_in, n_in)
-        for sl in slices:
+
+        def slab(sl, bufs, parts):
+            gbuf, xbuf, silu_buf, sq_buf, tb = bufs
+            part, part_sum = parts
             gs = _rows(_slab(g, sl, gbuf))
             xs = _rows(_slab(xd, sl, xbuf))
             s = _rows(sig[sl])
             silu_x = np.multiply(s, xs, out=_scratch(silu_buf, xs.shape))
             sq = np.square(xs, out=_scratch(sq_buf, xs.shape))
             t = _scratch(tb, xs.shape)
-            c_silu += gs.T @ silu_x
-            c_lin += gs.T @ xs
-            c_quad += gs.T @ sq
-            g_sum += gs.sum(axis=0)
+            np.matmul(gs.T, silu_x, out=part[0])
+            np.matmul(gs.T, xs, out=part[1])
+            np.matmul(gs.T, sq, out=part[2])
+            np.sum(gs, axis=0, out=part_sum)
             # silu'(x) = s + silu(x) * (1 - s)
             gxs = np.subtract(1.0, s, out=_rows(gx[sl]))
             gxs *= silu_x
@@ -728,6 +894,10 @@ def taylor_kan(x, w, a0, a1, a2, prior=None):
             gxs *= np.matmul(gs, wd, out=t)
             gxs += np.matmul(gs, wa1, out=t)
             gxs += np.multiply(np.matmul(gs, w_quad, out=t), xs, out=sq)
+
+        sizes = (rows * n_out,) + (rows * n_in,) * 4
+        _slab_loop(slices, sizes, slab, totals=(coeffs, g_sum))
+        c_silu, c_lin, c_quad = coeffs
         g_sum = g_sum[:, None]
         gw = c_silu + c_lin * a1.data + c_quad * a2.data + g_sum * a0.data
         grads = (gx.reshape(x.shape), gw, g_sum * wd, c_lin * wd, c_quad * wd)
@@ -773,22 +943,27 @@ def poly_inject(x, coeffs):
         grads = [np.zeros(c.shape) for c in coeffs[1:]]
         g_sum = np.zeros(n_out)
         slices, rows = _slabs(xd.shape)
-        xbuf, tb, gbuf, *pbufs = _buffers(rows, n_in, n_in, n_out, n_in, n_in)
-        for sl in slices:
+
+        def slab(sl, bufs, parts):
+            xbuf, tb, gbuf, *pbufs = bufs
+            part_sum, *part = parts
             gs = _rows(_slab(g, sl, gbuf))
             xs = _rows(_slab(xd, sl, xbuf))
-            g_sum += gs.sum(axis=0)
+            np.sum(gs, axis=0, out=part_sum)
             gxs = np.matmul(gs, coeffs[1].data.T, out=_rows(gx[sl]))
-            grads[0] += xs.T @ gs
+            np.matmul(xs.T, gs, out=part[0])
             prev = xs  # x^{k-1}
-            for k, (grad, c) in enumerate(zip(grads[1:], coeffs[2:]), start=2):
+            for k, (grad, c) in enumerate(zip(part[1:], coeffs[2:]), start=2):
                 pk = np.multiply(prev, xs, out=_scratch(pbufs[k % 2], xs.shape))
-                grad += pk.T @ gs
+                np.matmul(pk.T, gs, out=grad)
                 slope = np.matmul(gs, c.data.T, out=_scratch(tb, gxs.shape))
                 slope *= prev
                 slope *= k
                 gxs += slope
                 prev = pk
+
+        sizes = (rows * n_in, rows * n_in, rows * n_out, rows * n_in, rows * n_in)
+        _slab_loop(slices, sizes, slab, totals=(g_sum, *grads))
         g_const = np.broadcast_to(g_sum, coeffs[0].shape)
         return (gx.reshape(x.shape), g_const) + tuple(grads)
 
@@ -912,9 +1087,10 @@ def fourier_inject(x, freqs, cos_coeffs, sin_coeffs):
     slices, rows = _slabs(xd.shape)
     out = np.empty(xd.shape[:-1] + (n_out,))
     unit = np.empty(xd.shape, dtype=np.complex128) if keep else None
-    zbuf, dbuf, hbuf, tbuf = _buffers(rows, 2 * n_in, 2 * n_in, 2 * n_in, n_out)
     const = cos_coeffs[0].data.sum(axis=0) * 0.5
-    for sl in slices:
+
+    def forward(sl, bufs, _):
+        zbuf, dbuf, hbuf, tbuf = bufs
         part = xd[sl]
         z = unit[sl] if keep else _complex(zbuf, part.shape)
         # e^{i theta} with theta = b pi x: the slab's one cos and one sin
@@ -930,6 +1106,9 @@ def fourier_inject(x, freqs, cos_coeffs, sin_coeffs):
                 o += term
         o += const
 
+    sizes = (rows * 2 * n_in,) * 3 + (rows * n_out,)
+    _slab_loop(slices, sizes, forward)
+
     def bw(g):
         g = g.reshape(out.shape)
         gx = np.zeros(xd.shape)
@@ -938,17 +1117,21 @@ def fourier_inject(x, freqs, cos_coeffs, sin_coeffs):
         # d/dx (a cos + b sin)(f pi x) = f pi Im(e^{i f pi x} (-a + i b))
         flip = np.array([-1.0, 1.0])[:, None] * (freqs * np.pi)[:, None, None, None]
         slope = (mix.reshape(freqs.size, n_in, 2, n_out) * flip).reshape(mix.shape)
-        dbuf, hbuf, wbuf, gbuf = _buffers(rows, 2 * n_in, 2 * n_in, 2 * n_in, n_out)
-        for sl in slices:
+
+        def slab(sl, bufs, parts):
+            dbuf, hbuf, wbuf, gbuf = bufs
+            part_mix, part_sum = parts
             gs = _rows(_slab(g, sl, gbuf))
             gxs = _rows(gx[sl])
-            g_sum += gs.sum(axis=0)
+            np.sum(gs, axis=0, out=part_sum)
             for j, h in _harmonics(_rows(unit[sl]), multiples, order, dbuf, hbuf):
-                g_mix[j] += h.view(np.float64).T @ gs
+                np.matmul(h.view(np.float64).T, gs, out=part_mix[j])
                 w = np.matmul(gs, slope[j].T, out=_scratch(wbuf, (gs.shape[0], 2 * n_in)))
                 wz = w.view(np.complex128)
                 wz *= h
                 gxs += wz.imag
+
+        _slab_loop(slices, sizes, slab, totals=(g_mix, g_sum))
         g_pairs = g_mix.reshape(freqs.size, n_in, 2, n_out)
         g_const = np.broadcast_to(g_sum * 0.5, cos_coeffs[0].shape)
         return (
@@ -992,34 +1175,40 @@ def patch_kans(grid, params):
     size = rows * td.shape[-1]
     out = np.empty((td.shape[0],) + td.shape[2:])
     sig = np.empty(td.shape) if keep else None
-    tbuf, basis_buf = _buffers(size, 1, 1)
-    for sl in slices:
+
+    def forward(sl, bufs, _):
+        tbuf, basis_buf, obuf = bufs
         ts = _slab(td, sl, tbuf)
         basis = _scratch(basis_buf, ts.shape)
         # without a tape the sigmoid lives in the basis scratch it feeds
         s = sigmoid(ts, out=sig[sl] if keep else basis)
         o = out[sl]
+        term = _scratch(obuf, o.shape)
         np.einsum("nipc,ip->npc", np.multiply(s, ts, out=basis), u, out=o)
-        o += np.einsum("nipc,ip->npc", ts, v)
-        o += np.einsum("nipc,ip->npc", np.square(ts, out=basis), q)
+        o += np.einsum("nipc,ip->npc", ts, v, out=term)
+        o += np.einsum("nipc,ip->npc", np.square(ts, out=basis), q, out=term)
         o += const
+
+    _slab_loop(slices, (size, size, size // k_bins), forward)
 
     def bw(g):
         gt = np.empty(td.shape)
-        g_u, g_v, g_q = np.zeros((3, len(params), k_bins))
+        coeffs = np.zeros((3, len(params), k_bins))  # summed over silu(t), t, t^2
         g_c = np.zeros(len(params))
         q2 = 2.0 * q[:, :, None]
-        tbuf, silu_buf, sq_buf = _buffers(size, 1, 1, 1)
-        for sl in slices:
+
+        def slab(sl, bufs, parts):
+            tbuf, silu_buf, sq_buf = bufs
+            part, part_c = parts
             ts = _slab(td, sl, tbuf)
             s = sig[sl]
             gs = g[sl]
             silu_t = np.multiply(ts, s, out=_scratch(silu_buf, ts.shape))
             sq = np.square(ts, out=_scratch(sq_buf, ts.shape))
-            g_u += np.einsum("npc,nipc->pi", gs, silu_t)
-            g_v += np.einsum("npc,nipc->pi", gs, ts)
-            g_q += np.einsum("npc,nipc->pi", gs, sq)
-            g_c += gs.sum(axis=(0, 2))
+            np.einsum("npc,nipc->pi", gs, silu_t, out=part[0])
+            np.einsum("npc,nipc->pi", gs, ts, out=part[1])
+            np.einsum("npc,nipc->pi", gs, sq, out=part[2])
+            np.sum(gs, axis=(0, 2), out=part_c)
             # d out / d grid = silu'(t) u + v + 2 t q, with silu' = s + silu (1 - s)
             gts = np.subtract(1.0, s, out=gt[sl])
             gts *= silu_t
@@ -1028,9 +1217,11 @@ def patch_kans(grid, params):
             gts += np.multiply(ts, q2, out=sq)
             gts += v[:, :, None]
             gts *= gs[:, None]
+
+        _slab_loop(slices, (size, size, size), slab, totals=(coeffs, g_c))
         # broadcast the per-column means back over the K output rows
         scale = 1.0 / k_bins
-        g_u, g_v, g_q = (t[:, None, :] * scale for t in (g_u, g_v, g_q))
+        g_u, g_v, g_q = (t[:, None, :] * scale for t in coeffs)
         g_c = g_c[:, None, None] * scale
         gw = g_u + g_v * a1 + g_q * a2 + g_c * a0
         ga0, ga1, ga2 = g_c * w, g_v * w, g_q * w

@@ -5,6 +5,9 @@ The ``*_chain`` functions below are the primitive-op forms the model used
 before the fused ops; they stay here as oracles for values and gradients.
 """
 
+import os
+import sys
+import threading
 import tracemalloc
 
 import numpy as np
@@ -557,6 +560,155 @@ def test_taylor_kan_prior_equals_concat_bitwise(kind, permuted, small_slabs):
     with no_grad():
         plain = joined(x)
     np.testing.assert_array_equal(plain.data, out_c)
+
+
+# --- slabs on several threads ------------------------------------------------------
+
+def cpus(monkeypatch, count):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(count)))
+
+
+@pytest.fixture
+def slab_threads(monkeypatch):
+    """A list with, per slab loop started since the fixture, the set of
+    threads that ran its slabs (by ident). A loop on several workers holds
+    its first two slabs at a barrier until both are taken, so two threads
+    run them at once. Skips where no loop can run on two threads."""
+    if not T._blas_on_one_thread():
+        pytest.skip("no OpenBLAS thread control: every slab loop runs on one worker")
+    loops = []
+    real_init = T._SlabLoop.__init__
+
+    def init(self, slices, work, totals, scratch, *slots):
+        threads = set()
+        loops.append(threads)
+        barrier = threading.Barrier(2, timeout=30) if len(scratch) > 1 else None
+        started = []
+
+        def spied(*args):
+            threads.add(threading.get_ident())
+            started.append(None)
+            if barrier is not None and len(started) <= 2:
+                barrier.wait()
+            return work(*args)
+
+        real_init(self, slices, spied, totals, scratch, *slots)
+
+    monkeypatch.setattr(T._SlabLoop, "__init__", init)
+    return loops
+
+
+@pytest.mark.parametrize("permuted", [True, False])
+@pytest.mark.parametrize("name", OPS)
+def test_threaded_slabs_equal_one_worker_bitwise(
+    name, permuted, small_slabs, slab_threads, monkeypatch
+):
+    """Three slabs on two workers give the one-worker run's forward, no-grad
+    forward and gradients, bit for bit: partials are summed in slab order."""
+    fused, _, x, named = slab_case(name, np.random.default_rng(44), permuted)
+    small_slabs(x)
+    runs = {}
+    for workers in (1, 2):
+        cpus(monkeypatch, workers)
+        slab_threads.clear()
+        out, grads = grads_of(fused, x, named)
+        with no_grad():
+            plain = fused(x).data
+        assert slab_threads and all(len(t) == workers for t in slab_threads)
+        runs[workers] = out, plain, grads
+    (out_1, plain_1, grads_1), (out_2, plain_2, grads_2) = runs[1], runs[2]
+    np.testing.assert_array_equal(out_2, out_1)
+    np.testing.assert_array_equal(plain_2, plain_1)
+    for key in grads_1:
+        np.testing.assert_array_equal(grads_2[key], grads_1[key], err_msg=key)
+
+
+@pytest.mark.parametrize("name", OPS)
+def test_one_slab_starts_no_thread(name, monkeypatch):
+    def no_thread(*args, **kwargs):
+        raise AssertionError("a thread was started")
+
+    cpus(monkeypatch, 2)
+    monkeypatch.setattr(threading, "Thread", no_thread)
+    fused, _, x, named = make_case(name, np.random.default_rng(45))
+    assert len(T._slabs(x.shape)[0]) == 1
+    grads_of(fused, x, named)
+
+
+def test_slab_sums_follow_slab_order(slab_threads, monkeypatch):
+    """Partials that round differently in another order still sum as the
+    serial loop does, however the slabs are spread over the workers."""
+    cpus(monkeypatch, 2)
+    values = np.array([1e16, 1.0, -1e16, 1.0, 3.0, 1e16, -1e16, 1.0] * 4)
+    slices = [slice(i, i + 1) for i in range(len(values))]
+    serial = np.zeros(1)
+    for v in values:
+        serial += v
+    for _ in range(5):
+        total = np.zeros(1)
+
+        def work(sl, bufs, parts):
+            parts[0][...] = values[sl]
+
+        T._slab_loop(slices, (), work, totals=(total,))
+        assert total[0] == serial[0]
+    assert [len(t) for t in slab_threads] == [2] * 5
+
+
+def test_slab_sums_survive_many_workers_and_fast_switching(slab_threads, monkeypatch):
+    """Eight workers, more than the cores, switching threads every
+    microsecond: every slab is summed once, in slab order."""
+    cpus(monkeypatch, 8)
+    values = np.random.default_rng(46).normal(size=200) * 10.0 ** np.arange(-100, 100)
+    serial = np.zeros(1)
+    for v in values:
+        serial += v
+    slices = [slice(i, i + 1) for i in range(len(values))]
+    totals, count = np.zeros(1), np.zeros(1)
+
+    def work(sl, bufs, parts):
+        parts[0][...] = values[sl]
+        parts[1][...] = 1.0
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        runner = threading.Thread(
+            target=T._slab_loop, args=(slices, (), work), kwargs={"totals": (totals, count)}
+        )
+        runner.start()
+        runner.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not runner.is_alive()
+    assert count[0] == len(values)
+    assert totals[0] == serial[0]
+    assert len(slab_threads) == 1 and len(slab_threads[0]) >= 2
+
+
+class SlabFailure(Exception):
+    pass
+
+
+@pytest.mark.parametrize("failing", ["helper", "caller"])
+def test_slab_error_reaches_caller_with_its_type(failing, slab_threads, monkeypatch):
+    """A slab that raises on a helper thread, or on the caller while a
+    helper's finished slab waits for it to be summed first, fails the loop
+    with its own exception, and the loop leaves no thread running."""
+    cpus(monkeypatch, 2)
+    before = threading.active_count()
+    caller = threading.get_ident()
+
+    def work(sl, bufs, parts):
+        parts[0][...] = 1.0
+        if (threading.get_ident() == caller) == (failing == "caller"):
+            raise SlabFailure(f"slab {sl.start}")
+
+    slices = [slice(i, i + 1) for i in range(6)]
+    with pytest.raises(SlabFailure, match="slab [01]"):
+        T._slab_loop(slices, (), work, totals=(np.zeros(1),))
+    assert [len(t) for t in slab_threads] == [2]
+    assert threading.active_count() == before
 
 
 @pytest.mark.parametrize("name", ["taylor_kan", "poly_inject", "fourier_inject"])

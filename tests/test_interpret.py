@@ -1,6 +1,7 @@
 import concurrent.futures
 import copy
 import os
+import threading
 
 import numpy as np
 import pytest
@@ -736,6 +737,41 @@ def test_worker_error_reaches_parent_with_its_type(monkeypatch):
     cpus(monkeypatch, 2)
     with pytest.raises(ValueError, match="no formula for this edge"):
         generate_report(model, tau, 2, calib_windows(model))
+
+
+def test_fit_pool_forks_after_threaded_forward(monkeypatch):
+    """The fused ops join their helper threads before returning, so the
+    report's fork pool can follow a threaded forward: with two workers it
+    returns the in-process fits."""
+    if not tensor._blas_on_one_thread():
+        pytest.skip("no OpenBLAS thread control: every slab loop runs on one worker")
+    model = micro_model(seed=24)
+    jobs, expected = [], []
+
+    def in_process(js):
+        jobs.extend(js)
+        expected.extend(interpret._fit_job(job)[0] for job in js)
+        return [(fit, 0.0, {}) for fit in expected], 1
+
+    with monkeypatch.context() as patch:
+        patch.setattr(interpret, "_fit_edges", in_process)
+        generate_report(copy.deepcopy(model), tau_keeping(model, 4), 2, calib_windows(model))
+    assert len(jobs) == 4
+    cpus(monkeypatch, 2)
+    workers = []
+    real_workers = tensor._workers
+    monkeypatch.setattr(
+        tensor, "_workers", lambda count: workers.append(real_workers(count)) or workers[-1]
+    )
+    monkeypatch.setattr(tensor, "SLAB", 8)  # several slabs even at this size
+    threads = threading.active_count()
+    with no_grad():
+        model.forward(Tensor(calib_windows(model, count=8).reshape(16, -1)))
+    assert 2 in workers
+    assert threading.active_count() == threads
+    results, pool_workers = interpret._fit_edges(jobs)
+    assert pool_workers == 2
+    assert [fit for fit, _, _ in results] == expected
 
 
 @pytest.mark.parametrize("edges", [0, 1])

@@ -1,4 +1,6 @@
+import os
 import re
+import threading
 import tracemalloc
 
 import numpy as np
@@ -14,6 +16,7 @@ from itfkan.model import (
     total_loss,
     train,
 )
+from itfkan import tensor
 from itfkan.tensor import Tensor, backward
 
 
@@ -381,6 +384,28 @@ def test_train_holds_one_batch_tape_at_a_time():
 
     one, four = traced_peak(16), traced_peak(64)
     assert four <= 1.05 * one, (one, four)
+
+
+
+def test_threaded_train_step_leaves_no_thread(monkeypatch):
+    """The fused ops' helper threads are joined before each op returns, so a
+    training step on two workers ends with the threads it started with."""
+    if not tensor._blas_on_one_thread():
+        pytest.skip("no OpenBLAS thread control: every slab loop runs on one worker")
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+    workers = []
+    real_workers = tensor._workers
+    monkeypatch.setattr(
+        tensor, "_workers", lambda count: workers.append(real_workers(count)) or workers[-1]
+    )
+    cfg = ModelConfig(lookback=96, horizon=24, embed_dim=8, batch_size=16, epochs=1)
+    rng = np.random.default_rng(36)
+    x, y = rng.normal(size=(16, 3, 96)), rng.normal(size=(16, 3, 24))
+    model = ForecastModel(cfg, [2.0 * b / 96 for b in (4, 8, 12, 16, 24)], seed=37)
+    before = threading.active_count()
+    train(model, x, y, x[:1], y[:1])
+    assert threading.active_count() == before
+    assert 2 in workers
 
 
 # --- checkpoints -----------------------------------------------------------------------

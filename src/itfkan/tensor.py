@@ -559,9 +559,10 @@ def matmul(a, b):
 # each, small enough to stay in L2 across the op's passes (cache blocking).
 # Outputs and input gradients are allocated once, full size, and each slab
 # writes its part. The slabs are independent, so ``_slab_loop`` runs them on
-# one thread per CPU of the affinity mask (the caller plus helper threads
-# started for that loop and joined before it returns), with numpy's OpenBLAS
-# set to one thread so that the workers' GEMMs do not contend for cores.
+# one thread per CPU of the affinity mask, at most MAX_WORKERS (the caller
+# plus helper threads started for that loop and joined before it returns),
+# with numpy's OpenBLAS set to one thread, for the whole process, so that
+# the workers' GEMMs do not contend for cores.
 # A slab's weight-gradient partials go to one of a few slots and are added
 # to the totals in slab order, so the sums, and every bit, are those of a
 # serial loop whatever the thread count; a finished slab's partials wait in
@@ -583,6 +584,10 @@ def matmul(a, b):
 # and ``poly_inject``), so slabbing left the forward's bits unchanged.
 
 SLAB = 2 ** 15  # float64 values per slab of input; chosen by a measured sweep
+# threads per slab loop: measured on 2 CPUs only (the elementwise passes
+# hold the interpreter lock, and BLAS runs on one thread), so more CPUs
+# are left unused until a benchmark on a larger machine shows they help
+MAX_WORKERS = 2
 MAX_MULTIPLE = 512  # largest harmonic of the common base fourier_inject builds
 
 
@@ -621,22 +626,16 @@ _BLAS_SETTERS = (
 
 
 @functools.cache
-def _blas_on_one_thread():
-    """Set every OpenBLAS mapped into the process to one thread, once;
-    whether any was found.
-
-    Concurrent GEMMs on a multi-threaded OpenBLAS are slower than serial
-    ones: its threads contend with the slab workers for the cores, and spin
-    between calls. OPENBLAS_NUM_THREADS cannot help once numpy is loaded,
-    so this reaches the loaded library's own setter instead.
-    """
+def _blas_setters():
+    """The thread-count setters of every OpenBLAS mapped into the process,
+    found without calling any of them."""
     try:
         with open("/proc/self/maps") as maps:  # address perms offset dev inode path
             fields = [line.split(None, 5) for line in maps]
         paths = {f[5].strip() for f in fields if len(f) == 6 and "openblas" in f[5]}
     except OSError:
-        return False
-    found = False
+        return ()
+    setters = []
     for path in sorted(paths):
         try:
             lib = ctypes.CDLL(path)  # the mapped library itself, not a new copy
@@ -646,22 +645,41 @@ def _blas_on_one_thread():
         if setter is not None:
             setter.argtypes = [ctypes.c_int]
             setter.restype = None
-            setter(1)
-            found = True
-    return found
+            setters.append(setter)
+    return tuple(setters)
+
+
+@functools.cache
+def _blas_on_one_thread():
+    """Set every OpenBLAS mapped into the process to one thread, once and for
+    every BLAS call the process makes after; whether any was found.
+
+    Concurrent GEMMs on a multi-threaded OpenBLAS are slower than serial
+    ones: its threads contend with the slab workers for the cores, and spin
+    between calls. OPENBLAS_NUM_THREADS cannot help once numpy is loaded,
+    so this reaches the loaded library's own setter instead.
+    """
+    for setter in _blas_setters():
+        setter(1)
+    return bool(_blas_setters())
 
 
 def _workers(count):
     """Threads for a loop over ``count`` slabs: one per CPU of the affinity
-    mask, read at call time, and at most one per slab. One, unless BLAS
-    could be set to one thread."""
-    workers = min(len(os.sched_getaffinity(0)), count)
+    mask, read at call time, at most MAX_WORKERS and at most one per slab.
+    One, unless BLAS could be set to one thread."""
+    workers = min(len(os.sched_getaffinity(0)), MAX_WORKERS, count)
     if workers > 1 and not _blas_on_one_thread():
         return 1
     return max(workers, 1)
 
 
-PARTIAL_SLOTS = 4  # finished slabs' partials that may wait per worker
+# Finished slabs' partials that may wait per worker. On the reference
+# training step (2 CPUs, values alternated step by step), a step's workers
+# waited for a slot a median 19 ms with 1, 4-7 ms with 2, 3-4 ms with 4 and
+# 4 ms with 8; 2 lost 31 of 50 steps to 4 (median +13 ms) on a loaded host,
+# and 8 gained nothing over 4. A slot is at most 222 KB there.
+_PARTIAL_SLOTS = 4
 
 
 class _SlabLoop:
@@ -734,7 +752,7 @@ def _slab_loop(slices, sizes, work, totals=()):
     """
     workers = _workers(len(slices))
     # without totals a slot is an empty list, and one per slab never waits
-    n_slots = max(min(PARTIAL_SLOTS * workers, len(slices)) if totals else len(slices), 1)
+    n_slots = max(min(_PARTIAL_SLOTS * workers, len(slices)) if totals else len(slices), 1)
     flat = _buffers(*(tuple(sizes) * workers), *(tuple(t.size for t in totals) * n_slots))
     scratch = [flat[w * len(sizes) : (w + 1) * len(sizes)] for w in range(workers)]
     rest = flat[workers * len(sizes) :]

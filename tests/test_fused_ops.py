@@ -574,7 +574,7 @@ def slab_threads(monkeypatch):
     threads that ran its slabs (by ident). A loop on several workers holds
     its first two slabs at a barrier until both are taken, so two threads
     run them at once. Skips where no loop can run on two threads."""
-    if not T._blas_on_one_thread():
+    if not T._blas_setters():
         pytest.skip("no OpenBLAS thread control: every slab loop runs on one worker")
     loops = []
     real_init = T._SlabLoop.__init__
@@ -655,10 +655,21 @@ def test_slab_sums_follow_slab_order(slab_threads, monkeypatch):
     assert [len(t) for t in slab_threads] == [2] * 5
 
 
+def test_workers_capped_at_max_workers(slab_threads, monkeypatch):
+    """More CPUs than MAX_WORKERS start MAX_WORKERS threads, and never
+    more than one per slab."""
+    cpus(monkeypatch, 4 * T.MAX_WORKERS)
+    assert T._workers(100) == T.MAX_WORKERS
+    assert T._workers(1) == 1
+    T._slab_loop([slice(i, i + 1) for i in range(100)], (), lambda *args: None)
+    assert [len(t) for t in slab_threads] == [T.MAX_WORKERS]
+
+
 def test_slab_sums_survive_many_workers_and_fast_switching(slab_threads, monkeypatch):
     """Eight workers, more than the cores, switching threads every
     microsecond: every slab is summed once, in slab order."""
     cpus(monkeypatch, 8)
+    monkeypatch.setattr(T, "MAX_WORKERS", 8)
     values = np.random.default_rng(46).normal(size=200) * 10.0 ** np.arange(-100, 100)
     serial = np.zeros(1)
     for v in values:

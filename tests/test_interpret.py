@@ -743,7 +743,7 @@ def test_fit_pool_forks_after_threaded_forward(monkeypatch):
     """The fused ops join their helper threads before returning, so the
     report's fork pool can follow a threaded forward: with two workers it
     returns the in-process fits."""
-    if not tensor._blas_on_one_thread():
+    if not tensor._blas_setters():
         pytest.skip("no OpenBLAS thread control: every slab loop runs on one worker")
     model = micro_model(seed=24)
     jobs, expected = [], []

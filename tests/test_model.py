@@ -390,7 +390,7 @@ def test_train_holds_one_batch_tape_at_a_time():
 def test_threaded_train_step_leaves_no_thread(monkeypatch):
     """The fused ops' helper threads are joined before each op returns, so a
     training step on two workers ends with the threads it started with."""
-    if not tensor._blas_on_one_thread():
+    if not tensor._blas_setters():
         pytest.skip("no OpenBLAS thread control: every slab loop runs on one worker")
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
     workers = []

@@ -327,6 +327,8 @@ def _calibration_windows(cfg, split):
 def cmd_symbolify(args, emit_graph=False):
     if args.tau < 0:
         raise ConfigError("--tau must be >= 0")
+    if args.top_m < 0:
+        raise ConfigError("--top-m must be >= 0")
     cfg = load_config(args.config, seed=args.seed, out=args.out)
     model, _, split = _open_checkpoint(cfg, args)
     calib = _calibration_windows(cfg, split)

@@ -29,7 +29,7 @@ def averaging_matrix(length, kernel):
     out-of-range positions folded onto the clipped edge index, which is
     exactly a mean over the edge-replicated padding.
     """
-    _validate_kernel(length, kernel)
+    validate_kernel(length, kernel)
     key = (length, kernel)
     cached = _AVG_CACHE.get(key)
     if cached is not None:
@@ -44,11 +44,11 @@ def averaging_matrix(length, kernel):
     return mat
 
 
-def _validate_kernel(length, kernel):
+def validate_kernel(length, kernel):
     if kernel < 1 or kernel % 2 == 0:
         raise ValueError(f"kernel must be a positive odd integer, got {kernel}")
     if kernel > 2 * length - 1:
-        raise ValueError(f"kernel {kernel} exceeds 2L-1 = {2 * length - 1}")
+        raise ValueError(f"kernel {kernel} exceeds 2L-1 = {2 * length - 1} (L = {length})")
 
 
 class Embedding:

@@ -15,7 +15,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .checkpoint import CheckpointError, load_checkpoint, save_checkpoint
-from .decomposition import Embedding, moving_average_decompose
+from .decomposition import Embedding, moving_average_decompose, validate_kernel
 from .optim import Adam
 from .taylorkan import build_seasonal_kan, build_trend_kan
 from .tensor import (
@@ -71,6 +71,11 @@ class ModelConfig:
                 raise ValueError(f"{f.name} must be positive, got {value}")
         if self.kernel % 2 == 0:
             raise ValueError("kernel must be odd")
+        # the layers' own bounds, checked when the config is read
+        validate_kernel(self.lookback, self.kernel)
+        patch_count(self.lookback, PatchConfig(self.patch_len, self.stride))
+        if 2 * self.top_k > self.lookback:
+            raise ValueError(f"top_k {self.top_k} needs lookback >= {2 * self.top_k}")
 
 
 def parse_fields(cls, raw, origin):
@@ -328,8 +333,9 @@ def train(model, train_inputs, train_targets, val_inputs, val_targets,
     clears those. The best-validation parameter snapshot is restored
     before returning.
     """
-    if len(train_inputs) == 0:
-        raise ValueError("empty training set")
+    for name, inputs in (("training", train_inputs), ("validation", val_inputs)):
+        if len(inputs) == 0:
+            raise ValueError(f"empty {name} set")
     cfg = model.config
     params = model.parameters()
     opt = Adam([t for _, t in params], lr=cfg.lr)

@@ -574,12 +574,11 @@ def matmul(a, b):
 # functions touch only numpy arrays, never a Tensor or the thread-local
 # recording state. A slab that is not row-major (the time-axis KANs see a
 # permuted (N, d, L) view, patch_kans a permuted grid) is copied while it
-# is in cache. The forward arithmetic does not depend on the tape, so a no-grad forward
-# equals a taped one bit for bit; only what backward keeps (sigmoids,
-# the Fourier prior's unit angle e^{i theta}) depends on whether the op
-# is recorded, and that is written slab by slab into full-size arrays.
-# What backward can rebuild cheaply from its slab copy of the input (the
-# polynomial prior's powers) is not kept at all. Each forward GEMM also
+# is in cache. Backward rebuilds what is cheap to rebuild from its slab
+# copy of the input (the sigmoid, the polynomial prior's powers), so a
+# taped forward runs the no-grad forward's code and gives its bits; only a
+# recorded fourier_inject also keeps its unit angle e^{i theta}, which
+# would cost a cos and a sin per input to rebuild. Each forward GEMM also
 # rounds as the whole batch's GEMM would (see ``_slabs``, ``_slab_rows``
 # and ``poly_inject``), so slabbing left the forward's bits unchanged.
 
@@ -835,9 +834,9 @@ def taylor_kan(x, w, a0, a1, a2, prior=None):
     """Adjustable Taylor-KAN block along the last axis of x.
 
     out[..., j] = sum_i w[j, i] * (silu(x_i) + a0[j, i] + a1[j, i] x_i
-    + a2[j, i] x_i^2), with w and the a's of shape (out, in). Forward
-    evaluates the sigmoid once; backward reuses it, summing the weight
-    gradients' GEMMs over the basis [silu(x), x, x^2] across slabs and taking
+    + a2[j, i] x_i^2), with w and the a's of shape (out, in). Backward
+    recomputes each slab's sigmoid from its copy of x, sums the weight
+    gradients' GEMMs over the basis [silu(x), x, x^2] across slabs and takes
     each slab's input gradient from GEMMs with [w, w*a1, 2*w*a2].
 
     ``prior``, if given, is a tensor of shape x.shape[:-1] + (r,): a first
@@ -855,7 +854,6 @@ def taylor_kan(x, w, a0, a1, a2, prior=None):
         operands = (x, w, a0, a1, a2, prior)
         raise ShapeError("taylor_kan", *(t.shape for t in operands if t is not None))
     parents = (x, w, a0, a1, a2) + (() if prior is None else (prior,))
-    keep = _records(parents)
     xd, wd = _batched(x.data), w.data
     n_out, n_in = wd.shape
     lead = 0 if prior is None else prior.shape[-1]
@@ -866,17 +864,14 @@ def taylor_kan(x, w, a0, a1, a2, prior=None):
     full = np.empty(xd.shape[:-1] + (lead + n_out,))
     if prior is not None:
         full[..., :lead] = _batched(prior.data)
-    sig = np.empty(xd.shape) if keep else None
 
     def forward(sl, bufs, _):
         xbuf, basis_buf, tbuf = bufs
         xs = _rows(_slab(xd, sl, xbuf))
-        basis = _scratch(basis_buf, xs.shape)
+        basis = sigmoid(xs, out=_scratch(basis_buf, xs.shape))
         t = _scratch(tbuf, (xs.shape[0], n_out))
-        # without a tape the sigmoid lives in the basis scratch it feeds
-        s = sigmoid(xs, out=_rows(sig[sl]) if keep else basis)
         o = _rows(full[sl])[:, lead:]
-        np.matmul(np.multiply(s, xs, out=basis), wd.T, out=o)
+        np.matmul(np.multiply(basis, xs, out=basis), wd.T, out=o)
         o += np.matmul(_slab_rows(xd, sl, basis_buf), wa1.T, out=t)
         o += np.matmul(np.square(xs, out=basis), wa2.T, out=t)
         o += const
@@ -893,11 +888,11 @@ def taylor_kan(x, w, a0, a1, a2, prior=None):
         w_quad = 2.0 * wa2
 
         def slab(sl, bufs, parts):
-            gbuf, xbuf, silu_buf, sq_buf, tb = bufs
+            gbuf, xbuf, sig_buf, silu_buf, sq_buf, tb = bufs
             part, part_sum = parts
             gs = _rows(_slab(g, sl, gbuf))
             xs = _rows(_slab(xd, sl, xbuf))
-            s = _rows(sig[sl])
+            s = sigmoid(xs, out=_scratch(sig_buf, xs.shape))
             silu_x = np.multiply(s, xs, out=_scratch(silu_buf, xs.shape))
             sq = np.square(xs, out=_scratch(sq_buf, xs.shape))
             t = _scratch(tb, xs.shape)
@@ -913,7 +908,7 @@ def taylor_kan(x, w, a0, a1, a2, prior=None):
             gxs += np.matmul(gs, wa1, out=t)
             gxs += np.multiply(np.matmul(gs, w_quad, out=t), xs, out=sq)
 
-        sizes = (rows * n_out,) + (rows * n_in,) * 4
+        sizes = (rows * n_out,) + (rows * n_in,) * 5
         _slab_loop(slices, sizes, slab, totals=(coeffs, g_sum))
         c_silu, c_lin, c_quad = coeffs
         g_sum = g_sum[:, None]
@@ -1171,7 +1166,8 @@ def patch_kans(grid, params):
     the mean of the K outputs, giving out[n, p, c] (shape (N, P, d)).
     The mean commutes with the edge sum, so each patch reduces to K-vector
     dot products with the column means of w, w*a1 and w*a2, plus a constant.
-    The grid is read in slabs: no per-patch slices.
+    The grid is read in slabs, with no per-patch slices, and backward
+    recomputes each slab's sigmoid.
     """
     params = [tuple(ps) for ps in params]
     if grid.ndim != 4 or grid.shape[2] != len(params):
@@ -1181,7 +1177,6 @@ def patch_kans(grid, params):
         if len(ps) != 4 or any(t.shape != (k_bins, k_bins) for t in ps):
             raise ShapeError("patch_kans", grid.shape, *(t.shape for t in ps))
     parents = (grid,) + tuple(t for ps in params for t in ps)
-    keep = _records(parents)
     w, a0, a1, a2 = (np.stack([ps[i].data for ps in params]) for i in range(4))
     # column means, laid out (K inputs, P patches)
     u = w.mean(axis=1).T
@@ -1192,17 +1187,14 @@ def patch_kans(grid, params):
     slices, rows = _slabs(td.shape)
     size = rows * td.shape[-1]
     out = np.empty((td.shape[0],) + td.shape[2:])
-    sig = np.empty(td.shape) if keep else None
 
     def forward(sl, bufs, _):
         tbuf, basis_buf, obuf = bufs
         ts = _slab(td, sl, tbuf)
-        basis = _scratch(basis_buf, ts.shape)
-        # without a tape the sigmoid lives in the basis scratch it feeds
-        s = sigmoid(ts, out=sig[sl] if keep else basis)
+        basis = sigmoid(ts, out=_scratch(basis_buf, ts.shape))
         o = out[sl]
         term = _scratch(obuf, o.shape)
-        np.einsum("nipc,ip->npc", np.multiply(s, ts, out=basis), u, out=o)
+        np.einsum("nipc,ip->npc", np.multiply(basis, ts, out=basis), u, out=o)
         o += np.einsum("nipc,ip->npc", ts, v, out=term)
         o += np.einsum("nipc,ip->npc", np.square(ts, out=basis), q, out=term)
         o += const
@@ -1216,10 +1208,10 @@ def patch_kans(grid, params):
         q2 = 2.0 * q[:, :, None]
 
         def slab(sl, bufs, parts):
-            tbuf, silu_buf, sq_buf = bufs
+            tbuf, sig_buf, silu_buf, sq_buf = bufs
             part, part_c = parts
             ts = _slab(td, sl, tbuf)
-            s = sig[sl]
+            s = sigmoid(ts, out=_scratch(sig_buf, ts.shape))
             gs = g[sl]
             silu_t = np.multiply(ts, s, out=_scratch(silu_buf, ts.shape))
             sq = np.square(ts, out=_scratch(sq_buf, ts.shape))
@@ -1236,7 +1228,7 @@ def patch_kans(grid, params):
             gts += v[:, :, None]
             gts *= gs[:, None]
 
-        _slab_loop(slices, (size, size, size), slab, totals=(coeffs, g_c))
+        _slab_loop(slices, (size,) * 4, slab, totals=(coeffs, g_c))
         # broadcast the per-column means back over the K output rows
         scale = 1.0 / k_bins
         g_u, g_v, g_q = (t[:, None, :] * scale for t in coeffs)

@@ -69,7 +69,7 @@ def test_missing_required_key_names_it():
 
 
 def test_comments_and_blanks_ignored():
-    raw = parse_config_text("# top\ndataset = a.csv  # inline\n\nlookback = 8\nhorizon = 4\n")
+    raw = parse_config_text("# top\ndataset = a.csv  # inline\n\nlookback = 96\nhorizon = 4\n")
     cfg = resolve_config(raw)
     assert cfg.dataset == "a.csv"
 
@@ -83,7 +83,7 @@ def test_bad_value_type_rejected():
     ("task", "medium"), ("split", "halves"), ("frequency", "fortnightly"),
 ])
 def test_choice_outside_its_list_names_key_and_choices(key, value):
-    text = f"dataset = a\nlookback = 8\nhorizon = 4\n{key} = {value}\n"
+    text = f"dataset = a\nlookback = 96\nhorizon = 4\n{key} = {value}\n"
     with pytest.raises(ConfigError, match=rf"run\.cfg: {key} must be one of .*{value!r}"):
         resolve_config(parse_config_text(text), origin="run.cfg")
 
@@ -137,6 +137,26 @@ def test_train_unknown_frequency_exits_2_before_training(workspace, capsys):
     assert "hourly" in captured.err and "'fortnightly'" in captured.err
     assert "epoch 0" not in captured.out
     assert not (out_dir / "history.tsv").exists()
+
+
+@pytest.mark.parametrize("overrides, message", [
+    (dict(kernel=41), "kernel 41 exceeds 2L-1 = 31 (L = 16)"),
+    (dict(patch_len=17), "patch_len 17 exceeds series length 16"),
+    (dict(stride=5), "need 1 <= stride <= patch_len, got stride=5, patch_len=4"),
+    (dict(top_k=9), "top_k 9 needs lookback >= 18"),
+])
+def test_train_config_the_layers_cannot_build_exits_2_at_load(
+    workspace, capsys, overrides, message
+):
+    cfg_path, out_dir = workspace
+    write_config(
+        cfg_path, dataset=str(cfg_path.parent / "panel.csv"), out=str(out_dir), **overrides
+    )
+    assert main(["train", "--config", str(cfg_path)]) == 2
+    captured = capsys.readouterr()
+    assert f"error: {cfg_path}: {message}" in captured.err
+    assert captured.out == ""
+    assert not out_dir.exists()
 
 
 def test_short_training_forecasts_better_than_mean_and_seasonal_naive(tmp_path):
@@ -525,6 +545,21 @@ def test_prune_negative_tau_exits_2(workspace, capsys):
         "prune", "--checkpoint", str(out_dir / "checkpoint.itfk"), "--tau", "-1",
     ])
     assert code == 2
+
+
+@pytest.mark.parametrize("command", ["symbolify", "report"])
+def test_negative_top_m_exits_2(workspace, capsys, command):
+    cfg_path, out_dir = workspace
+    assert main(["train", "--config", str(cfg_path)]) == 0
+    capsys.readouterr()
+    report_dir = out_dir.parent / "report-out"
+    code = main([
+        command, "--config", str(cfg_path), "--checkpoint", str(out_dir / "checkpoint.itfk"),
+        "--top-m", "-2", "--out", str(report_dir),
+    ])
+    assert code == 2
+    assert "error: --top-m must be >= 0" in capsys.readouterr().err
+    assert not report_dir.exists()
 
 
 @pytest.mark.parametrize("option", [["--config", "run.cfg"], ["--seed", "9"]])

@@ -298,20 +298,37 @@ def test_fourier_inject_keeps_only_the_unit_angle():
         del out
 
 
-def test_poly_inject_keeps_no_powers():
-    """A taped forward keeps nothing beyond its output: backward rebuilds
-    the powers slab by slab."""
-    rng = np.random.default_rng(55)
-    x = time_axis_input(rng, (96, 8), 96)
-    coeffs = [param(rng, (96, 3)) for _ in range(4)]
+def rebuilding_case(name, rng):
+    """(taped call of the op, its input) with the input over several slabs."""
+    if name == "poly_inject":
+        x = time_axis_input(rng, (96, 8), 96)
+        coeffs = [param(rng, (96, 3)) for _ in range(4)]
+        return (lambda: T.poly_inject(x, coeffs)), x
+    if name == "taylor_kan":
+        x = time_axis_input(rng, (96, 8), 96)
+        ps = taylor_params(rng, 8, 96)
+        return (lambda: T.taylor_kan(x, *ps)), x
+    grid = Tensor(rng.normal(size=(64, 7, 8, 32)), requires_grad=True)
+    params = [taylor_params(rng, 7, 7) for _ in range(8)]
+    return (lambda: T.patch_kans(grid, params)), grid
+
+
+@pytest.mark.parametrize("name", ["poly_inject", "taylor_kan", "patch_kans"])
+def test_taped_forward_keeps_only_its_output(name):
+    """A taped forward keeps nothing beyond its output and the op's small
+    per-call constants: backward rebuilds the polynomial powers and the
+    sigmoid slab by slab."""
+    call, x = rebuilding_case(name, np.random.default_rng(55))
+    assert len(T._slabs(x.shape)[0]) > 1
     slack = 64 * 1024
     tracemalloc.start()
     try:
         before = tracemalloc.get_traced_memory()[0]
-        out = T.poly_inject(x, coeffs)
+        out = call()
         held = tracemalloc.get_traced_memory()[0] - before - out.data.nbytes
     finally:
         tracemalloc.stop()
+    assert out.requires_grad
     assert held <= slack, (held, x.data.nbytes)
 
 

@@ -312,6 +312,24 @@ def test_train_rejects_empty_training_set():
         train(model, empty, np.zeros((0, 1, 4)), empty, np.zeros((0, 1, 4)))
 
 
+def test_train_rejects_empty_validation_set():
+    x, y = make_windows(np.random.default_rng(21).normal(size=40), 8, 4)
+    model = tiny_model()
+    before = [t.data.copy() for _, t in model.parameters()]
+    with pytest.raises(ValueError, match="^empty validation set$"):
+        train(model, x, y, x[:0], y[:0])
+    assert all(np.array_equal(b, t.data) for b, (_, t) in zip(before, model.parameters()))
+
+
+def test_config_at_every_cross_field_bound_builds_and_forecasts():
+    """The bounds ModelConfig checks are the layers' own, so a config at
+    each of them still builds a model that forecasts."""
+    cfg = tiny_config(kernel=15, patch_len=8, stride=8, top_k=4)
+    model = ForecastModel(cfg, [0.25, 0.5, 0.75, 1.0], seed=22)
+    pred = model.forward(Tensor(np.random.default_rng(23).normal(size=(3, 8))))
+    assert pred.shape == (3, 4) and np.all(np.isfinite(pred.data))
+
+
 def test_train_names_non_finite_parameter():
     rng = np.random.default_rng(30)
     x, y = make_windows(rng.normal(size=40), 8, 4)

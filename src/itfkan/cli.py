@@ -300,7 +300,7 @@ def cmd_eval(args):
 
 
 def cmd_prune(args):
-    if args.tau < 0:
+    if not args.tau >= 0:  # NaN fails too
         raise ConfigError("--tau must be >= 0")
     model, _ = _load_checkpoint_model(args.checkpoint)
     out = args.out or "."
@@ -325,7 +325,7 @@ def _calibration_windows(cfg, split):
 
 
 def cmd_symbolify(args, emit_graph=False):
-    if args.tau < 0:
+    if not args.tau >= 0:  # NaN fails too
         raise ConfigError("--tau must be >= 0")
     if args.top_m < 0:
         raise ConfigError("--top-m must be >= 0")

@@ -45,8 +45,10 @@ def averaging_matrix(length, kernel):
 
 
 def validate_kernel(length, kernel):
-    if kernel < 1 or kernel % 2 == 0:
-        raise ValueError(f"kernel must be a positive odd integer, got {kernel}")
+    if kernel % 2 == 0:
+        raise ValueError("kernel must be odd")
+    if kernel < 1:
+        raise ValueError(f"kernel must be positive, got {kernel}")
     if kernel > 2 * length - 1:
         raise ValueError(f"kernel {kernel} exceeds 2L-1 = {2 * length - 1} (L = {length})")
 

@@ -112,8 +112,8 @@ def _names(tag, li):
 
 def prune(model, tau):
     """Zero low-norm adjustable edges in every KAN; returns report rows."""
-    if tau < 0:
-        raise ValueError("prune threshold must be >= 0")
+    if not tau >= 0:  # NaN fails too: no norm is >= NaN, so it would prune every edge
+        raise ValueError(f"prune threshold must be >= 0, got {tau}")
     rows = {}
     for (tag, li), layer in model.kan_layers():
         layer.apply_prune(_kept(layer, tau))

@@ -69,8 +69,6 @@ class ModelConfig:
                     raise ValueError(f"{f.name} must be >= 0, got {value}")
             elif not value > 0:
                 raise ValueError(f"{f.name} must be positive, got {value}")
-        if self.kernel % 2 == 0:
-            raise ValueError("kernel must be odd")
         # the layers' own bounds, checked when the config is read
         validate_kernel(self.lookback, self.kernel)
         patch_count(self.lookback, PatchConfig(self.patch_len, self.stride))

@@ -1,22 +1,29 @@
 """Dense float64 tensors with reverse-mode automatic differentiation.
 
-A dynamic tape: each primitive records its parents and a backward rule on
-the output tensor whenever recording is enabled and at least one input
-requires gradients. ``backward`` walks the recorded graph once, in reverse
-topological order, accumulating gradients additively across fan-out.
+A dynamic tape: each primitive records a ``Node`` for its output whenever
+recording is enabled and at least one input requires gradients. A node
+holds the op's name, its parents, its backward rule, the output's shape
+and, during ``backward`` only, the output's gradient; it holds no tensor
+data. A parent is held as its node if it is an op output and as the
+tensor itself if it is a leaf, so an op output's data lives only as long
+as the caller keeps its ``Tensor``, or a backward rule reads it. A
+closure captures only the arrays its rule reads, and shapes for the
+rest. ``backward`` walks the recorded nodes once, in reverse topological
+order, accumulating gradients additively across fan-out.
 
-Only leaves keep a gradient. An op output's ``grad`` lives only until
+Only leaves keep a gradient. A node's ``grad`` lives only until
 ``backward`` has passed it through the op's backward rule, and is then
 None again; leaf tensors end with an owned, writable, row-major ``grad``.
-The graph itself (parents and backward rules) is left intact, so a
-non-leaf tensor can feed a later graph too.
+The graph itself (nodes, parents and backward rules) is left intact, so
+``backward`` can run over it again and a non-leaf tensor can feed a later
+graph too.
 
 Gradients are copy-on-write. A backward closure maps the output gradient
 ``g`` to one array per parent, and a parent's first gradient is held by
 reference, so a closure must never write into ``g`` or into an array it
-returned: another tensor (a parent, a sibling parent of the same op, or
-the op's output) may hold that array as its ``grad``. Only ``backward``
-writes into a ``grad``, and only into one it allocated itself.
+returned: another node or leaf (a parent, a sibling parent of the same
+op, or the op's output) may hold that array as its ``grad``. Only
+``backward`` writes into a ``grad``, and only into one it allocated itself.
 
 Elementwise binary ops broadcast only over *leading* batch axes: the
 shorter shape must equal the trailing dims of the longer one exactly.
@@ -72,32 +79,60 @@ class no_grad:
         return False
 
 
+class Node:
+    """One recorded op: its name, parents, backward rule and output shape.
+
+    ``parents`` holds each parent's node, or the parent tensor itself if
+    it is a leaf; ``grad`` holds the output's gradient while ``backward``
+    runs. A node holds no tensor data beyond what its rule's closure reads.
+    """
+
+    __slots__ = ("op", "parents", "backward", "grad", "shape")
+    requires_grad = True  # as a parent, an op output always takes a gradient
+
+    def __init__(self, op, parents, backward, shape):
+        self.op = op
+        self.parents = parents
+        self.backward = backward
+        self.grad = None
+        self.shape = shape
+
+
 class Tensor:
     """A dense float64 array, optionally tracked on the autodiff tape.
 
-    Leaves carry ``op is None``; op outputs remember their parents and a
-    closure mapping the output gradient to per-parent gradients.
+    A recorded op output carries its ``Node``; ``op``, ``parents`` and
+    ``_backward`` read it, and are None, () and None for a leaf.
     """
 
-    __slots__ = ("data", "grad", "requires_grad", "op", "parents", "_backward")
+    __slots__ = ("data", "grad", "requires_grad", "_node")
 
     def __init__(self, data, requires_grad=False):
         self.data = np.asarray(data, dtype=np.float64)
         self.grad = None
         self.requires_grad = bool(requires_grad)
-        self.op = None
-        self.parents = ()
-        self._backward = None
+        self._node = None
 
     @classmethod
     def _from_op(cls, data, op, parents, backward):
         out = cls(data)
         if _records(parents):
             out.requires_grad = True
-            out.op = op
-            out.parents = tuple(parents)
-            out._backward = backward
+            nodes = tuple(p if p._node is None else p._node for p in parents)
+            out._node = Node(op, nodes, backward, out.data.shape)
         return out
+
+    @property
+    def op(self):
+        return None if self._node is None else self._node.op
+
+    @property
+    def parents(self):
+        return () if self._node is None else self._node.parents
+
+    @property
+    def _backward(self):
+        return None if self._node is None else self._node.backward
 
     @property
     def shape(self):
@@ -179,8 +214,9 @@ def _lift(x):
 class Graph:
     """Topologically ordered record of the ops behind an output tensor.
 
-    ``nodes`` lists every reachable op-output with parents before children,
-    so one reverse sweep visits each op exactly once.
+    ``nodes`` lists the ``Node`` of every reachable op output with parents
+    before children, so one reverse sweep visits each op exactly once. A
+    leaf has no ops behind it: its graph is empty.
     """
 
     __slots__ = ("nodes",)
@@ -192,18 +228,18 @@ class Graph:
     def from_output(cls, out):
         nodes = []
         seen = set()
-        stack = [(out, False)]
+        stack = [] if out._node is None else [(out._node, False)]
         while stack:
-            t, expanded = stack.pop()
+            node, expanded = stack.pop()
             if expanded:
-                nodes.append(t)
+                nodes.append(node)
                 continue
-            if id(t) in seen:
+            if id(node) in seen:
                 continue
-            seen.add(id(t))
-            stack.append((t, True))
-            for p in t.parents:
-                if p.op is not None and id(p) not in seen:
+            seen.add(id(node))
+            stack.append((node, True))
+            for p in node.parents:
+                if isinstance(p, Node) and id(p) not in seen:
                     stack.append((p, False))
         return cls(nodes)
 
@@ -214,29 +250,32 @@ class Graph:
 def backward(loss):
     """Populate ``grad`` on every requires_grad leaf reachable from loss.
 
-    An op output's gradient is released (``grad`` set to None) as soon as
-    its backward rule has used it, so the sweep holds only the gradients
-    still waiting for their op; after the call every op output's ``grad``
-    is None, loss's included. Copy-on-write (see the module docstring): a
-    first gradient is held by reference, the first accumulation into it
+    A node's gradient is released (``grad`` set to None) as soon as its
+    backward rule has used it, so the sweep holds only the gradients still
+    waiting for their op; after the call every node's ``grad`` is None,
+    loss's included. Copy-on-write (see the module docstring): a first
+    gradient is held by reference, the first accumulation into it
     allocates and later ones add in place; leaves get an owned copy at the
     end if they need one.
     """
     if loss.size != 1:
         raise ValueError(f"backward requires a scalar loss, got shape {loss.shape}")
+    if loss._node is None:
+        loss.grad = np.ones_like(loss.data)
+        return
     graph = Graph.from_output(loss)
-    loss.grad = np.ones_like(loss.data)
-    owned = set()  # ids of tensors whose grad this call allocated
+    loss._node.grad = np.ones_like(loss.data)
+    owned = set()  # ids of nodes and leaves whose grad this call allocated
     leaves = {}
-    for t in reversed(graph.nodes):
-        if t._backward is None or t.grad is None:
+    for node in reversed(graph.nodes):
+        if node.grad is None:
             continue
-        grads = t._backward(t.grad)
-        t.grad = None  # used: the parents hold what they still need of it
-        for p, g in zip(t.parents, grads):
+        grads = node.backward(node.grad)
+        node.grad = None  # used: the parents hold what they still need of it
+        for p, g in zip(node.parents, grads):
             if g is None or not p.requires_grad:
                 continue
-            if p.op is None:
+            if not isinstance(p, Node):
                 leaves[id(p)] = p
             if p.grad is None:
                 p.grad = g
@@ -271,40 +310,44 @@ def _unbroadcast(g, shape):
 
 def add(a, b):
     _check_suffix("add", a, b)
+    sa, sb = a.shape, b.shape
 
     def bw(g):
-        return _unbroadcast(g, a.shape), _unbroadcast(g, b.shape)
+        return _unbroadcast(g, sa), _unbroadcast(g, sb)
 
     return Tensor._from_op(a.data + b.data, "add", (a, b), bw)
 
 
 def sub(a, b):
     _check_suffix("sub", a, b)
+    sa, sb = a.shape, b.shape
 
     def bw(g):
-        return _unbroadcast(g, a.shape), _unbroadcast(-g, b.shape)
+        return _unbroadcast(g, sa), _unbroadcast(-g, sb)
 
     return Tensor._from_op(a.data - b.data, "sub", (a, b), bw)
 
 
 def mul(a, b):
     _check_suffix("mul", a, b)
+    ad, bd = a.data, b.data
 
     def bw(g):
-        return _unbroadcast(g * b.data, a.shape), _unbroadcast(g * a.data, b.shape)
+        return _unbroadcast(g * bd, ad.shape), _unbroadcast(g * ad, bd.shape)
 
-    return Tensor._from_op(a.data * b.data, "mul", (a, b), bw)
+    return Tensor._from_op(ad * bd, "mul", (a, b), bw)
 
 
 def div(a, b):
     _check_suffix("div", a, b)
+    ad, bd = a.data, b.data
 
     def bw(g):
-        ga = _unbroadcast(g / b.data, a.shape)
-        gb = _unbroadcast(-g * a.data / (b.data * b.data), b.shape)
+        ga = _unbroadcast(g / bd, ad.shape)
+        gb = _unbroadcast(-g * ad / (bd * bd), bd.shape)
         return ga, gb
 
-    return Tensor._from_op(a.data / b.data, "div", (a, b), bw)
+    return Tensor._from_op(ad / bd, "div", (a, b), bw)
 
 
 def neg(a):
@@ -319,12 +362,13 @@ def pow_int(a, n):
     if not isinstance(n, (int, np.integer)):
         raise TypeError(f"pow_int exponent must be an integer, got {type(n).__name__}")
     n = int(n)
-    out = a.data ** n
+    ad = a.data
+    out = ad ** n
 
     def bw(g):
         if n == 0:
-            return (np.zeros_like(a.data),)
-        return (g * (n * a.data ** (n - 1)),)
+            return (np.zeros_like(ad),)
+        return (g * (n * ad ** (n - 1)),)
 
     return Tensor._from_op(out, "pow_int", (a,), bw)
 
@@ -339,24 +383,30 @@ def exp(a):
 
 
 def sin(a):
-    def bw(g):
-        return (g * np.cos(a.data),)
+    ad = a.data
 
-    return Tensor._from_op(np.sin(a.data), "sin", (a,), bw)
+    def bw(g):
+        return (g * np.cos(ad),)
+
+    return Tensor._from_op(np.sin(ad), "sin", (a,), bw)
 
 
 def cos(a):
-    def bw(g):
-        return (-g * np.sin(a.data),)
+    ad = a.data
 
-    return Tensor._from_op(np.cos(a.data), "cos", (a,), bw)
+    def bw(g):
+        return (-g * np.sin(ad),)
+
+    return Tensor._from_op(np.cos(ad), "cos", (a,), bw)
 
 
 def abs_(a):
-    def bw(g):
-        return (g * np.sign(a.data),)
+    ad = a.data
 
-    return Tensor._from_op(np.abs(a.data), "abs", (a,), bw)
+    def bw(g):
+        return (g * np.sign(ad),)
+
+    return Tensor._from_op(np.abs(ad), "abs", (a,), bw)
 
 
 def sigmoid(x, out=None):
@@ -372,12 +422,13 @@ def sigmoid(x, out=None):
 
 
 def silu(a):
-    s = sigmoid(a.data)
+    ad = a.data
+    s = sigmoid(ad)
 
     def bw(g):
-        return (g * (s * (1.0 + a.data * (1.0 - s))),)
+        return (g * (s * (1.0 + ad * (1.0 - s))),)
 
-    return Tensor._from_op(a.data * s, "silu", (a,), bw)
+    return Tensor._from_op(ad * s, "silu", (a,), bw)
 
 
 # --- reductions and shape ops ----------------------------------------------
@@ -389,42 +440,45 @@ def l2_penalty(terms):
     coefficient tensors costs one node instead of a mul/sum/add chain per
     tensor.
     """
-    terms = [(t, float(scale)) for t, scale in terms]
+    terms = list(terms)
+    arrays = [(t.data, float(scale)) for t, scale in terms]
     total = 0.0
-    for t, scale in terms:
-        flat = t.data.reshape(-1)
+    for td, scale in arrays:
+        flat = td.reshape(-1)
         total += scale * float(flat @ flat)
 
     def bw(g):
-        return tuple(t.data * (2.0 * scale * g) for t, scale in terms)
+        return tuple(td * (2.0 * scale * g) for td, scale in arrays)
 
     return Tensor._from_op(np.array(total), "l2_penalty", [t for t, _ in terms], bw)
 
 
 def sum_axis(a, axis=None):
+    shape = a.shape
     if axis is None:
         out = a.data.sum()
 
         def bw(g):
-            return (np.broadcast_to(g, a.shape).copy(),)
+            return (np.broadcast_to(g, shape).copy(),)
 
         return Tensor._from_op(out, "sum", (a,), bw)
     ax = axis if axis >= 0 else a.ndim + axis
     out = a.data.sum(axis=ax)
 
     def bw(g):
-        return (np.broadcast_to(np.expand_dims(g, ax), a.shape).copy(),)
+        return (np.broadcast_to(np.expand_dims(g, ax), shape).copy(),)
 
     return Tensor._from_op(out, "sum", (a,), bw)
 
 
 def mean_axis(a, axis=None):
+    shape = a.shape
     if axis is None:
         n = a.size
         out = a.data.mean()
 
         def bw(g):
-            return (np.broadcast_to(g / n, a.shape).copy(),)
+            return (np.broadcast_to(g / n, shape).copy(),)
 
         return Tensor._from_op(out, "mean", (a,), bw)
     ax = axis if axis >= 0 else a.ndim + axis
@@ -432,16 +486,17 @@ def mean_axis(a, axis=None):
     out = a.data.mean(axis=ax)
 
     def bw(g):
-        return (np.broadcast_to(np.expand_dims(g / n, ax), a.shape).copy(),)
+        return (np.broadcast_to(np.expand_dims(g / n, ax), shape).copy(),)
 
     return Tensor._from_op(out, "mean", (a,), bw)
 
 
 def reshape(a, shape):
     out = a.data.reshape(shape)
+    in_shape = a.shape
 
     def bw(g):
-        return (g.reshape(a.shape),)
+        return (g.reshape(in_shape),)
 
     return Tensor._from_op(out, "reshape", (a,), bw)
 
@@ -489,9 +544,10 @@ def slice_(a, key):
         if not isinstance(k, slice) and k is not Ellipsis:
             raise TypeError("slice supports slice objects and ... only")
     out = a.data[key]
+    shape = a.shape
 
     def bw(g):
-        full = np.zeros_like(a.data)
+        full = np.zeros(shape)
         full[key] = g
         return (full,)
 
@@ -533,16 +589,18 @@ def patch_windows(a, patch_len, stride):
 
 def matmul(a, b):
     """a @ b with 2-D b; a may carry leading batch axes. Backward computes
-    only the gradients of operands that require one."""
+    only the gradients of operands that required one at forward time."""
     if a.ndim < 1 or b.ndim != 2 or a.shape[-1] != b.shape[0]:
         raise ShapeError("matmul", a.shape, b.shape)
+    out_cols = b.shape[1]
     out = a.data @ b.data
+    # each operand's data is kept only for the other operand's gradient
+    bd = b.data if a.requires_grad else None
+    ad = a.data if b.requires_grad else None
 
     def bw(g):
-        ga = g @ b.data.T if a.requires_grad else None
-        gb = None
-        if b.requires_grad:
-            gb = a.data.reshape(-1, a.shape[-1]).T @ g.reshape(-1, b.shape[1])
+        ga = None if bd is None else g @ bd.T
+        gb = None if ad is None else ad.reshape(-1, ad.shape[-1]).T @ g.reshape(-1, out_cols)
         return ga, gb
 
     return Tensor._from_op(out, "matmul", (a, b), bw)
@@ -854,12 +912,14 @@ def taylor_kan(x, w, a0, a1, a2, prior=None):
         operands = (x, w, a0, a1, a2, prior)
         raise ShapeError("taylor_kan", *(t.shape for t in operands if t is not None))
     parents = (x, w, a0, a1, a2) + (() if prior is None else (prior,))
-    xd, wd = _batched(x.data), w.data
+    xd, wd, a0d, a1d, a2d = _batched(x.data), w.data, a0.data, a1.data, a2.data
     n_out, n_in = wd.shape
     lead = 0 if prior is None else prior.shape[-1]
-    wa1 = wd * a1.data
-    wa2 = wd * a2.data
-    const = (wd * a0.data).sum(axis=1)
+    x_shape, out_shape = x.shape, x.shape[:-1] + (lead + n_out,)
+    prior_shape = None if prior is None else prior.shape
+    wa1 = wd * a1d
+    wa2 = wd * a2d
+    const = (wd * a0d).sum(axis=1)
     slices, rows = _slabs(xd.shape)
     full = np.empty(xd.shape[:-1] + (lead + n_out,))
     if prior is not None:
@@ -879,7 +939,7 @@ def taylor_kan(x, w, a0, a1, a2, prior=None):
     _slab_loop(slices, (rows * n_in, rows * n_in, rows * n_out), forward)
 
     def bw(g):
-        g = g.reshape(full.shape)
+        g = g.reshape(xd.shape[:-1] + (lead + n_out,))
         g_prior = g[..., :lead]
         g = g[..., lead:]
         gx = np.empty(xd.shape)
@@ -912,11 +972,10 @@ def taylor_kan(x, w, a0, a1, a2, prior=None):
         _slab_loop(slices, sizes, slab, totals=(coeffs, g_sum))
         c_silu, c_lin, c_quad = coeffs
         g_sum = g_sum[:, None]
-        gw = c_silu + c_lin * a1.data + c_quad * a2.data + g_sum * a0.data
-        grads = (gx.reshape(x.shape), gw, g_sum * wd, c_lin * wd, c_quad * wd)
-        return grads + (() if prior is None else (g_prior.reshape(prior.shape),))
+        gw = c_silu + c_lin * a1d + c_quad * a2d + g_sum * a0d
+        grads = (gx.reshape(x_shape), gw, g_sum * wd, c_lin * wd, c_quad * wd)
+        return grads + (() if prior_shape is None else (g_prior.reshape(prior_shape),))
 
-    out_shape = x.shape[:-1] + (lead + n_out,)
     return Tensor._from_op(full.reshape(out_shape), "taylor_kan", parents, bw)
 
 
@@ -938,22 +997,24 @@ def poly_inject(x, coeffs):
         raise ShapeError("poly_inject", x.shape, *(c.shape for c in coeffs))
     parents = (x,) + coeffs
     xd = _batched(x.data)
-    n_in, n_out = coeffs[0].shape
+    cd = [c.data for c in coeffs]
+    n_in, n_out = cd[0].shape
+    x_shape, out_shape = x.shape, x.shape[:-1] + (n_out,)
     # Only the backward runs in slabs. The forward keeps whole-batch GEMMs:
     # with r output columns they are narrow enough that OpenBLAS picks their
     # kernel, and so their rounding, by row count up to thousands of rows,
     # and slabs would change the forward's bits.
-    out = _mm(xd, coeffs[1].data)
+    out = _mm(xd, cd[1])
     power = xd
-    for c in coeffs[2:]:
+    for c in cd[2:]:
         power = np.multiply(power, xd, order="C")
-        out += _mm(power, c.data)
-    out += coeffs[0].data.sum(axis=0)
+        out += _mm(power, c)
+    out += cd[0].sum(axis=0)
 
     def bw(g):
-        g = g.reshape(out.shape)
+        g = g.reshape(xd.shape[:-1] + (n_out,))
         gx = np.empty(xd.shape)
-        grads = [np.zeros(c.shape) for c in coeffs[1:]]
+        grads = [np.zeros(c.shape) for c in cd[1:]]
         g_sum = np.zeros(n_out)
         slices, rows = _slabs(xd.shape)
 
@@ -963,13 +1024,13 @@ def poly_inject(x, coeffs):
             gs = _rows(_slab(g, sl, gbuf))
             xs = _rows(_slab(xd, sl, xbuf))
             np.sum(gs, axis=0, out=part_sum)
-            gxs = np.matmul(gs, coeffs[1].data.T, out=_rows(gx[sl]))
+            gxs = np.matmul(gs, cd[1].T, out=_rows(gx[sl]))
             np.matmul(xs.T, gs, out=part[0])
             prev = xs  # x^{k-1}
-            for k, (grad, c) in enumerate(zip(part[1:], coeffs[2:]), start=2):
+            for k, (grad, c) in enumerate(zip(part[1:], cd[2:]), start=2):
                 pk = np.multiply(prev, xs, out=_scratch(pbufs[k % 2], xs.shape))
                 np.matmul(pk.T, gs, out=grad)
-                slope = np.matmul(gs, c.data.T, out=_scratch(tb, gxs.shape))
+                slope = np.matmul(gs, c.T, out=_scratch(tb, gxs.shape))
                 slope *= prev
                 slope *= k
                 gxs += slope
@@ -977,10 +1038,9 @@ def poly_inject(x, coeffs):
 
         sizes = (rows * n_in, rows * n_in, rows * n_out, rows * n_in, rows * n_in)
         _slab_loop(slices, sizes, slab, totals=(g_sum, *grads))
-        g_const = np.broadcast_to(g_sum, coeffs[0].shape)
-        return (gx.reshape(x.shape), g_const) + tuple(grads)
+        g_const = np.broadcast_to(g_sum, cd[0].shape)
+        return (gx.reshape(x_shape), g_const) + tuple(grads)
 
-    out_shape = x.shape[:-1] + (n_out,)
     return Tensor._from_op(out.reshape(out_shape), "poly_inject", parents, bw)
 
 
@@ -1091,6 +1151,7 @@ def fourier_inject(x, freqs, cos_coeffs, sin_coeffs):
     keep = _records(parents)
     xd = _batched(x.data)
     n_in, n_out = coeffs[0].shape
+    x_shape, out_shape = x.shape, x.shape[:-1] + (n_out,)
     # harmonic j's GEMM operand: rows 2i, 2i+1 weight cos, sin of input i,
     # the order of e^{i m_j theta}'s (real, imag) pairs viewed as float64
     mix = np.stack(
@@ -1122,9 +1183,12 @@ def fourier_inject(x, freqs, cos_coeffs, sin_coeffs):
     sizes = (rows * 2 * n_in,) * 3 + (rows * n_out,)
     _slab_loop(slices, sizes, forward)
 
+    # backward reads x's shape, not its data
+    x_rows = xd.shape
+
     def bw(g):
-        g = g.reshape(out.shape)
-        gx = np.zeros(xd.shape)
+        g = g.reshape(x_rows[:-1] + (n_out,))
+        gx = np.zeros(x_rows)
         g_mix = np.zeros(mix.shape)
         g_sum = np.zeros(n_out)
         # d/dx (a cos + b sin)(f pi x) = f pi Im(e^{i f pi x} (-a + i b))
@@ -1146,16 +1210,14 @@ def fourier_inject(x, freqs, cos_coeffs, sin_coeffs):
 
         _slab_loop(slices, sizes, slab, totals=(g_mix, g_sum))
         g_pairs = g_mix.reshape(freqs.size, n_in, 2, n_out)
-        g_const = np.broadcast_to(g_sum * 0.5, cos_coeffs[0].shape)
+        g_const = np.broadcast_to(g_sum * 0.5, (n_in, n_out))
         return (
-            (gx.reshape(x.shape), g_const)
+            (gx.reshape(x_shape), g_const)
             + tuple(g_pairs[:, :, 0])
             + tuple(g_pairs[:, :, 1])
         )
 
-    return Tensor._from_op(
-        out.reshape(x.shape[:-1] + (n_out,)), "fourier_inject", parents, bw
-    )
+    return Tensor._from_op(out.reshape(out_shape), "fourier_inject", parents, bw)
 
 
 def patch_kans(grid, params):
@@ -1177,6 +1239,7 @@ def patch_kans(grid, params):
         if len(ps) != 4 or any(t.shape != (k_bins, k_bins) for t in ps):
             raise ShapeError("patch_kans", grid.shape, *(t.shape for t in ps))
     parents = (grid,) + tuple(t for ps in params for t in ps)
+    n_patches = len(params)
     w, a0, a1, a2 = (np.stack([ps[i].data for ps in params]) for i in range(4))
     # column means, laid out (K inputs, P patches)
     u = w.mean(axis=1).T
@@ -1203,8 +1266,8 @@ def patch_kans(grid, params):
 
     def bw(g):
         gt = np.empty(td.shape)
-        coeffs = np.zeros((3, len(params), k_bins))  # summed over silu(t), t, t^2
-        g_c = np.zeros(len(params))
+        coeffs = np.zeros((3, n_patches, k_bins))  # summed over silu(t), t, t^2
+        g_c = np.zeros(n_patches)
         q2 = 2.0 * q[:, :, None]
 
         def slab(sl, bufs, parts):
@@ -1236,7 +1299,7 @@ def patch_kans(grid, params):
         gw = g_u + g_v * a1 + g_q * a2 + g_c * a0
         ga0, ga1, ga2 = g_c * w, g_v * w, g_q * w
         grads = [gt]
-        for p in range(len(params)):
+        for p in range(n_patches):
             grads += [gw[p], ga0[p], ga1[p], ga2[p]]
         return tuple(grads)
 

@@ -547,6 +547,21 @@ def test_prune_negative_tau_exits_2(workspace, capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("command", ["prune", "symbolify", "report"])
+def test_nan_tau_exits_2_and_writes_nothing(workspace, capsys, command):
+    """No edge norm is >= NaN, so a NaN threshold would prune every edge."""
+    cfg_path, out_dir = workspace
+    assert main(["train", "--config", str(cfg_path)]) == 0
+    capsys.readouterr()
+    dest = out_dir.parent / f"{command}-out"
+    args = [command, "--checkpoint", str(out_dir / "checkpoint.itfk"), "--tau", "nan"]
+    if command != "prune":
+        args += ["--config", str(cfg_path)]
+    assert main(args + ["--out", str(dest)]) == 2
+    assert "error: --tau must be >= 0" in capsys.readouterr().err
+    assert not dest.exists()
+
+
 @pytest.mark.parametrize("command", ["symbolify", "report"])
 def test_negative_top_m_exits_2(workspace, capsys, command):
     cfg_path, out_dir = workspace

@@ -9,13 +9,14 @@ import os
 import sys
 import threading
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
 
 from gradcheck_util import gradient_check, param_fd_errors
 from itfkan import tensor as T
-from itfkan.model import ForecastModel, ModelConfig
+from itfkan.model import ForecastModel, ModelConfig, total_loss
 from itfkan.tensor import ShapeError, Tensor, backward, no_grad
 
 FD_TOL = 1e-6
@@ -467,6 +468,117 @@ def test_backward_releases_every_interior_gradient():
     backward(loss)
     for name, t in model.parameters():
         np.testing.assert_array_equal(t.grad, first[name], err_msg=name)
+
+
+# --- what the tape keeps ---------------------------------------------------------
+
+def tensors_in(value):
+    """The tensors in a closure cell's value, inside tuples, lists and dicts too."""
+    if isinstance(value, Tensor):
+        return [value]
+    if isinstance(value, dict):
+        value = list(value.values())
+    if isinstance(value, (tuple, list)):
+        return [t for v in value for t in tensors_in(v)]
+    return []
+
+
+def closures_holding_tensors(loss):
+    """(op, variable) for each backward closure cell behind loss that holds a tensor."""
+    return [
+        (node.op, name)
+        for node in T.Graph.from_output(loss).nodes
+        for name, cell in zip(node.backward.__code__.co_freevars, node.backward.__closure__ or ())
+        if tensors_in(cell.cell_contents)
+    ]
+
+
+@pytest.mark.parametrize("task", ["long", "short"])
+def test_no_backward_closure_of_the_model_holds_a_tensor(task):
+    """Every rule on a training step's tape (forecast, loss, regularisers)
+    captures arrays and shapes, never a tensor with its data."""
+    cfg = ModelConfig(
+        lookback=24, horizon=8, embed_dim=3, kernel=5, trend_degree=3,
+        top_k=3, patch_len=4, stride=4,
+    )
+    model = ForecastModel(cfg, [1 / 12, 0.25, 0.5], seed=8)
+    rng = np.random.default_rng(9)
+    x, y = Tensor(rng.normal(size=(5, 24))), Tensor(rng.normal(size=(5, 8)))
+    loss, _ = total_loss(model.forward(x), y, model, cfg.reg_lambda, task)
+    assert len(T.Graph.from_output(loss)) > 40
+    assert closures_holding_tensors(loss) == []
+
+
+def test_no_backward_closure_of_a_primitive_holds_a_tensor():
+    rng = np.random.default_rng(61)
+    x = Tensor(rng.normal(size=(2, 6, 3)), requires_grad=True)
+    w = Tensor(rng.normal(size=(3, 3)), requires_grad=True)
+    h = T.matmul(T.silu(x), w) / (T.exp(x) + 1.0) - T.neg(T.sin(x) * T.cos(x))
+    h = T.concat([T.abs_(h), T.pow_int(h, 3)], axis=2)[:, 1:]
+    h = T.patch_windows(h.permute(0, 2, 1).reshape(2, 5, 6), 2, 2)
+    loss = T.sum_axis(h, 1).mean() + T.l2_penalty([(w, 0.5), (x, 2.0)])
+    assert {node.op for node in T.Graph.from_output(loss).nodes} == {
+        "abs", "add", "concat", "cos", "div", "exp", "l2_penalty", "matmul",
+        "mean", "mul", "neg", "patch_windows", "permute", "pow_int", "reshape",
+        "silu", "sin", "slice", "sub", "sum",
+    }
+    assert closures_holding_tensors(loss) == []
+
+
+def data_owner(a):
+    """The array that owns the buffer of the array a."""
+    while a.base is not None:
+        a = a.base
+    return a
+
+
+SHAPE_READERS = {
+    "add": lambda h: h + Tensor(np.ones(h.shape)),
+    "sub": lambda h: Tensor(np.ones(h.shape)) - h,
+    "mean": lambda h: h.mean(axis=0),
+}
+
+
+def loss_over_dropped_output(make, reader):
+    """weighted_sum(reader(make())) once the op output make() returned is
+    dropped, and a weak reference to that output's buffer."""
+    out = make()
+    owner = weakref.ref(data_owner(out.data))
+    return weighted_sum(reader(out)), owner
+
+
+@pytest.mark.parametrize("reader", SHAPE_READERS)
+def test_output_read_only_by_a_shape_rule_is_freed(reader):
+    """add, sub and mean read only their operands' shapes, so an op output
+    read by nothing else is freed as soon as the caller drops it, while
+    its node stays on the tape."""
+    rng = np.random.default_rng(62)
+    x = Tensor(rng.normal(size=(4, 3)), requires_grad=True)
+    c = Tensor(rng.normal(size=(4, 3)))
+
+    def loss_and_owner():
+        return loss_over_dropped_output(lambda: x * c, SHAPE_READERS[reader])
+
+    loss, owner = loss_and_owner()
+    assert owner() is None
+    assert "mul" in {node.op for node in T.Graph.from_output(loss).nodes}
+    errors = param_fd_errors(lambda: loss_and_owner()[0], [("x", x)])
+    assert errors["x"] < FD_TOL, errors
+
+
+@pytest.mark.parametrize("name", OPS)
+def test_fused_op_rule_keeps_not_its_own_output(name):
+    fused, _, x, named = make_case(name, np.random.default_rng(63))
+
+    def loss_and_owner():
+        return loss_over_dropped_output(lambda: fused(x), SHAPE_READERS["add"])
+
+    loss, owner = loss_and_owner()
+    assert owner() is None
+    assert name in {node.op for node in T.Graph.from_output(loss).nodes}
+    errors = param_fd_errors(lambda: loss_and_owner()[0], named)
+    for pname, err in errors.items():
+        assert err < FD_TOL, f"{name} {pname}: {err}"
 
 
 # --- model level ---------------------------------------------------------------

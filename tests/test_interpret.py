@@ -94,6 +94,15 @@ def test_prune_rejects_negative_threshold():
         prune(micro_model(), -1.0)
 
 
+def test_prune_rejects_nan_threshold_and_keeps_every_edge():
+    model = micro_model()
+    before = [layer.active.copy() for _, layer in model.kan_layers()]
+    with pytest.raises(ValueError, match="got nan"):
+        prune(model, np.nan)
+    for mask, (_, layer) in zip(before, model.kan_layers()):
+        np.testing.assert_array_equal(layer.active, mask)
+
+
 def test_etth1_shaped_totals():
     rows = prune(etth1_shaped_model(), 5e-4)
     table = {(r.network, r.layer): r.total for r in rows}

@@ -1,12 +1,18 @@
-"""The benchmark's span table must name functions the package still has.
+"""The benchmark's hooks must still read the package.
 
 perfbench wraps each ``SPANS`` target by name and reports a target it
 cannot find as 0 ms, so a rename in the package would zero a per-layer
-metric without failing anything. This test fails instead.
+metric without failing anything, and it counts the tape through the
+attributes ``graph_counts`` reads. These tests fail instead.
 """
 
 import importlib.util
 import os
+
+import numpy as np
+
+from itfkan.model import ForecastModel, ModelConfig, total_loss
+from itfkan.tensor import Graph, Tensor
 
 HOOKS = os.path.join(os.path.dirname(__file__), "..", "perfbench", "hooks.py")
 
@@ -33,3 +39,21 @@ def test_every_span_target_resolves():
         "itfkan.tfsynergy:dft_patches",
         "itfkan.tfsynergy:tf_expand",
     }
+
+
+def test_graph_counts_reads_the_tape():
+    """``graph_counts`` walks the tape through ``t.op``, ``t.parents`` and
+    the operands' ``shape``. The pinned values are this small model's tape
+    counts, which a change to how the tape is stored must not move."""
+    cfg = ModelConfig(
+        lookback=24, horizon=8, embed_dim=3, kernel=5, trend_degree=3,
+        top_k=3, patch_len=4, stride=4,
+    )
+    model = ForecastModel(cfg, [1 / 12, 0.25, 0.5], seed=8)
+    rng = np.random.default_rng(9)
+    x, y = Tensor(rng.normal(size=(5, 24))), Tensor(rng.normal(size=(5, 8)))
+    loss, _ = total_loss(model.forward(x), y, model, cfg.reg_lambda, "long")
+    counts = load_hooks().graph_counts(loss)
+    assert counts["tensor.tape_nodes"] == len(Graph.from_output(loss)) == 45
+    assert counts["tensor.ops.matmul"] == 7
+    assert counts["tensor.matmul_gflop"] == 3.408e-05

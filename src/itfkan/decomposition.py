@@ -6,17 +6,9 @@ padding; the seasonal part is the exact residual, so trend + seasonal
 reconstructs the input by construction.
 """
 
-from typing import NamedTuple
-
 import numpy as np
 
 from .tensor import Tensor, matmul, permute, reshape, sub
-
-
-class DecompositionResult(NamedTuple):
-    trend: Tensor
-    seasonal: Tensor
-    kernel: int
 
 
 _AVG_CACHE = {}
@@ -75,12 +67,12 @@ class Embedding:
 
 
 def moving_average_decompose(x, kernel):
-    """Split (N, L, d) into trend and seasonal along the time axis."""
+    """Split (N, L, d) into (trend, seasonal) along the time axis."""
     n, length, d = x.shape
     mat = Tensor(averaging_matrix(length, kernel))
     trend = permute(matmul(permute(x, (0, 2, 1)), mat), (0, 2, 1))
     seasonal = sub(x, trend)
-    return DecompositionResult(trend=trend, seasonal=seasonal, kernel=kernel)
+    return trend, seasonal
 
 
 def moving_average_np(values, kernel):

@@ -148,9 +148,9 @@ def calibrate_ranges(model, inputs, batch_size=64, layers=None):
     the patcher and the time-frequency grid if a "tf.p*" key is wanted; a
     time-axis KAN up to its last wanted layer, which does not run. No
     network's last layer, per-patch KAN, unpatcher or head ever runs."""
-    known = [key for key, _ in model.kan_layers()]
-    wanted = set(known if layers is None else layers)
-    unknown = wanted.difference(known)
+    layer_of = dict(model.kan_layers())
+    wanted = set(layer_of if layers is None else layers)
+    unknown = wanted.difference(layer_of)
     if unknown:
         raise ValueError(f"no KAN layers {sorted(unknown)}")
     ranges = {}
@@ -158,25 +158,25 @@ def calibrate_ranges(model, inputs, batch_size=64, layers=None):
         return ranges
     tf_keys = [(p, (f"tf.p{p}", 0)) for p in range(model.n_patches)]
     tf_keys = [(p, key) for p, key in tf_keys if key in wanted]
-    branches = (("trend", model.trend_kan), ("seasonal", model.seasonal_kan))
     # layers of each time-axis KAN up to the last wanted one
-    depth = {tag: max((li + 1 for t, li in wanted if t == tag), default=0) for tag, _ in branches}
+    depth = {tag: max((li + 1 for t, li in wanted if t == tag), default=0)
+             for tag in ("trend", "seasonal")}
     with no_grad():
         for start in range(0, len(inputs), batch_size):
             xb = inputs[start : start + batch_size]
             x = Tensor(xb.reshape(xb.shape[0] * xb.shape[1], xb.shape[2]))
-            trend, seasonal, _ = moving_average_decompose(model.embed(x), model.config.kernel)
+            trend, seasonal = moving_average_decompose(model.embed(x), model.config.kernel)
             if tf_keys:
                 grid = spectrum_grid(model.patcher(seasonal)).data
                 lo, hi = grid.min(axis=(0, 3)), grid.max(axis=(0, 3))  # (K, P)
                 for p, key in tf_keys:
                     merge_range(ranges, key, lo[:, p], hi[:, p])
                 del grid  # freed before the time-axis KANs allocate theirs
-            for (tag, net), branch in zip(branches, (trend, seasonal)):
+            for tag, branch in (("trend", trend), ("seasonal", seasonal)):
                 h = permute(branch, (0, 2, 1))  # (N, d, L), as the forward feeds it
                 for li in range(depth[tag]):
                     if li:
-                        h = net.layers[li - 1].forward(h)
+                        h = layer_of[(tag, li - 1)].forward(h)
                     if (tag, li) in wanted:
                         lo, hi = h.data.min(axis=(0, 1)), h.data.max(axis=(0, 1))
                         merge_range(ranges, (tag, li), lo, hi)

@@ -17,7 +17,7 @@ import numpy as np
 from .checkpoint import CheckpointError, load_checkpoint, save_checkpoint
 from .decomposition import Embedding, moving_average_decompose, validate_kernel
 from .optim import Adam
-from .taylorkan import build_seasonal_kan, build_trend_kan
+from .taylorkan import build_seasonal_kan, build_trend_kan, reg_loss
 from .tensor import (
     Tensor,
     abs_,
@@ -30,7 +30,6 @@ from .tensor import (
 )
 from .tfsynergy import (
     PatchCompressor,
-    PatchConfig,
     PatchKans,
     Unpatcher,
     n_freq_bins,
@@ -71,7 +70,7 @@ class ModelConfig:
                 raise ValueError(f"{f.name} must be positive, got {value}")
         # the layers' own bounds, checked when the config is read
         validate_kernel(self.lookback, self.kernel)
-        patch_count(self.lookback, PatchConfig(self.patch_len, self.stride))
+        patch_count(self.lookback, self.patch_len, self.stride)
         if 2 * self.top_k > self.lookback:
             raise ValueError(f"top_k {self.top_k} needs lookback >= {2 * self.top_k}")
 
@@ -134,10 +133,9 @@ class ForecastModel:
         self.embed = Embedding(d, rng)
         self.trend_kan = build_trend_kan(length, config.trend_degree, rng)
         self.seasonal_kan = build_seasonal_kan(length, self.frequencies, rng)
-        patch_cfg = PatchConfig(config.patch_len, config.stride)
-        self.n_patches = patch_count(length, patch_cfg)
+        self.n_patches = patch_count(length, config.patch_len, config.stride)
         self.k_bins = n_freq_bins(self.n_patches)
-        self.patcher = PatchCompressor(patch_cfg, d, rng)
+        self.patcher = PatchCompressor(config.patch_len, config.stride, d, rng)
         self.tf_kans = PatchKans(self.n_patches, self.k_bins, rng)
         self.unpatcher = Unpatcher(self.n_patches, length, rng)
 
@@ -157,7 +155,7 @@ class ForecastModel:
         n, length = x.shape
         if length != cfg.lookback:
             raise ValueError(f"expected lookback {cfg.lookback}, got {length}")
-        trend, seasonal, _ = moving_average_decompose(self.embed(x), cfg.kernel)
+        trend, seasonal = moving_average_decompose(self.embed(x), cfg.kernel)
         # the time-frequency branch runs first so that, without a tape, its
         # large grid is freed before the time-axis KANs allocate theirs
         grid = spectrum_grid(self.patcher(seasonal))
@@ -175,28 +173,40 @@ class ForecastModel:
         return permute(out, (0, 2, 1))
 
     def reg_losses(self):
-        return (
-            self.trend_kan.reg_loss(),
-            self.seasonal_kan.reg_loss(),
-            self.tf_kans.reg_loss(),
+        """One regulariser node per network: trend, seasonal, tf."""
+        return tuple(
+            reg_loss([layer for _, layer in pairs]) for pairs in self._networks().values()
         )
 
     def kan_layers(self):
         """((tag, layer index), layer) for every KAN layer, in parameter
         order: the tags are "trend", "seasonal" and "tf.p{p}", whose one
-        layer has index 0. Pruning, calibration and the report walk this
-        list."""
+        layer has index 0. The parameter names, the regularisers, pruning,
+        calibration and the report all walk this list."""
         pairs = [(("trend", li), layer) for li, layer in enumerate(self.trend_kan.layers)]
         pairs += [(("seasonal", li), layer) for li, layer in enumerate(self.seasonal_kan.layers)]
         pairs += [((f"tf.p{p}", 0), layer) for p, layer in enumerate(self.tf_kans.layers)]
         return pairs
 
+    def _networks(self):
+        """``kan_layers`` grouped by network, in its order: "trend",
+        "seasonal" and "tf" -> that network's (key, layer) pairs."""
+        nets = {}
+        for key, layer in self.kan_layers():
+            nets.setdefault(key[0].split(".")[0], []).append((key, layer))
+        return nets
+
     def parameters(self):
-        params = self.embed.parameters()
-        params += self.trend_kan.parameters("trend")
-        params += self.seasonal_kan.parameters("seasonal")
+        """(name, tensor) pairs in checkpoint order: embed, trend, seasonal,
+        patch, tf, unpatch, head. A KAN layer's tensors are named
+        ``{tag}.l{layer index}.*`` after its ``kan_layers`` key."""
+        kan = {
+            net: [p for (tag, li), layer in pairs for p in layer.parameters(f"{tag}.l{li}")]
+            for net, pairs in self._networks().items()
+        }
+        params = self.embed.parameters() + kan["trend"] + kan["seasonal"]
         params += self.patcher.parameters("patch")
-        params += self.tf_kans.parameters("tf")
+        params += kan["tf"]
         params += self.unpatcher.parameters("unpatch")
         params += [
             ("head.w1", self.head_w1),

@@ -211,10 +211,6 @@ class TaylorKanLayer:
             terms += [(t, scale) for t in self.four_a[1:] + self.four_b]
         return terms
 
-    def reg_loss(self):
-        """Differentiable sum of per-edge L2 norms over the whole grid."""
-        return l2_penalty(self.reg_terms())
-
     def taylor_norms(self):
         """Per-edge norms for the adjustable grid, shape (rows, in_dim)."""
         a1, a2 = self.a1.data, self.a2.data
@@ -260,8 +256,16 @@ class TaylorKanLayer:
         return params
 
 
+def reg_loss(layers):
+    """Sum of per-edge L2 norms over every layer in ``layers``, as one tape
+    node: the regulariser of one network."""
+    return l2_penalty([term for layer in layers for term in layer.reg_terms()])
+
+
 class KanNetwork:
-    """A chain of TaylorKanLayers along the last axis (the trend and seasonal KANs)."""
+    """A chain of TaylorKanLayers along the last axis (the trend and seasonal
+    KANs). Naming, regularising and counting its layers go through
+    ``ForecastModel.kan_layers``; the network only runs them."""
 
     def __init__(self, layers):
         for prev, nxt in zip(layers, layers[1:]):
@@ -279,29 +283,6 @@ class KanNetwork:
         for layer in self.layers:
             x = layer.forward(x)
         return x
-
-    def reg_terms(self):
-        return [term for layer in self.layers for term in layer.reg_terms()]
-
-    def reg_loss(self):
-        """Sum of per-edge L2 norms over every layer, as one tape node."""
-        return l2_penalty(self.reg_terms())
-
-    def layer_counts(self):
-        return [
-            {
-                "total": sub.n_total,
-                "adjustable": sub.n_adjustable,
-                "injected": sub.n_injected,
-            }
-            for sub in self.layers
-        ]
-
-    def parameters(self, prefix):
-        params = []
-        for idx, layer in enumerate(self.layers):
-            params.extend(layer.parameters(f"{prefix}.l{idx}"))
-        return params
 
 
 def build_trend_kan(length, degree, rng):

@@ -181,9 +181,6 @@ class Tensor:
     def __matmul__(self, other):
         return matmul(self, _lift(other))
 
-    def __neg__(self):
-        return neg(self)
-
     def __pow__(self, n):
         return pow_int(self, n)
 
@@ -329,32 +326,36 @@ def sub(a, b):
 
 
 def mul(a, b):
+    """a * b. As in ``matmul``, each operand's data is kept only for the
+    other operand's gradient, and backward computes only the gradients of
+    operands that required one at forward time."""
     _check_suffix("mul", a, b)
-    ad, bd = a.data, b.data
+    sa, sb = a.shape, b.shape
+    bd = b.data if a.requires_grad else None
+    ad = a.data if b.requires_grad else None
 
     def bw(g):
-        return _unbroadcast(g * bd, ad.shape), _unbroadcast(g * ad, bd.shape)
+        ga = None if bd is None else _unbroadcast(g * bd, sa)
+        gb = None if ad is None else _unbroadcast(g * ad, sb)
+        return ga, gb
 
-    return Tensor._from_op(ad * bd, "mul", (a, b), bw)
+    return Tensor._from_op(a.data * b.data, "mul", (a, b), bw)
 
 
 def div(a, b):
+    """a / b. Like ``mul``, keeps a's data only for b's gradient and
+    computes only the gradients of operands that required one."""
     _check_suffix("div", a, b)
-    ad, bd = a.data, b.data
+    sa, bd = a.shape, b.data
+    grad_a = a.requires_grad
+    ad = a.data if b.requires_grad else None
 
     def bw(g):
-        ga = _unbroadcast(g / bd, ad.shape)
-        gb = _unbroadcast(-g * ad / (bd * bd), bd.shape)
+        ga = _unbroadcast(g / bd, sa) if grad_a else None
+        gb = None if ad is None else _unbroadcast(-g * ad / (bd * bd), bd.shape)
         return ga, gb
 
-    return Tensor._from_op(ad / bd, "div", (a, b), bw)
-
-
-def neg(a):
-    def bw(g):
-        return (-g,)
-
-    return Tensor._from_op(-a.data, "neg", (a,), bw)
+    return Tensor._from_op(a.data / bd, "div", (a, b), bw)
 
 
 def pow_int(a, n):
@@ -371,15 +372,6 @@ def pow_int(a, n):
         return (g * (n * ad ** (n - 1)),)
 
     return Tensor._from_op(out, "pow_int", (a,), bw)
-
-
-def exp(a):
-    e = np.exp(a.data)
-
-    def bw(g):
-        return (g * e,)
-
-    return Tensor._from_op(e, "exp", (a,), bw)
 
 
 def sin(a):

@@ -16,14 +16,11 @@ the grid is one matmul (``spectrum_grid``). The tests check it, in value
 and input gradient, against a naive O(P^2) DFT expanded bin by bin.
 """
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .taylorkan import TaylorKanLayer
 from .tensor import (
     Tensor,
-    l2_penalty,
     matmul,
     patch_kans,
     patch_windows,
@@ -32,24 +29,20 @@ from .tensor import (
 )
 
 
-@dataclass(frozen=True)
-class PatchConfig:
-    patch_len: int
-    stride: int
-
-    def __post_init__(self):
-        if not (1 <= self.stride <= self.patch_len):
-            raise ValueError(
-                f"need 1 <= stride <= patch_len, got stride={self.stride}, "
-                f"patch_len={self.patch_len}"
-            )
+def _check_stride(patch_len, stride):
+    if not (1 <= stride <= patch_len):
+        raise ValueError(
+            f"need 1 <= stride <= patch_len, got stride={stride}, "
+            f"patch_len={patch_len}"
+        )
 
 
-def patch_count(length, cfg):
+def patch_count(length, patch_len, stride):
     """Number of windows: floor((L - P) / S) + 2 (one extra padded window)."""
-    if cfg.patch_len > length:
-        raise ValueError(f"patch_len {cfg.patch_len} exceeds series length {length}")
-    return (length - cfg.patch_len) // cfg.stride + 2
+    _check_stride(patch_len, stride)
+    if patch_len > length:
+        raise ValueError(f"patch_len {patch_len} exceeds series length {length}")
+    return (length - patch_len) // stride + 2
 
 
 def n_freq_bins(n_patches):
@@ -59,17 +52,18 @@ def n_freq_bins(n_patches):
 class PatchCompressor:
     """Gather padded windows and compress each P*d window to d values."""
 
-    def __init__(self, cfg, width, rng):
-        self.cfg = cfg
-        self.width = width
-        fan_in = cfg.patch_len * width
+    def __init__(self, patch_len, stride, width, rng):
+        _check_stride(patch_len, stride)
+        self.patch_len = patch_len
+        self.stride = stride
+        fan_in = patch_len * width
         scale = 1.0 / np.sqrt(fan_in)
         self.w = Tensor(rng.uniform(-scale, scale, (fan_in, width)), requires_grad=True)
         self.b = Tensor(np.zeros(width), requires_grad=True)
 
     def __call__(self, seasonal):
         """(N, L, d) -> (N, W, d), one compressed vector per window."""
-        windows = patch_windows(seasonal, self.cfg.patch_len, self.cfg.stride)
+        windows = patch_windows(seasonal, self.patch_len, self.stride)
         return matmul(windows, self.w) + self.b
 
     def parameters(self, prefix):
@@ -115,9 +109,9 @@ def spectrum_grid(patches):
 class PatchKans:
     """One single-layer KAN per patch, mixing the frequency axis.
 
-    ``layers`` holds each patch's bare ``TaylorKanLayer`` (parameters,
-    pruning, reports); the forward pass runs all of them as one fused op
-    over the whole grid.
+    ``layers`` holds each patch's bare ``TaylorKanLayer``, which the model
+    names, regularises, prunes and reports through ``kan_layers``; the
+    forward pass runs all of them as one fused op over the whole grid.
     """
 
     def __init__(self, n_patches, k_bins, rng):
@@ -134,21 +128,6 @@ class PatchKans:
                 f"{self.k_bins}x{self.n_patches}"
             )
         return patch_kans(tf, [(lay.w, lay.a0, lay.a1, lay.a2) for lay in self.layers])
-
-    def reg_loss(self):
-        """Sum of every per-patch layer's penalty, as one tape node."""
-        return l2_penalty([term for layer in self.layers for term in layer.reg_terms()])
-
-    def edge_total(self):
-        return sum(layer.n_total for layer in self.layers)
-
-    def parameters(self, prefix):
-        """Each patch's layer under ``{prefix}.p{p}.l0``, the name a one-layer
-        network would give it, so checkpoints keep their tensor names."""
-        params = []
-        for p, layer in enumerate(self.layers):
-            params.extend(layer.parameters(f"{prefix}.p{p}.l0"))
-        return params
 
 
 class Unpatcher:

@@ -58,21 +58,23 @@ def test_c1_gradient_correctness():
 
 
 def test_c2_structural_parity():
+    def counts(layer):
+        return {"total": layer.n_total, "adjustable": layer.n_adjustable,
+                "injected": layer.n_injected}
+
     rng = np.random.default_rng(0)
     trend = build_trend_kan(96, 3, rng)
-    counts = trend.layer_counts()
-    assert counts[0] == {"total": 9216, "adjustable": 8928, "injected": 288}
-    assert counts[1] == {"total": 9216, "adjustable": 9216, "injected": 0}
+    assert counts(trend.layers[0]) == {"total": 9216, "adjustable": 8928, "injected": 288}
+    assert counts(trend.layers[1]) == {"total": 9216, "adjustable": 9216, "injected": 0}
 
     freqs = [2.0 * b / 96 for b in (4, 8, 12, 24, 48)]
     seasonal = build_seasonal_kan(96, freqs, rng)
-    counts = seasonal.layer_counts()
-    assert counts[0] == {"total": 9216, "adjustable": 8736, "injected": 480}
-    assert counts[1] == {"total": 9216, "adjustable": 9216, "injected": 0}
+    assert counts(seasonal.layers[0]) == {"total": 9216, "adjustable": 8736, "injected": 480}
+    assert counts(seasonal.layers[1]) == {"total": 9216, "adjustable": 9216, "injected": 0}
 
     # ETTh1 patching: L=96, P=6, S=6 -> 17 patches of 9 frequency bins
     kans = PatchKans(17, 9, rng)
-    assert kans.edge_total() == 1377 == 17 * 9 * 9
+    assert sum(layer.n_total for layer in kans.layers) == 1377 == 17 * 9 * 9
     _stamp(2, "structural parity: 9216/8928, 9216, 9216/8736, 9216, 1377")
 
 
@@ -84,7 +86,7 @@ def test_c3_decomposition_identity():
     for _ in range(1000):
         x = Tensor(rng.normal(size=(2, 12)))
         embedded = emb(x)
-        trend, seasonal, _ = moving_average_decompose(embedded, 5)
+        trend, seasonal = moving_average_decompose(embedded, 5)
         gap = np.max(np.abs(trend.data + seasonal.data - embedded.data))
         worst = max(worst, gap)
     elapsed = time.monotonic() - start

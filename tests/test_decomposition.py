@@ -46,7 +46,7 @@ def test_embed_rejects_empty():
 
 def test_constant_series_is_pure_trend():
     x = Tensor(np.full((2, 8, 3), 4.2))
-    trend, seasonal, _ = moving_average_decompose(x, 5)
+    trend, seasonal = moving_average_decompose(x, 5)
     np.testing.assert_allclose(trend.data, 4.2, rtol=1e-12)
     np.testing.assert_allclose(seasonal.data, 0.0, atol=1e-12)
 
@@ -54,14 +54,14 @@ def test_constant_series_is_pure_trend():
 def test_kernel_one_is_identity():
     rng = np.random.default_rng(2)
     x = Tensor(rng.normal(size=(2, 6, 2)))
-    trend, seasonal, _ = moving_average_decompose(x, 1)
+    trend, seasonal = moving_average_decompose(x, 1)
     np.testing.assert_allclose(trend.data, x.data, rtol=1e-12)
     np.testing.assert_allclose(seasonal.data, 0.0, atol=1e-12)
 
 
 def test_hand_window_oracle():
     x = Tensor(np.array([1.0, 2.0, 3.0, 4.0, 5.0]).reshape(1, 5, 1))
-    trend, _, _ = moving_average_decompose(x, 3)
+    trend, _ = moving_average_decompose(x, 3)
     np.testing.assert_allclose(
         trend.data[0, :, 0], [4.0 / 3.0, 2.0, 3.0, 4.0, 14.0 / 3.0], rtol=1e-12
     )
@@ -79,7 +79,7 @@ def test_matches_explicit_pad_then_mean():
     expected = np.stack(
         [padded[:, t : t + kernel].mean(axis=1) for t in range(10)], axis=1
     )
-    trend, _, _ = moving_average_decompose(Tensor(vals), kernel)
+    trend, _ = moving_average_decompose(Tensor(vals), kernel)
     np.testing.assert_allclose(trend.data, expected, rtol=1e-12)
 
 
@@ -87,7 +87,7 @@ def test_reconstruction_identity():
     rng = np.random.default_rng(9)
     for _ in range(1000):
         x = rng.normal(size=(1, 12, 2))
-        trend, seasonal, _ = moving_average_decompose(Tensor(x), 5)
+        trend, seasonal = moving_average_decompose(Tensor(x), 5)
         np.testing.assert_allclose(trend.data + seasonal.data, x, atol=1e-12)
 
 
@@ -95,8 +95,8 @@ def test_shift_equivariance():
     rng = np.random.default_rng(4)
     x = rng.normal(size=(2, 9, 2))
     c = 3.7
-    t0, s0, _ = moving_average_decompose(Tensor(x), 3)
-    t1, s1, _ = moving_average_decompose(Tensor(x + c), 3)
+    t0, s0 = moving_average_decompose(Tensor(x), 3)
+    t1, s1 = moving_average_decompose(Tensor(x + c), 3)
     np.testing.assert_allclose(t1.data, t0.data + c, atol=1e-10)
     np.testing.assert_allclose(s1.data, s0.data, atol=1e-10)
 
@@ -105,7 +105,7 @@ def test_linear_ramp_interior_exact():
     length, kernel = 12, 5
     half = (kernel - 1) // 2
     ramp = np.arange(length, dtype=float).reshape(1, length, 1)
-    trend, _, _ = moving_average_decompose(Tensor(ramp), kernel)
+    trend, _ = moving_average_decompose(Tensor(ramp), kernel)
     interior = slice(half, length - half)
     np.testing.assert_array_equal(trend.data[0, interior, 0], ramp[0, interior, 0])
 
@@ -123,7 +123,7 @@ def test_oversized_kernel_rejected():
 def test_numpy_twin_agrees():
     rng = np.random.default_rng(8)
     vals = rng.normal(size=(3, 4, 10))
-    trend_t, _, _ = moving_average_decompose(
+    trend_t, _ = moving_average_decompose(
         Tensor(np.moveaxis(vals, -1, 1)), 3
     )
     trend_np = moving_average_np(vals, 3)

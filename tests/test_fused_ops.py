@@ -513,13 +513,13 @@ def test_no_backward_closure_of_a_primitive_holds_a_tensor():
     rng = np.random.default_rng(61)
     x = Tensor(rng.normal(size=(2, 6, 3)), requires_grad=True)
     w = Tensor(rng.normal(size=(3, 3)), requires_grad=True)
-    h = T.matmul(T.silu(x), w) / (T.exp(x) + 1.0) - T.neg(T.sin(x) * T.cos(x))
+    h = T.matmul(T.silu(x), w) / (T.sin(x) + 2.0) - T.sin(x) * T.cos(x)
     h = T.concat([T.abs_(h), T.pow_int(h, 3)], axis=2)[:, 1:]
     h = T.patch_windows(h.permute(0, 2, 1).reshape(2, 5, 6), 2, 2)
     loss = T.sum_axis(h, 1).mean() + T.l2_penalty([(w, 0.5), (x, 2.0)])
     assert {node.op for node in T.Graph.from_output(loss).nodes} == {
-        "abs", "add", "concat", "cos", "div", "exp", "l2_penalty", "matmul",
-        "mean", "mul", "neg", "patch_windows", "permute", "pow_int", "reshape",
+        "abs", "add", "concat", "cos", "div", "l2_penalty", "matmul",
+        "mean", "mul", "patch_windows", "permute", "pow_int", "reshape",
         "silu", "sin", "slice", "sub", "sum",
     }
     assert closures_holding_tensors(loss) == []

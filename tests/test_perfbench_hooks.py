@@ -57,3 +57,26 @@ def test_graph_counts_reads_the_tape():
     assert counts["tensor.tape_nodes"] == len(Graph.from_output(loss)) == 45
     assert counts["tensor.ops.matmul"] == 7
     assert counts["tensor.matmul_gflop"] == 3.408e-05
+
+
+def test_tracer_times_each_time_axis_kan_apart():
+    """The model passes each branch's ``tag`` to ``KanNetwork.forward``, so
+    the tracer's spans name the trend and the seasonal KAN apart; a forward
+    that dropped the tag would fold both into ``taylorkan.tf``."""
+    cfg = ModelConfig(
+        lookback=24, horizon=8, embed_dim=3, kernel=5, trend_degree=3,
+        top_k=3, patch_len=4, stride=4,
+    )
+    model = ForecastModel(cfg, [1 / 12, 0.25, 0.5], seed=8)
+    x = Tensor(np.random.default_rng(9).normal(size=(5, 24)))
+    tracer = load_hooks().Tracer()
+    tracer.patches.on()
+    try:
+        model.forward(x)
+    finally:
+        tracer.patches.off()
+    names = [span[0] for span in tracer.spans]
+    assert names.count("taylorkan.trend") == 1
+    assert names.count("taylorkan.seasonal") == 1
+    assert "taylorkan.tf" not in names
+    assert names[0] == "model.forward"

@@ -9,6 +9,7 @@ from itfkan.taylorkan import (
     TrendInjectEdge,
     build_seasonal_kan,
     build_trend_kan,
+    reg_loss,
     top_k_frequencies,
 )
 from itfkan import tensor as T
@@ -128,18 +129,21 @@ def test_leading_axes_share_the_map():
 
 # --- network structure ------------------------------------------------------------
 
+def edge_counts(layer):
+    """A layer's (total, adjustable, injected) edge counts."""
+    return layer.n_total, layer.n_adjustable, layer.n_injected
+
+
 def test_trend_kan_edge_accounting():
     net = build_trend_kan(96, 3, rng())
-    counts = net.layer_counts()
-    assert counts[0] == {"total": 9216, "adjustable": 8928, "injected": 288}
-    assert counts[1] == {"total": 9216, "adjustable": 9216, "injected": 0}
+    assert edge_counts(net.layers[0]) == (9216, 8928, 288)
+    assert edge_counts(net.layers[1]) == (9216, 9216, 0)
 
 
 def test_seasonal_kan_edge_accounting():
     net = build_seasonal_kan(96, [1 / 12, 1 / 24, 1 / 6, 1 / 48, 1 / 3], rng())
-    counts = net.layer_counts()
-    assert counts[0] == {"total": 9216, "adjustable": 8736, "injected": 480}
-    assert counts[1] == {"total": 9216, "adjustable": 9216, "injected": 0}
+    assert edge_counts(net.layers[0]) == (9216, 8736, 480)
+    assert edge_counts(net.layers[1]) == (9216, 9216, 0)
 
 
 def test_degree_one_injects_single_linear_row():
@@ -192,7 +196,7 @@ def test_reg_loss_zero_when_zeroed():
         if layer.inject_kind == "trend":
             for c in layer.poly_coeffs:
                 c.data[:] = 0.0
-    assert net.reg_loss().item() == 0.0
+    assert reg_loss(net.layers).item() == 0.0
 
 
 def test_reg_loss_additivity():
@@ -201,7 +205,7 @@ def test_reg_loss_additivity():
     layer.a2.data[0, 0] = 4.0  # norm 12.5
     layer.a1.data[1, 1] = 2.0
     layer.a2.data[1, 1] = 2.0  # norm 4.0
-    np.testing.assert_allclose(layer.reg_loss().item(), 16.5)
+    np.testing.assert_allclose(reg_loss([layer]).item(), 16.5)
 
 
 def test_reg_loss_matches_per_edge_sum():
@@ -212,12 +216,12 @@ def test_reg_loss_matches_per_edge_sum():
         for i in range(layer.in_dim)
         for j in range(layer.out_dim)
     )
-    np.testing.assert_allclose(net.reg_loss().item(), total, rtol=1e-10)
+    np.testing.assert_allclose(reg_loss(net.layers).item(), total, rtol=1e-10)
 
 
 def test_reg_loss_scales_quadratically():
     net = build_trend_kan(5, 2, np.random.default_rng(9))
-    base = net.reg_loss().item()
+    base = reg_loss(net.layers).item()
     s = 3.0
     for layer in net.layers:
         layer.a1.data *= s
@@ -225,19 +229,19 @@ def test_reg_loss_scales_quadratically():
         if layer.inject_kind == "trend":
             for c in layer.poly_coeffs[1:]:
                 c.data *= s
-    np.testing.assert_allclose(net.reg_loss().item(), s * s * base, rtol=1e-10)
+    np.testing.assert_allclose(reg_loss(net.layers).item(), s * s * base, rtol=1e-10)
 
 
 def test_reg_loss_nonnegative_and_zero_iff():
     net = build_trend_kan(4, 1, np.random.default_rng(10))
-    assert net.reg_loss().item() > 0.0
+    assert reg_loss(net.layers).item() > 0.0
     for layer in net.layers:
         layer.a1.data[:] = 0.0
         layer.a2.data[:] = 0.0
         if layer.inject_kind == "trend":
             for c in layer.poly_coeffs[1:]:
                 c.data[:] = 0.0
-    assert net.reg_loss().item() == 0.0
+    assert reg_loss(net.layers).item() == 0.0
 
 
 # --- gradients -----------------------------------------------------------------------
@@ -259,7 +263,7 @@ def test_layer_parameter_gradients_match_fd():
 
 def test_reg_loss_gradients_flow():
     net = build_seasonal_kan(5, [0.4], np.random.default_rng(13))
-    loss = net.reg_loss()
+    loss = reg_loss(net.layers)
     backward(loss)
     assert net.layers[0].a1.grad is not None
     assert net.layers[0].four_b[0].grad is not None
@@ -286,28 +290,28 @@ def chain_total(layers):
 
 
 def reg_case(name, seed):
-    """A network of each kind with random coefficients, and its layers."""
+    """The layers of a network of each kind with random coefficients, and
+    their parameters."""
     from itfkan.tfsynergy import PatchKans
 
     gen = np.random.default_rng(15)
     if name == "tf":
         net = PatchKans(3, 4, gen)
-        layers = net.layers
     else:
         build = build_trend_kan if name == "trend" else build_seasonal_kan
         net = build(6, 3 if name == "trend" else [0.5, 0.25], gen)
-        layers = net.layers
+    layers = net.layers
     params = [t for i, layer in enumerate(layers) for _, t in layer.parameters(f"l{i}")]
     values = np.random.default_rng(seed)
     for t in params:
         t.data[...] = values.normal(size=t.shape)
-    return net, layers, params
+    return layers, params
 
 
 @pytest.mark.parametrize("name", ["trend", "seasonal", "tf"])
 def test_reg_loss_is_one_node_matching_the_chain(name):
-    net, layers, params = reg_case(name, 16)
-    fused = net.reg_loss()
+    layers, params = reg_case(name, 16)
+    fused = reg_loss(layers)
     assert len(Graph.from_output(fused)) == 1 and fused.op == "l2_penalty"
     backward(fused)
     grads = [None if t.grad is None else t.grad.copy() for t in params]
@@ -327,13 +331,13 @@ def test_reg_loss_is_one_node_matching_the_chain(name):
 def test_reg_loss_gradients_match_fd(name):
     from gradcheck_util import param_fd_errors
 
-    net, layers, _ = reg_case(name, 17)
+    layers, _ = reg_case(name, 17)
     named = [
         (f"l{i}.{k}", t)
         for i, layer in enumerate(layers)
         for k, (t, _) in enumerate(layer.reg_terms())
     ]
-    errors = param_fd_errors(net.reg_loss, named)
+    errors = param_fd_errors(lambda: reg_loss(layers), named)
     for pname, err in errors.items():
         assert err < 1e-6, f"{pname}: {err}"
 

@@ -7,7 +7,6 @@ from itfkan.model import ForecastModel, ModelConfig
 from itfkan.tensor import Tensor, backward, no_grad
 from itfkan.tfsynergy import (
     PatchCompressor,
-    PatchConfig,
     PatchKans,
     Unpatcher,
     n_freq_bins,
@@ -48,35 +47,36 @@ def grid_of(series):
 # --- patch arithmetic ---------------------------------------------------------
 
 def test_patch_count_reference_config():
-    assert patch_count(96, PatchConfig(6, 6)) == 17
+    assert patch_count(96, 6, 6) == 17
     assert n_freq_bins(17) == 9
 
 
 def test_patch_count_small():
-    assert patch_count(8, PatchConfig(4, 2)) == 4
+    assert patch_count(8, 4, 2) == 4
 
 
 def test_patch_count_degenerate():
-    assert patch_count(5, PatchConfig(5, 5)) == 2
+    assert patch_count(5, 5, 5) == 2
 
 
 def test_patch_rejects_oversized_patch():
     with pytest.raises(ValueError):
-        patch_count(4, PatchConfig(6, 2))
+        patch_count(4, 6, 2)
 
 
 def test_patch_config_validation():
-    with pytest.raises(ValueError):
-        PatchConfig(4, 5)
-    with pytest.raises(ValueError):
-        PatchConfig(4, 0)
+    with pytest.raises(ValueError, match="need 1 <= stride <= patch_len, got stride=5, patch_len=4"):
+        patch_count(8, 4, 5)
+    with pytest.raises(ValueError, match="got stride=0, patch_len=4"):
+        patch_count(8, 4, 0)
+    with pytest.raises(ValueError, match="got stride=5, patch_len=4"):
+        PatchCompressor(4, 5, 3, np.random.default_rng(0))
 
 
 def test_patch_windows_match_manual_slices():
     rng = np.random.default_rng(0)
     x = rng.normal(size=(2, 8, 3))
-    cfg = PatchConfig(4, 2)
-    comp = PatchCompressor(cfg, 3, np.random.default_rng(1))
+    comp = PatchCompressor(4, 2, 3, np.random.default_rng(1))
     out = comp(Tensor(x))
     assert out.shape == (2, 4, 3)
     padded = np.concatenate([x, np.repeat(x[:, -1:], 2, axis=1)], axis=1)
@@ -199,13 +199,13 @@ def test_spectrum_grid_rejects_single_patch():
 
 def test_edge_total_matches_reference_config():
     kans = PatchKans(17, 9, np.random.default_rng(0))
-    assert kans.edge_total() == 1377
+    assert sum(layer.n_total for layer in kans.layers) == 1377
 
 
 def test_edge_total_formula_other_shapes():
     for n_patches, k_bins in [(4, 3), (2, 2), (10, 6)]:
         kans = PatchKans(n_patches, k_bins, np.random.default_rng(1))
-        assert kans.edge_total() == n_patches * k_bins * k_bins
+        assert sum(layer.n_total for layer in kans.layers) == n_patches * k_bins * k_bins
 
 
 def test_zeroed_kans_output_zero():
@@ -292,10 +292,9 @@ def test_gradients_flow_through_full_chain():
     from gradcheck_util import param_fd_errors
 
     rng = np.random.default_rng(12)
-    cfg = PatchConfig(4, 2)
     length, width = 8, 2
-    comp = PatchCompressor(cfg, width, rng)
-    n_patches = patch_count(length, cfg)
+    comp = PatchCompressor(4, 2, width, rng)
+    n_patches = patch_count(length, 4, 2)
     kans = PatchKans(n_patches, n_freq_bins(n_patches), rng)
     up = Unpatcher(n_patches, length, rng)
     x = Tensor(np.random.default_rng(13).normal(size=(2, length, width)))
@@ -303,7 +302,8 @@ def test_gradients_flow_through_full_chain():
     def loss_fn():
         return (up(kans(spectrum_grid(comp(x)))) ** 2).sum() * 0.1
 
-    params = comp.parameters("patch") + kans.parameters("tf")[:8] + up.parameters("unpatch")
+    tf_params = [t for p in (0, 1) for t in kans.layers[p].parameters(f"tf.p{p}.l0")]
+    params = comp.parameters("patch") + tf_params + up.parameters("unpatch")
     errors = param_fd_errors(loss_fn, params)
     for name, err in errors.items():
         assert err < 1e-4, f"{name}: {err}"
@@ -311,9 +311,8 @@ def test_gradients_flow_through_full_chain():
 
 def test_input_gradient_through_chain():
     rng = np.random.default_rng(14)
-    cfg = PatchConfig(3, 3)
-    comp = PatchCompressor(cfg, 1, rng)
-    n_patches = patch_count(6, cfg)
+    comp = PatchCompressor(3, 3, 1, rng)
+    n_patches = patch_count(6, 3, 3)
     kans = PatchKans(n_patches, n_freq_bins(n_patches), rng)
     x = Tensor(np.random.default_rng(15).normal(size=(1, 6, 1)), requires_grad=True)
     loss = (kans(spectrum_grid(comp(x))) ** 2).sum()

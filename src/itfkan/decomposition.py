@@ -52,7 +52,6 @@ class Embedding:
         scale = 1.0
         self.w = Tensor(rng.uniform(-scale, scale, size=(1, width)), requires_grad=True)
         self.b = Tensor(np.zeros(width), requires_grad=True)
-        self.width = width
 
     def __call__(self, x):
         """(N, L) -> (N, L, d)."""

@@ -34,7 +34,6 @@ from .tfsynergy import (
     Unpatcher,
     n_freq_bins,
     patch_count,
-    spectrum_grid,
 )
 
 TASKS = ("long", "short")
@@ -156,11 +155,7 @@ class ForecastModel:
         if length != cfg.lookback:
             raise ValueError(f"expected lookback {cfg.lookback}, got {length}")
         trend, seasonal = moving_average_decompose(self.embed(x), cfg.kernel)
-        # the time-frequency branch runs first so that, without a tape, its
-        # large grid is freed before the time-axis KANs allocate theirs
-        grid = spectrum_grid(self.patcher(seasonal))
-        h_tf = self.unpatcher(self.tf_kans(grid))
-        del grid
+        h_tf = self.unpatcher(self.tf_kans(self.patcher(seasonal)))
         h_trend = self._along_time(self.trend_kan, trend, "trend")
         h_seasonal = self._along_time(self.seasonal_kan, seasonal, "seasonal")
         h = h_trend + h_seasonal + h_tf

@@ -546,39 +546,6 @@ def slice_(a, key):
     return Tensor._from_op(out, "slice", (a,), bw)
 
 
-def patch_windows(a, patch_len, stride):
-    """Windows of an (N, L, d) series along its time axis, flattened.
-
-    The tail is padded with ``stride`` copies of the last step, and window
-    w covers padded steps [w*stride, w*stride + patch_len). Returns
-    (N, W, patch_len*d) with each window flattened step-major, where
-    W = (L - patch_len) // stride + 2. Backward overlap-adds the window
-    gradients into one padded buffer, so overlapping windows
-    (stride < patch_len) are summed, then folds the pad onto the last step.
-    """
-    if a.ndim != 3 or stride < 1 or not 1 <= patch_len <= a.shape[1]:
-        raise ShapeError("patch_windows", a.shape, (patch_len, stride))
-    n, length, d = a.shape
-    count = (length - patch_len) // stride + 2
-    tail = np.repeat(a.data[:, -1:], stride, axis=1)
-    padded = np.concatenate([a.data, tail], axis=1)
-    view = np.lib.stride_tricks.sliding_window_view(padded, patch_len, axis=1)
-    # (N, W, d, patch_len) view -> row-major (N, W, patch_len, d) copy
-    out = view[:, ::stride].transpose(0, 1, 3, 2).reshape(n, count, patch_len * d)
-
-    def bw(g):
-        windows = g.reshape(n, count, patch_len, d)
-        buf = np.zeros((n, length + stride, d))
-        span = (count - 1) * stride + 1
-        for j in range(patch_len):
-            buf[:, j : j + span : stride] += windows[:, :, j]
-        gx = buf[:, :length]
-        gx[:, -1] += buf[:, length:].sum(axis=1)
-        return (gx,)
-
-    return Tensor._from_op(out, "patch_windows", (a,), bw)
-
-
 def matmul(a, b):
     """a @ b with 2-D b; a may carry leading batch axes. Backward computes
     only the gradients of operands that required one at forward time."""
@@ -623,14 +590,17 @@ def matmul(a, b):
 # fragments the heap, which then re-faults its pages every step. The slab
 # functions touch only numpy arrays, never a Tensor or the thread-local
 # recording state. A slab that is not row-major (the time-axis KANs see a
-# permuted (N, d, L) view, patch_kans a permuted grid) is copied while it
-# is in cache. Backward rebuilds what is cheap to rebuild from its slab
-# copy of the input (the sigmoid, the polynomial prior's powers), so a
-# taped forward runs the no-grad forward's code and gives its bits; only a
-# recorded fourier_inject also keeps its unit angle e^{i theta}, which
-# would cost a cos and a sin per input to rebuild. Each forward GEMM also
-# rounds as the whole batch's GEMM would (see ``_slabs``, ``_slab_rows``
-# and ``poly_inject``), so slabbing left the forward's bits unchanged.
+# permuted (N, d, L) view) is copied while it is in cache. An array that is
+# a cheap linear function of a smaller input is built slab by slab and
+# never held whole: patch_compress gathers each slab's patch windows, and
+# patch_kans each slab's rows of the time-frequency grid. Backward rebuilds
+# what is cheap to rebuild from its slab of the input (the sigmoid, the
+# polynomial prior's powers, the grid, the windows), so a taped forward
+# runs the no-grad forward's code and gives its bits; only a recorded
+# fourier_inject also keeps its unit angle e^{i theta}, which would cost a
+# cos and a sin per input to rebuild. Each forward GEMM also rounds as the
+# whole batch's GEMM would (see ``_slabs``, ``_slab_rows``, ``poly_inject``
+# and the two patch ops), so slabbing left the forward's bits unchanged.
 
 SLAB = 2 ** 15  # float64 values per slab of input; chosen by a measured sweep
 # threads per slab loop: measured on 2 CPUs only (the elementwise passes
@@ -1212,40 +1182,129 @@ def fourier_inject(x, freqs, cos_coeffs, sin_coeffs):
     return Tensor._from_op(out.reshape(out_shape), "fourier_inject", parents, bw)
 
 
-def patch_kans(grid, params):
-    """Single-layer Taylor-KANs, one per patch, averaged over their outputs.
+def patch_compress(a, w, patch_len, stride):
+    """Windows of an (N, L, d) series along its time axis, each flattened
+    and mapped through w: the (N, W, patch_len*d) windows @ w.
 
-    grid is (N, K, P, d) and params holds P tuples (w, a0, a1, a2) of
-    (K, K) tensors. Patch p maps grid[n, :, p, c] through its KAN and takes
-    the mean of the K outputs, giving out[n, p, c] (shape (N, P, d)).
-    The mean commutes with the edge sum, so each patch reduces to K-vector
-    dot products with the column means of w, w*a1 and w*a2, plus a constant.
-    The grid is read in slabs, with no per-patch slices, and backward
-    recomputes each slab's sigmoid.
+    The tail is padded with ``stride`` copies of the last step, and window
+    v covers padded steps [v*stride, v*stride + patch_len), flattened
+    step-major, where W = (L - patch_len) // stride + 2. The windows are
+    gathered slab by slab and dropped; numpy's matmul runs one GEMM per
+    leading index, so each slab's GEMMs round as the whole batch's would.
+    Backward keeps only the data of a and w. Each slab's window gradients
+    are overlap-added into one padded buffer, so overlapping windows
+    (stride < patch_len) are summed, and the pad is folded onto the last
+    step; w's gradient gathers the windows again for one whole-batch GEMM.
+    """
+    if (
+        a.ndim != 3
+        or w.ndim != 2
+        or stride < 1
+        or not 1 <= patch_len <= a.shape[1]
+        or w.shape[0] != patch_len * a.shape[2]
+    ):
+        raise ShapeError("patch_compress", a.shape, w.shape, (patch_len, stride))
+    ad, wd = a.data, w.data
+    n, length, d = ad.shape
+    count = (length - patch_len) // stride + 2
+    n_out = wd.shape[1]
+    # step i of window v: padded step v*stride + i, clipped to the last step
+    steps = np.minimum(np.arange(count)[:, None] * stride + np.arange(patch_len), length - 1)
+    slices, rows = _slabs(ad.shape)
+    widest = rows // length
+    window_size = widest * count * patch_len * d
+    out = np.empty((n, count, n_out))
+
+    def forward(sl, bufs, _):
+        windows = _scratch(bufs[0], (sl.stop - sl.start, count, patch_len, d))
+        np.take(ad[sl], steps, axis=1, out=windows, mode="clip")  # clip: unbuffered out
+        np.matmul(windows.reshape(-1, count, patch_len * d), wd, out=out[sl])
+
+    _slab_loop(slices, (window_size,), forward)
+
+    def bw(g):
+        gx = np.empty(ad.shape)
+        span = (count - 1) * stride + 1
+
+        def slab(sl, bufs, _):
+            win_buf, pad_buf = bufs
+            m = sl.stop - sl.start
+            g_win = _scratch(win_buf, (m, count, patch_len * d))
+            g_win = np.matmul(g[sl], wd.T, out=g_win).reshape(m, count, patch_len, d)
+            pad = _scratch(pad_buf, (m, length + stride, d))
+            pad.fill(0.0)
+            for j in range(patch_len):
+                pad[:, j : j + span : stride] += g_win[:, :, j]
+            gxs = gx[sl]
+            gxs[...] = pad[:, :length]
+            gxs[:, -1] += pad[:, length:].sum(axis=1)
+
+        _slab_loop(slices, (window_size, widest * (length + stride) * d), slab)
+        windows = np.take(ad, steps, axis=1).reshape(-1, patch_len * d)
+        return gx, windows.T @ g.reshape(-1, n_out)
+
+    return Tensor._from_op(out, "patch_compress", (a, w), bw)
+
+
+def patch_kans(patches, grid_map, params):
+    """Single-layer Taylor-KANs, one per patch, over the time-frequency grid
+    of the patches, averaged over their outputs.
+
+    patches is (N, P, d), grid_map a (K*P, P) array and params holds P
+    tuples (w, a0, a1, a2) of (K, K) tensors. The grid is the patch axis
+    mapped through grid_map, t[n, k, p, c] = sum_q grid_map[k*P + p, q]
+    patches[n, q, c] (see ``tfsynergy.spectrum_grid``). Patch p maps
+    t[n, :, p, c] through its KAN and takes the mean of the K outputs,
+    giving out[n, p, c] (shape (N, P, d)). The mean commutes with the edge
+    sum, so each patch reduces to K-vector dot products with the column
+    means of w, w*a1 and w*a2, plus a constant.
+
+    The grid is never held whole. Forward and backward build it slab by
+    slab, cut over the grid's shape, with one GEMM per slab that rounds as
+    the whole batch's would, and copy it row-major into the slab's scratch;
+    backward recomputes each slab's sigmoid and maps the slab's grid
+    gradient back through grid_map.
     """
     params = [tuple(ps) for ps in params]
-    if grid.ndim != 4 or grid.shape[2] != len(params):
-        raise ShapeError("patch_kans", grid.shape, (len(params),))
-    k_bins = grid.shape[1]
+    n_patches = len(params)
+    if (
+        patches.ndim != 3
+        or patches.shape[1] != n_patches
+        or grid_map.ndim != 2
+        or grid_map.shape[1] != n_patches
+        or grid_map.shape[0] % n_patches
+    ):
+        raise ShapeError("patch_kans", patches.shape, grid_map.shape, (n_patches,))
+    k_bins = grid_map.shape[0] // n_patches
     for ps in params:
         if len(ps) != 4 or any(t.shape != (k_bins, k_bins) for t in ps):
-            raise ShapeError("patch_kans", grid.shape, *(t.shape for t in ps))
-    parents = (grid,) + tuple(t for ps in params for t in ps)
-    n_patches = len(params)
+            raise ShapeError("patch_kans", grid_map.shape, *(t.shape for t in ps))
+    parents = (patches,) + tuple(t for ps in params for t in ps)
     w, a0, a1, a2 = (np.stack([ps[i].data for ps in params]) for i in range(4))
     # column means, laid out (K inputs, P patches)
     u = w.mean(axis=1).T
     v = (w * a1).mean(axis=1).T
     q = (w * a2).mean(axis=1).T
     const = (w * a0).sum(axis=2).mean(axis=1)[:, None]
-    td = grid.data
-    slices, rows = _slabs(td.shape)
-    size = rows * td.shape[-1]
-    out = np.empty((td.shape[0],) + td.shape[2:])
+    pd = patches.data
+    n, _, d = pd.shape
+    slices, rows = _slabs((n, k_bins, n_patches, d))
+    size = rows * d
+    out = np.empty(pd.shape)
+
+    def grid_slab(sl, flat_buf, buf):
+        """The grid's rows sl, row-major (rows, K, P, d), in the front of
+        buf; flat_buf takes the GEMM's (rows, d, K*P) output."""
+        m = sl.stop - sl.start
+        flat = _scratch(flat_buf, (m, d, k_bins * n_patches))
+        np.matmul(pd[sl].transpose(0, 2, 1), grid_map.T, out=flat)
+        ts = _scratch(buf, (m, k_bins, n_patches, d))
+        np.copyto(ts, flat.reshape(m, d, k_bins, n_patches).transpose(0, 2, 3, 1))
+        return ts
 
     def forward(sl, bufs, _):
         tbuf, basis_buf, obuf = bufs
-        ts = _slab(td, sl, tbuf)
+        ts = grid_slab(sl, basis_buf, tbuf)
         basis = sigmoid(ts, out=_scratch(basis_buf, ts.shape))
         o = out[sl]
         term = _scratch(obuf, o.shape)
@@ -1257,7 +1316,7 @@ def patch_kans(grid, params):
     _slab_loop(slices, (size, size, size // k_bins), forward)
 
     def bw(g):
-        gt = np.empty(td.shape)
+        gp = np.empty((n, d, n_patches))
         coeffs = np.zeros((3, n_patches, k_bins))  # summed over silu(t), t, t^2
         g_c = np.zeros(n_patches)
         q2 = 2.0 * q[:, :, None]
@@ -1265,7 +1324,7 @@ def patch_kans(grid, params):
         def slab(sl, bufs, parts):
             tbuf, sig_buf, silu_buf, sq_buf = bufs
             part, part_c = parts
-            ts = _slab(td, sl, tbuf)
+            ts = grid_slab(sl, sig_buf, tbuf)
             s = sigmoid(ts, out=_scratch(sig_buf, ts.shape))
             gs = g[sl]
             silu_t = np.multiply(ts, s, out=_scratch(silu_buf, ts.shape))
@@ -1274,14 +1333,18 @@ def patch_kans(grid, params):
             np.einsum("npc,nipc->pi", gs, ts, out=part[1])
             np.einsum("npc,nipc->pi", gs, sq, out=part[2])
             np.sum(gs, axis=(0, 2), out=part_c)
-            # d out / d grid = silu'(t) u + v + 2 t q, with silu' = s + silu (1 - s)
-            gts = np.subtract(1.0, s, out=gt[sl])
+            # d out / d grid = silu'(t) u + v + 2 t q, with silu' = s + silu (1 - s),
+            # in sq's buffer and then with s's as its scratch
+            gts = np.subtract(1.0, s, out=sq)
             gts *= silu_t
             gts += s
             gts *= u[:, :, None]
-            gts += np.multiply(ts, q2, out=sq)
+            gts += np.multiply(ts, q2, out=s)
             gts += v[:, :, None]
             gts *= gs[:, None]
+            # (rows, d, K*P) as a strided view, the layout of the whole batch's GEMM
+            flat = gts.transpose(0, 3, 1, 2).reshape(ts.shape[0], d, k_bins * n_patches)
+            np.matmul(flat, grid_map, out=gp[sl])
 
         _slab_loop(slices, (size,) * 4, slab, totals=(coeffs, g_c))
         # broadcast the per-column means back over the K output rows
@@ -1290,7 +1353,7 @@ def patch_kans(grid, params):
         g_c = g_c[:, None, None] * scale
         gw = g_u + g_v * a1 + g_q * a2 + g_c * a0
         ga0, ga1, ga2 = g_c * w, g_v * w, g_q * w
-        grads = [gt]
+        grads = [gp.transpose(0, 2, 1)]
         for p in range(n_patches):
             grads += [gw[p], ga0[p], ga1[p], ga2[p]]
         return tuple(grads)

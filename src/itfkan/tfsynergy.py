@@ -11,9 +11,14 @@ restores the original series length.
 The DFT follows the patch-index convention p = 1..P, so the grid row for
 frequency k regains exactly k full periods across the patch axis.
 
-DFT and expansion together are a fixed linear map over the patch axis, so
-the grid is one matmul (``spectrum_grid``). The tests check it, in value
-and input gradient, against a naive O(P^2) DFT expanded bin by bin.
+DFT and expansion together are a fixed linear map over the patch axis,
+the (K*P, P) ``grid_map``. The forward never holds the grid or the patch
+windows whole: ``tensor.patch_compress`` gathers the windows and
+``tensor.patch_kans`` builds the grid from the patches slab by slab, and
+each backward rebuilds them from its input. ``spectrum_grid`` builds the
+whole grid from the same map with tape ops, for calibration; the tests
+check it, in value and input gradient, against a naive O(P^2) DFT
+expanded bin by bin, and use it as the per-patch KANs' oracle.
 """
 
 import numpy as np
@@ -22,8 +27,8 @@ from .taylorkan import TaylorKanLayer
 from .tensor import (
     Tensor,
     matmul,
+    patch_compress,
     patch_kans,
-    patch_windows,
     permute,
     reshape,
 )
@@ -63,8 +68,7 @@ class PatchCompressor:
 
     def __call__(self, seasonal):
         """(N, L, d) -> (N, W, d), one compressed vector per window."""
-        windows = patch_windows(seasonal, self.patch_len, self.stride)
-        return matmul(windows, self.w) + self.b
+        return patch_compress(seasonal, self.w, self.patch_len, self.stride) + self.b
 
     def parameters(self, prefix):
         return [(f"{prefix}.w", self.w), (f"{prefix}.b", self.b)]
@@ -73,7 +77,7 @@ class PatchCompressor:
 _GRID_MAPS = {}
 
 
-def _grid_map(n_patches):
+def grid_map(n_patches):
     """The (K*P, P) grid map whose row (k, p), column q is
     cos(2*pi*k*(p - q)/P), for k = 0..K-1 and p, q = 1..P."""
     if n_patches not in _GRID_MAPS:
@@ -99,9 +103,8 @@ def spectrum_grid(patches):
     n, n_patches, d = patches.shape
     if n_patches < 2:
         raise ValueError("need at least 2 patches for a spectrum")
-    grid_map = _grid_map(n_patches)
     x = permute(patches, (0, 2, 1))  # (N, d, P)
-    flat = matmul(x, Tensor(grid_map.T))  # (N, d, K*P)
+    flat = matmul(x, Tensor(grid_map(n_patches).T))  # (N, d, K*P)
     grid = reshape(flat, (n, d, n_freq_bins(n_patches), n_patches))
     return permute(grid, (0, 2, 3, 1))
 
@@ -111,23 +114,17 @@ class PatchKans:
 
     ``layers`` holds each patch's bare ``TaylorKanLayer``, which the model
     names, regularises, prunes and reports through ``kan_layers``; the
-    forward pass runs all of them as one fused op over the whole grid.
+    forward pass runs all of them as one fused op over the patches' grid.
     """
 
     def __init__(self, n_patches, k_bins, rng):
         self.n_patches = n_patches
-        self.k_bins = k_bins
         self.layers = [TaylorKanLayer(k_bins, k_bins, rng) for _ in range(n_patches)]
 
-    def __call__(self, tf):
-        """(N, K, P, d) grid -> (N, P, d)."""
-        n, k_bins, n_patches, d = tf.shape
-        if n_patches != self.n_patches or k_bins != self.k_bins:
-            raise ValueError(
-                f"grid is {k_bins}x{n_patches}, networks expect "
-                f"{self.k_bins}x{self.n_patches}"
-            )
-        return patch_kans(tf, [(lay.w, lay.a0, lay.a1, lay.a2) for lay in self.layers])
+    def __call__(self, patches):
+        """(N, P, d) patches -> (N, P, d), through their ``spectrum_grid``."""
+        params = [(lay.w, lay.a0, lay.a1, lay.a2) for lay in self.layers]
+        return patch_kans(patches, grid_map(self.n_patches), params)
 
 
 class Unpatcher:

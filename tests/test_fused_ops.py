@@ -5,10 +5,12 @@ The ``*_chain`` functions below are the primitive-op forms the model used
 before the fused ops; they stay here as oracles for values and gradients.
 """
 
+import math
 import os
 import sys
 import threading
 import tracemalloc
+import types
 import weakref
 
 import numpy as np
@@ -18,6 +20,7 @@ from gradcheck_util import gradient_check, param_fd_errors
 from itfkan import tensor as T
 from itfkan.model import ForecastModel, ModelConfig, total_loss
 from itfkan.tensor import ShapeError, Tensor, backward, no_grad
+from itfkan.tfsynergy import grid_map, n_freq_bins, spectrum_grid
 
 FD_TOL = 1e-6
 PARITY_RTOL = 1e-12
@@ -49,6 +52,19 @@ def fourier_chain(x, freqs, cos_coeffs, sin_coeffs):
         )
         acc = term if acc is None else acc + term
     return acc + T.sum_axis(cos_coeffs[0], axis=0) * 0.5
+
+
+def windows_chain(x, patch_len, stride):
+    """The patch windows by the slice/concat loop PatchCompressor ran
+    before the fused ops."""
+    n, length, d = x.shape
+    count = (length - patch_len) // stride + 2
+    padded = T.concat([x] + [x[:, length - 1 : length, :]] * stride, axis=1)
+    windows = [
+        T.reshape(padded[:, w * stride : w * stride + patch_len, :], (n, 1, patch_len * d))
+        for w in range(count)
+    ]
+    return T.concat(windows, axis=1)
 
 
 def patch_chain(grid, params):
@@ -122,24 +138,52 @@ def make_case(name, rng):
             + [(f"fb{k + 1}", t) for k, t in enumerate(sb)],
         )
     if name == "patch_kans":
-        grid = rng.normal(size=(2, 3, 4, 2))
-        grid[:, 1, 2, :] = 0.0
-        x = Tensor(grid, requires_grad=True)
-        params = [taylor_params(rng, 3, 3, prune=(p % 2 == 0)) for p in range(4)]
-        named = [
-            (f"p{p}.{n}", t)
-            for p, ps in enumerate(params)
-            for n, t in zip(["w", "a0", "a1", "a2"], ps)
-        ]
-        return (
-            lambda x_: T.patch_kans(x_, params),
-            lambda x_: patch_chain(x_, params),
-            x, named,
-        )
+        patches = rng.normal(size=(2, 4, 2))  # (N, P, d): a 3 x 4 grid
+        patches[:, 2, :] = 0.0
+        return patch_kans_case(rng, Tensor(patches, requires_grad=True))
+    if name == "patch_compress":
+        series = rng.normal(size=(2, 9, 3))  # (N, L, d)
+        series[:, 4, :] = 0.0
+        return patch_compress_case(rng, Tensor(series, requires_grad=True))
     raise KeyError(name)
 
 
-OPS = ["taylor_kan", "poly_inject", "fourier_inject", "patch_kans"]
+def patch_kans_case(rng, x):
+    """The patch_kans case over (N, 4, d) patches x, whose grid is 3 x 4."""
+    params = [taylor_params(rng, 3, 3, prune=(p % 2 == 0)) for p in range(4)]
+    named = [
+        (f"p{p}.{n}", t)
+        for p, ps in enumerate(params)
+        for n, t in zip(["w", "a0", "a1", "a2"], ps)
+    ]
+    return (
+        lambda x_: T.patch_kans(x_, grid_map(4), params),
+        lambda x_: patch_chain(spectrum_grid(x_), params),
+        x, named,
+    )
+
+
+def patch_compress_case(rng, x):
+    """The patch_compress case over an (N, 9, 3) series x: overlapping
+    windows of 4 steps at stride 2, the last one reaching into the pad."""
+    w = param(rng, (12, 3))
+    return (
+        lambda x_: T.patch_compress(x_, w, 4, 2),
+        lambda x_: T.matmul(windows_chain(x_, 4, 2), w),
+        x, [("w", w)],
+    )
+
+
+OPS = ["taylor_kan", "poly_inject", "fourier_inject", "patch_kans", "patch_compress"]
+
+
+def slab_shape(name, x):
+    """The shape whose first axis the op over x cuts into slabs: patch_kans
+    cuts the (N, K, P, d) grid it builds from the (N, P, d) patches."""
+    if name == "patch_kans":
+        n, n_patches, d = x.shape
+        return (n, n_freq_bins(n_patches), n_patches, d)
+    return x.shape
 
 
 def weighted_sum(out, seed=99):
@@ -220,10 +264,14 @@ def test_fused_ops_reject_bad_shapes():
         T.poly_inject(x, [Tensor(np.zeros((4, 2)))])
     with pytest.raises(ShapeError):
         T.fourier_inject(x, [0.5], [Tensor(np.zeros((4, 2)))] * 2, [])
-    grid = Tensor(rng.normal(size=(1, 3, 2, 2)))
+    patches = Tensor(rng.normal(size=(1, 3, 2)))
     params = [[Tensor(np.zeros((3, 3)))] * 4] * 3
-    with pytest.raises(ShapeError):
-        T.patch_kans(grid, params)
+    with pytest.raises(ShapeError):  # a 3 x 2 grid for 3 x 3 KANs
+        T.patch_kans(patches, grid_map(2), params)
+    with pytest.raises(ShapeError):  # the map is for 2 patches, not 3
+        T.patch_kans(patches, grid_map(2), params[:2])
+    with pytest.raises(ShapeError):  # the old call, on a grid
+        T.patch_kans(Tensor(rng.normal(size=(1, 2, 3, 2))), grid_map(3), params)
 
 
 # --- the Fourier prior's harmonics ------------------------------------------------
@@ -309,18 +357,23 @@ def rebuilding_case(name, rng):
         x = time_axis_input(rng, (96, 8), 96)
         ps = taylor_params(rng, 8, 96)
         return (lambda: T.taylor_kan(x, *ps)), x
-    grid = Tensor(rng.normal(size=(64, 7, 8, 32)), requires_grad=True)
-    params = [taylor_params(rng, 7, 7) for _ in range(8)]
-    return (lambda: T.patch_kans(grid, params)), grid
+    if name == "patch_compress":
+        x = Tensor(rng.normal(size=(64, 96, 32)), requires_grad=True)
+        w = param(rng, (6 * 32, 32))
+        return (lambda: T.patch_compress(x, w, 6, 6)), x
+    patches = Tensor(rng.normal(size=(64, 8, 32)), requires_grad=True)
+    params = [taylor_params(rng, 5, 5) for _ in range(8)]
+    maps = grid_map(8)  # built and cached before the measured call
+    return (lambda: T.patch_kans(patches, maps, params)), patches
 
 
-@pytest.mark.parametrize("name", ["poly_inject", "taylor_kan", "patch_kans"])
+@pytest.mark.parametrize("name", ["poly_inject", "taylor_kan", "patch_kans", "patch_compress"])
 def test_taped_forward_keeps_only_its_output(name):
     """A taped forward keeps nothing beyond its output and the op's small
-    per-call constants: backward rebuilds the polynomial powers and the
-    sigmoid slab by slab."""
+    per-call constants: backward rebuilds the polynomial powers, the
+    sigmoid, the time-frequency grid and the patch windows slab by slab."""
     call, x = rebuilding_case(name, np.random.default_rng(55))
-    assert len(T._slabs(x.shape)[0]) > 1
+    assert len(T._slabs(slab_shape(name, x))[0]) > 1
     slack = 64 * 1024
     tracemalloc.start()
     try:
@@ -346,18 +399,12 @@ def test_fourier_inject_rejects_frequencies_without_a_base(freqs, bad):
         T.fourier_inject(x, freqs, ca, sb)
 
 
-# --- patch windows -------------------------------------------------------------
+# --- patch windows ---------------------------------------------------------------
+#
+# With an identity map, patch_compress returns the windows it gathers.
 
-def windows_chain(x, patch_len, stride):
-    """The slice/concat loop PatchCompressor ran before ``patch_windows``."""
-    n, length, d = x.shape
-    count = (length - patch_len) // stride + 2
-    padded = T.concat([x] + [x[:, length - 1 : length, :]] * stride, axis=1)
-    windows = [
-        T.reshape(padded[:, w * stride : w * stride + patch_len, :], (n, 1, patch_len * d))
-        for w in range(count)
-    ]
-    return T.concat(windows, axis=1)
+def windows_of(x, patch_len, stride):
+    return T.patch_compress(x, Tensor(np.eye(patch_len * x.shape[2])), patch_len, stride)
 
 
 # (patch_len, stride) over a 9-step series: tiled and overlapping windows;
@@ -369,7 +416,7 @@ WINDOW_CASES = [(4, 4), (4, 2), (5, 3), (3, 1)]
 def test_patch_windows_input_gradient_matches_fd(patch_len, stride):
     x = Tensor(np.random.default_rng(20).normal(size=(2, 9, 3)))
     err = gradient_check(
-        lambda x_: weighted_sum(T.patch_windows(x_, patch_len, stride)), x
+        lambda x_: weighted_sum(windows_of(x_, patch_len, stride)), x
     )
     assert err < FD_TOL, err
 
@@ -379,7 +426,7 @@ def test_patch_windows_matches_slice_chain(patch_len, stride):
     # a permuted (N, L, d) view of an (N, d, L) array, as a strided input
     base = np.random.default_rng(21).normal(size=(2, 3, 9))
     x = Tensor(base, requires_grad=True).permute(0, 2, 1)
-    out_w, grads_w = grads_of(lambda x_: T.patch_windows(x_, patch_len, stride), x, [])
+    out_w, grads_w = grads_of(lambda x_: windows_of(x_, patch_len, stride), x, [])
     out_c, grads_c = grads_of(lambda x_: windows_chain(x_, patch_len, stride), x, [])
     np.testing.assert_array_equal(out_w, out_c)
     assert out_w.shape == (2, (9 - patch_len) // stride + 2, patch_len * 3)
@@ -388,10 +435,10 @@ def test_patch_windows_matches_slice_chain(patch_len, stride):
 
 def test_patch_windows_no_grad_equals_taped():
     x = Tensor(np.random.default_rng(22).normal(size=(2, 9, 3)), requires_grad=True)
-    taped = T.patch_windows(x, 4, 2)
-    assert taped.op == "patch_windows"
+    taped = windows_of(x, 4, 2)
+    assert taped.op == "patch_compress"
     with no_grad():
-        plain = T.patch_windows(x, 4, 2)
+        plain = windows_of(x, 4, 2)
     assert plain.op is None
     np.testing.assert_array_equal(plain.data, taped.data)
 
@@ -400,9 +447,35 @@ def test_patch_windows_rejects_bad_shapes():
     x = Tensor(np.zeros((2, 5, 3)))
     for patch_len, stride in [(6, 2), (0, 1), (3, 0)]:
         with pytest.raises(ShapeError):
-            T.patch_windows(x, patch_len, stride)
+            windows_of(x, patch_len, stride)
     with pytest.raises(ShapeError):
-        T.patch_windows(Tensor(np.zeros((5, 3))), 2, 2)
+        T.patch_compress(Tensor(np.zeros((5, 3))), Tensor(np.eye(6)), 2, 2)
+    with pytest.raises(ShapeError):  # w takes windows of 2 steps of 3, not 3 of 3
+        T.patch_compress(x, Tensor(np.zeros((6, 3))), 3, 2)
+
+
+def test_patch_kans_builds_spectrum_grid_bitwise(monkeypatch):
+    """The grid slabs patch_kans builds, in forward and in backward, are
+    spectrum_grid's grid bit for bit, so calibration's ranges are those of
+    the grid the per-patch KANs see."""
+    cpus(monkeypatch, 1)  # slabs in order, on the caller
+    rng = np.random.default_rng(25)
+    patches = Tensor(rng.normal(size=(64, 17, 32)), requires_grad=True)
+    params = [taylor_params(rng, 9, 9) for _ in range(17)]
+    seen = []
+    real = T.sigmoid
+
+    def recording(x, out=None):
+        seen.append(x.copy())  # each slab's grid, before its sigmoid
+        return real(x, out=out)
+
+    monkeypatch.setattr(T, "sigmoid", recording)
+    backward(weighted_sum(T.patch_kans(patches, grid_map(17), params)))
+    grid = spectrum_grid(patches).data
+    count = len(T._slabs(grid.shape)[0])
+    assert count > 1 and len(seen) == 2 * count
+    np.testing.assert_array_equal(np.concatenate(seen[:count]), grid)
+    np.testing.assert_array_equal(np.concatenate(seen[count:]), grid)
 
 
 # --- copy-on-write backward ------------------------------------------------------
@@ -505,8 +578,45 @@ def test_no_backward_closure_of_the_model_holds_a_tensor(task):
     rng = np.random.default_rng(9)
     x, y = Tensor(rng.normal(size=(5, 24))), Tensor(rng.normal(size=(5, 8)))
     loss, _ = total_loss(model.forward(x), y, model, cfg.reg_lambda, task)
-    assert len(T.Graph.from_output(loss)) > 40
+    assert len(T.Graph.from_output(loss)) == {"long": 40, "short": 46}[task]
     assert closures_holding_tensors(loss) == []
+
+
+def arrays_in(value, seen):
+    """The arrays a closure cell's value reaches: inside tuples, lists and
+    dicts, and in the closures of the functions it holds."""
+    if isinstance(value, np.ndarray):
+        return [value]
+    if isinstance(value, dict):
+        value = list(value.values())
+    if isinstance(value, (tuple, list)):
+        return [a for v in value for a in arrays_in(v, seen)]
+    if isinstance(value, types.FunctionType) and id(value) not in seen:
+        seen.add(id(value))
+        return [a for cell in value.__closure__ or () for a in arrays_in(cell.cell_contents, seen)]
+    return []
+
+
+def test_tape_keeps_neither_the_grid_nor_the_patch_windows():
+    """No backward rule of a training step captures an array of the
+    (N, K, P, d) time-frequency grid's shape or of the (N, W, patch_len*d)
+    patch windows': the fused ops rebuild both slab by slab."""
+    cfg = ModelConfig(
+        lookback=24, horizon=8, embed_dim=3, kernel=5, trend_degree=3,
+        top_k=3, patch_len=4, stride=4,
+    )
+    model = ForecastModel(cfg, [1 / 12, 0.25, 0.5], seed=8)
+    rng = np.random.default_rng(9)
+    x, y = Tensor(rng.normal(size=(5, 24))), Tensor(rng.normal(size=(5, 8)))
+    loss, _ = total_loss(model.forward(x), y, model, cfg.reg_lambda, "long")
+    seen = set()
+    shapes = {
+        a.shape for node in T.Graph.from_output(loss).nodes for a in arrays_in(node.backward, seen)
+    }
+    n_patches, d = model.n_patches, cfg.embed_dim
+    assert (5, model.k_bins, n_patches, d) not in shapes
+    assert (5, n_patches, cfg.patch_len * d) not in shapes
+    assert (5, n_patches, d) in shapes  # the patches, which patch_kans keeps
 
 
 def test_no_backward_closure_of_a_primitive_holds_a_tensor():
@@ -515,11 +625,12 @@ def test_no_backward_closure_of_a_primitive_holds_a_tensor():
     w = Tensor(rng.normal(size=(3, 3)), requires_grad=True)
     h = T.matmul(T.silu(x), w) / (T.sin(x) + 2.0) - T.sin(x) * T.cos(x)
     h = T.concat([T.abs_(h), T.pow_int(h, 3)], axis=2)[:, 1:]
-    h = T.patch_windows(h.permute(0, 2, 1).reshape(2, 5, 6), 2, 2)
+    w2 = Tensor(rng.normal(size=(12, 2)), requires_grad=True)
+    h = T.patch_compress(h.permute(0, 2, 1).reshape(2, 5, 6), w2, 2, 2)
     loss = T.sum_axis(h, 1).mean() + T.l2_penalty([(w, 0.5), (x, 2.0)])
     assert {node.op for node in T.Graph.from_output(loss).nodes} == {
         "abs", "add", "concat", "cos", "div", "l2_penalty", "matmul",
-        "mean", "mul", "patch_windows", "permute", "pow_int", "reshape",
+        "mean", "mul", "patch_compress", "permute", "pow_int", "reshape",
         "silu", "sin", "slice", "sub", "sum",
     }
     assert closures_holding_tensors(loss) == []
@@ -603,17 +714,17 @@ def slab_case(name, rng, permuted):
     """(fused fn, chain fn, input tensor, named parameters) with a leading
     axis of 5, the input permuted as the model feeds it or row-major."""
     if name == "patch_kans":
-        base = rng.normal(size=(5, 2, 3, 4))  # (N, d, K, P)
-        base[:, :, 1, 2] = 0.0
-        x = Tensor(base, requires_grad=True).permute(0, 2, 3, 1)
-        params = [taylor_params(rng, 3, 3, prune=(p % 2 == 0)) for p in range(4)]
-        named = [
-            (f"p{p}.{n}", t)
-            for p, ps in enumerate(params)
-            for n, t in zip(["w", "a0", "a1", "a2"], ps)
-        ]
-        fused = lambda x_: T.patch_kans(x_, params)  # noqa: E731
-        chain = lambda x_: patch_chain(x_, params)  # noqa: E731
+        base = rng.normal(size=(5, 2, 4))  # (N, d, P)
+        base[:, :, 2] = 0.0
+        fused, chain, x, named = patch_kans_case(
+            rng, Tensor(base, requires_grad=True).permute(0, 2, 1)
+        )
+    elif name == "patch_compress":
+        base = rng.normal(size=(5, 3, 9))  # (N, d, L)
+        base[:, :, 4] = 0.0
+        fused, chain, x, named = patch_compress_case(
+            rng, Tensor(base, requires_grad=True).permute(0, 2, 1)
+        )
     else:
         fused, chain, _, named = make_case(name, rng)
         x = time_axis_input(rng, (5, 3, 4), 5)
@@ -624,11 +735,12 @@ def slab_case(name, rng, permuted):
 
 @pytest.fixture
 def small_slabs(monkeypatch):
-    """Slabs of two leading rows' worth: the 5 leading rows of every slab
-    case run as three slabs of 1, 2 and 2."""
-    def use(x):
-        monkeypatch.setattr(T, "SLAB", 2 * x.size // x.shape[0])
-        slices, _ = T._slabs(x.shape)
+    """Slabs of two leading rows' worth of ``shape`` (x's own by default):
+    the 5 leading rows of every slab case run as three slabs of 1, 2 and 2."""
+    def use(x, shape=None):
+        shape = x.shape if shape is None else shape
+        monkeypatch.setattr(T, "SLAB", 2 * math.prod(shape[1:]))
+        slices, _ = T._slabs(shape)
         assert [s.stop - s.start for s in slices] == [1, 2, 2]
 
     return use
@@ -638,7 +750,7 @@ def small_slabs(monkeypatch):
 @pytest.mark.parametrize("name", OPS)
 def test_fused_op_over_slabs_matches_fd(name, permuted, small_slabs):
     fused, _, x, named = slab_case(name, np.random.default_rng(40), permuted)
-    small_slabs(x)
+    small_slabs(x, slab_shape(name, x))
     err = gradient_check(lambda x_: weighted_sum(fused(x_)), x)
     assert err < FD_TOL, err
     errors = param_fd_errors(lambda: weighted_sum(fused(x)), named)
@@ -650,7 +762,7 @@ def test_fused_op_over_slabs_matches_fd(name, permuted, small_slabs):
 @pytest.mark.parametrize("name", OPS)
 def test_fused_op_over_slabs_matches_chain(name, permuted, small_slabs):
     fused, chain, x, named = slab_case(name, np.random.default_rng(41), permuted)
-    small_slabs(x)
+    small_slabs(x, slab_shape(name, x))
     out_f, grads_f = grads_of(fused, x, named)
     out_c, grads_c = grads_of(chain, x, named)
     assert rel_gap(out_f, out_c) < PARITY_RTOL
@@ -735,7 +847,7 @@ def test_threaded_slabs_equal_one_worker_bitwise(
     """Three slabs on two workers give the one-worker run's forward, no-grad
     forward and gradients, bit for bit: partials are summed in slab order."""
     fused, _, x, named = slab_case(name, np.random.default_rng(44), permuted)
-    small_slabs(x)
+    small_slabs(x, slab_shape(name, x))
     runs = {}
     for workers in (1, 2):
         cpus(monkeypatch, workers)
@@ -760,7 +872,7 @@ def test_one_slab_starts_no_thread(name, monkeypatch):
     cpus(monkeypatch, 2)
     monkeypatch.setattr(threading, "Thread", no_thread)
     fused, _, x, named = make_case(name, np.random.default_rng(45))
-    assert len(T._slabs(x.shape)[0]) == 1
+    assert len(T._slabs(slab_shape(name, x))[0]) == 1
     grads_of(fused, x, named)
 
 

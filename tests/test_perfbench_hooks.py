@@ -32,9 +32,9 @@ def test_every_span_target_resolves():
             hooks._resolve(target)
         except (AttributeError, ImportError):
             missing.add(target)
-    # The amplitude/phase spectrum chain left the package; the model's grid
-    # is spectrum_grid, which the span table does not wrap yet (ROADMAP
-    # item 3), so tfsynergy.dft_expand_ms reads 0 as it did before.
+    # The amplitude/phase spectrum chain left the package; the model builds
+    # its grid inside patch_kans, under the tfsynergy.patch_kans span, so
+    # tfsynergy.dft_expand_ms reads 0 as it did before.
     assert missing == {
         "itfkan.tfsynergy:dft_patches",
         "itfkan.tfsynergy:tf_expand",
@@ -54,9 +54,9 @@ def test_graph_counts_reads_the_tape():
     x, y = Tensor(rng.normal(size=(5, 24))), Tensor(rng.normal(size=(5, 8)))
     loss, _ = total_loss(model.forward(x), y, model, cfg.reg_lambda, "long")
     counts = load_hooks().graph_counts(loss)
-    assert counts["tensor.tape_nodes"] == len(Graph.from_output(loss)) == 45
-    assert counts["tensor.ops.matmul"] == 7
-    assert counts["tensor.matmul_gflop"] == 3.408e-05
+    assert counts["tensor.tape_nodes"] == len(Graph.from_output(loss)) == 40
+    assert counts["tensor.ops.matmul"] == 5
+    assert counts["tensor.matmul_gflop"] == 2.568e-05
 
 
 def test_tracer_times_each_time_axis_kan_apart():

@@ -213,22 +213,25 @@ def test_zeroed_kans_output_zero():
     for layer in kans.layers:
         for t in (layer.w, layer.a0, layer.a1, layer.a2):
             t.data[:] = 0.0
-    tf = Tensor(np.random.default_rng(3).normal(size=(2, 2, 3, 4)))
-    np.testing.assert_array_equal(kans(tf).data, 0.0)
+    patches = Tensor(np.random.default_rng(3).normal(size=(2, 3, 4)))
+    np.testing.assert_array_equal(kans(patches).data, 0.0)
 
 
 def test_single_patch_single_bin_matches_edge():
     kans = PatchKans(1, 1, np.random.default_rng(4))
     layer = kans.layers[0]
-    tf = Tensor(np.random.default_rng(5).normal(size=(3, 1, 1, 2)))
-    out = kans(tf)
+    # one patch: its grid is the patch itself, a single bin
+    patches = Tensor(np.random.default_rng(5).normal(size=(3, 1, 2)))
+    out = kans(patches)
     edge = layer.edge(0, 0)
-    np.testing.assert_allclose(out.data[:, 0, :], edge(tf.data[:, 0, 0, :]), rtol=1e-12)
+    np.testing.assert_allclose(out.data[:, 0, :], edge(patches.data[:, 0, :]), rtol=1e-12)
 
 
 def test_calibration_records_per_patch_ranges(monkeypatch):
     """``calibrate_ranges`` gives each patch's KAN the range, per frequency
-    bin, of the grid rows the model's forward feeds it, over every batch."""
+    bin, of the grid rows of the patches the model's forward feeds it, over
+    every batch. (That patch_kans builds ``spectrum_grid``'s grid bit for
+    bit is checked in test_fused_ops.)"""
     cfg = ModelConfig(lookback=8, horizon=2, embed_dim=3, kernel=3, top_k=1,
                       patch_len=4, stride=2, trend_degree=1)
     model = ForecastModel(cfg, [0.5], seed=16)
@@ -236,9 +239,9 @@ def test_calibration_records_per_patch_ranges(monkeypatch):
     grids = []
     real = PatchKans.__call__
 
-    def recording(kans, grid):
-        grids.append(grid.data.copy())
-        return real(kans, grid)
+    def recording(kans, patches):
+        grids.append(spectrum_grid(patches).data)
+        return real(kans, patches)
 
     monkeypatch.setattr(PatchKans, "__call__", recording)
     with no_grad():
@@ -257,8 +260,10 @@ def test_calibration_records_per_patch_ranges(monkeypatch):
 
 def test_patchkans_rejects_wrong_grid():
     kans = PatchKans(3, 2, np.random.default_rng(6))
-    with pytest.raises(ValueError):
-        kans(Tensor(np.zeros((1, 2, 4, 2))))
+    with pytest.raises(ValueError):  # a grid, not patches
+        kans(Tensor(np.zeros((1, 2, 3, 2))))
+    with pytest.raises(ValueError):  # 4 patches, not 3
+        kans(Tensor(np.zeros((1, 4, 2))))
 
 
 # --- unpatch -----------------------------------------------------------------------
@@ -300,7 +305,7 @@ def test_gradients_flow_through_full_chain():
     x = Tensor(np.random.default_rng(13).normal(size=(2, length, width)))
 
     def loss_fn():
-        return (up(kans(spectrum_grid(comp(x)))) ** 2).sum() * 0.1
+        return (up(kans(comp(x))) ** 2).sum() * 0.1
 
     tf_params = [t for p in (0, 1) for t in kans.layers[p].parameters(f"tf.p{p}.l0")]
     params = comp.parameters("patch") + tf_params + up.parameters("unpatch")
@@ -315,6 +320,6 @@ def test_input_gradient_through_chain():
     n_patches = patch_count(6, 3, 3)
     kans = PatchKans(n_patches, n_freq_bins(n_patches), rng)
     x = Tensor(np.random.default_rng(15).normal(size=(1, 6, 1)), requires_grad=True)
-    loss = (kans(spectrum_grid(comp(x))) ** 2).sum()
+    loss = (kans(comp(x)) ** 2).sum()
     backward(loss)
     assert x.grad is not None and np.all(np.isfinite(x.grad))

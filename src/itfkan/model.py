@@ -155,10 +155,11 @@ class ForecastModel:
         if length != cfg.lookback:
             raise ValueError(f"expected lookback {cfg.lookback}, got {length}")
         trend, seasonal = moving_average_decompose(self.embed(x), cfg.kernel)
-        h_tf = self.unpatcher(self.tf_kans(self.patcher(seasonal)))
-        h_trend = self._along_time(self.trend_kan, trend, "trend")
-        h_seasonal = self._along_time(self.seasonal_kan, seasonal, "seasonal")
-        h = h_trend + h_seasonal + h_tf
+        # each branch is added in as soon as it finishes, so no two branch
+        # outputs are held at once; the sum is (trend + seasonal) + tf
+        h = self._along_time(self.trend_kan, trend, "trend")
+        h = h + self._along_time(self.seasonal_kan, seasonal, "seasonal")
+        h = h + self.unpatcher(self.tf_kans(self.patcher(seasonal)))
         collapsed = reshape(matmul(h, self.head_w1) + self.head_b1, (n, length))
         return matmul(collapsed, self.head_w2) + self.head_b2
 
@@ -330,11 +331,12 @@ def train(model, train_inputs, train_targets, val_inputs, val_targets,
     """Adam with early stopping on the validation prediction loss.
 
     Windows are (W, N, L) / (W, N, F); variates fold into the batch axis.
-    Each batch's tape is released after its step, before the next batch's
-    forward, so a training run holds at most one batch's graph; after
-    ``backward`` only the parameters hold gradients, and ``Adam.step``
-    clears those. The best-validation parameter snapshot is restored
-    before returning.
+    Each batch builds a fresh graph, and ``backward`` consumes it: each
+    rule's arrays go as soon as the rule has run, and after the call only
+    the parameters hold gradients, which ``Adam.step`` clears. What is left
+    of the graph (its nodes, the forecast and the batch's input and target)
+    is dropped before the next batch's forward. The best-validation
+    parameter snapshot is restored before returning.
     """
     for name, inputs in (("training", train_inputs), ("validation", val_inputs)):
         if len(inputs) == 0:
@@ -364,7 +366,7 @@ def train(model, train_inputs, train_targets, val_inputs, val_targets,
                 cfg.reg_lambda, task,
             )
             backward(loss)
-            del pred, loss  # the batch's tape: free it before the next forward
+            del pred, loss  # the consumed graph's nodes and the batch's leaves
             _check_finite(params, bd.total, epoch, batches)
             opt.step()
             pred_sum += bd.pred

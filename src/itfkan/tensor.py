@@ -14,9 +14,11 @@ order, accumulating gradients additively across fan-out.
 Only leaves keep a gradient. A node's ``grad`` lives only until
 ``backward`` has passed it through the op's backward rule, and is then
 None again; leaf tensors end with an owned, writable, row-major ``grad``.
-The graph itself (nodes, parents and backward rules) is left intact, so
-``backward`` can run over it again and a non-leaf tensor can feed a later
-graph too.
+``backward`` consumes the graph: it drops each rule, and the arrays the
+rule's closure holds, as soon as the rule has run. A graph can therefore
+be swept once. A second ``backward`` over it, or over a new graph that a
+non-leaf tensor of it feeds, raises ``RuntimeError``; rebuild the graph
+from its leaves instead.
 
 Gradients are copy-on-write. A backward closure maps the output gradient
 ``g`` to one array per parent, and a parent's first gradient is held by
@@ -84,7 +86,8 @@ class Node:
 
     ``parents`` holds each parent's node, or the parent tensor itself if
     it is a leaf; ``grad`` holds the output's gradient while ``backward``
-    runs. A node holds no tensor data beyond what its rule's closure reads.
+    runs. A node holds no tensor data beyond what its rule's closure reads,
+    and ``backward`` sets the rule to None once it has run.
     """
 
     __slots__ = ("op", "parents", "backward", "grad", "shape")
@@ -247,13 +250,15 @@ class Graph:
 def backward(loss):
     """Populate ``grad`` on every requires_grad leaf reachable from loss.
 
-    A node's gradient is released (``grad`` set to None) as soon as its
-    backward rule has used it, so the sweep holds only the gradients still
-    waiting for their op; after the call every node's ``grad`` is None,
-    loss's included. Copy-on-write (see the module docstring): a first
-    gradient is held by reference, the first accumulation into it
-    allocates and later ones add in place; leaves get an owned copy at the
-    end if they need one.
+    Consumes the graph: a node's gradient and its backward rule are
+    released (set to None) as soon as the rule has run, so the sweep holds
+    only the gradients still waiting for their op and the arrays of the
+    rules not yet run. After the call every node's ``grad`` and
+    ``backward`` are None, loss's included. A graph holding a node that an
+    earlier call consumed raises ``RuntimeError`` before any gradient is
+    touched. Copy-on-write (see the module docstring): a first gradient is
+    held by reference, the first accumulation into it allocates and later
+    ones add in place; leaves get an owned copy at the end if they need one.
     """
     if loss.size != 1:
         raise ValueError(f"backward requires a scalar loss, got shape {loss.shape}")
@@ -261,14 +266,23 @@ def backward(loss):
         loss.grad = np.ones_like(loss.data)
         return
     graph = Graph.from_output(loss)
+    for node in reversed(graph.nodes):  # the consumed node nearest loss
+        if node.backward is None:
+            raise RuntimeError(
+                f"backward: the graph through {node.op!r} was consumed by an "
+                "earlier backward; rebuild it from its leaves"
+            )
     loss._node.grad = np.ones_like(loss.data)
     owned = set()  # ids of nodes and leaves whose grad this call allocated
     leaves = {}
     for node in reversed(graph.nodes):
         if node.grad is None:
+            node.backward = None
             continue
         grads = node.backward(node.grad)
-        node.grad = None  # used: the parents hold what they still need of it
+        # used: the parents hold what they still need of the gradient, and
+        # the rule's arrays go with the rule
+        node.grad = node.backward = None
         for p, g in zip(node.parents, grads):
             if g is None or not p.requires_grad:
                 continue

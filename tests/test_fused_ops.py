@@ -95,61 +95,75 @@ def taylor_params(rng, rows, width, prune=True):
     return [w, a0, a1, a2]
 
 
+def leaf_input(data):
+    """An input maker: returns the same leaf over data on every call."""
+    leaf = Tensor(data, requires_grad=True)
+    return lambda: leaf
+
+
+def view_input(data, axes):
+    """An input maker: each call records a new permute of one leaf over
+    data. backward consumes the graph it sweeps, so every graph builds its
+    own view of the leaf."""
+    leaf = Tensor(data, requires_grad=True)
+    return lambda: leaf.permute(axes)
+
+
 def time_axis_input(rng, lead, width):
-    """x as the model feeds it: a permuted (…, d, L) view of a (…, L, d)
-    array, with exact zeros among the entries."""
+    """An input maker for x as the model feeds it: a permuted (…, d, L)
+    view of a (…, L, d) leaf, with exact zeros among the entries."""
     base = rng.normal(size=lead[:-1] + (width, lead[-1]))
     base.reshape(-1)[::7] = 0.0
-    return Tensor(base, requires_grad=True).permute(
-        tuple(range(len(lead) - 1)) + (len(lead), len(lead) - 1)
-    )
+    return view_input(base, tuple(range(len(lead) - 1)) + (len(lead), len(lead) - 1))
 
 
 def make_case(name, rng):
-    """(fused fn, chain fn, input tensor, named parameters) for one op."""
+    """(fused fn, chain fn, input maker, named parameters) for one op. The
+    input maker returns the op's input, a leaf or a view of one built on
+    each call (see ``view_input``)."""
     if name == "taylor_kan":
-        x = time_axis_input(rng, (2, 3, 4), 5)
+        make_x = time_axis_input(rng, (2, 3, 4), 5)
         ps = taylor_params(rng, 4, 5)
         names = ["w", "a0", "a1", "a2"]
         return (
             lambda x_: T.taylor_kan(x_, *ps),
             lambda x_: taylor_chain(x_, *ps),
-            x, list(zip(names, ps)),
+            make_x, list(zip(names, ps)),
         )
     if name == "poly_inject":
-        x = time_axis_input(rng, (2, 3, 4), 5)
+        make_x = time_axis_input(rng, (2, 3, 4), 5)
         coeffs = [param(rng, (5, 3)) for _ in range(4)]
         coeffs[2].data[1, :] = 0.0
         return (
             lambda x_: T.poly_inject(x_, coeffs),
             lambda x_: poly_chain(x_, coeffs),
-            x, [(f"poly{k}", c) for k, c in enumerate(coeffs)],
+            make_x, [(f"poly{k}", c) for k, c in enumerate(coeffs)],
         )
     if name == "fourier_inject":
-        x = time_axis_input(rng, (2, 3, 4), 5)
+        make_x = time_axis_input(rng, (2, 3, 4), 5)
         ca = [param(rng, (5, 2)) for _ in range(len(FREQS) + 1)]
         sb = [param(rng, (5, 2)) for _ in range(len(FREQS))]
         ca[1].data[0, :] = 0.0
         return (
             lambda x_: T.fourier_inject(x_, FREQS, ca, sb),
             lambda x_: fourier_chain(x_, FREQS, ca, sb),
-            x,
+            make_x,
             [(f"fa{k}", t) for k, t in enumerate(ca)]
             + [(f"fb{k + 1}", t) for k, t in enumerate(sb)],
         )
     if name == "patch_kans":
         patches = rng.normal(size=(2, 4, 2))  # (N, P, d): a 3 x 4 grid
         patches[:, 2, :] = 0.0
-        return patch_kans_case(rng, Tensor(patches, requires_grad=True))
+        return patch_kans_case(rng, leaf_input(patches))
     if name == "patch_compress":
         series = rng.normal(size=(2, 9, 3))  # (N, L, d)
         series[:, 4, :] = 0.0
-        return patch_compress_case(rng, Tensor(series, requires_grad=True))
+        return patch_compress_case(rng, leaf_input(series))
     raise KeyError(name)
 
 
-def patch_kans_case(rng, x):
-    """The patch_kans case over (N, 4, d) patches x, whose grid is 3 x 4."""
+def patch_kans_case(rng, make_x):
+    """The patch_kans case over (N, 4, d) patches, whose grid is 3 x 4."""
     params = [taylor_params(rng, 3, 3, prune=(p % 2 == 0)) for p in range(4)]
     named = [
         (f"p{p}.{n}", t)
@@ -159,18 +173,18 @@ def patch_kans_case(rng, x):
     return (
         lambda x_: T.patch_kans(x_, grid_map(4), params),
         lambda x_: patch_chain(spectrum_grid(x_), params),
-        x, named,
+        make_x, named,
     )
 
 
-def patch_compress_case(rng, x):
-    """The patch_compress case over an (N, 9, 3) series x: overlapping
+def patch_compress_case(rng, make_x):
+    """The patch_compress case over an (N, 9, 3) series: overlapping
     windows of 4 steps at stride 2, the last one reaching into the pad."""
     w = param(rng, (12, 3))
     return (
         lambda x_: T.patch_compress(x_, w, 4, 2),
         lambda x_: T.matmul(windows_chain(x_, 4, 2), w),
-        x, [("w", w)],
+        make_x, [("w", w)],
     )
 
 
@@ -195,16 +209,16 @@ def weighted_sum(out, seed=99):
 
 @pytest.mark.parametrize("name", OPS)
 def test_fused_op_input_gradient_matches_fd(name):
-    fused, _, x, _ = make_case(name, np.random.default_rng(1))
+    fused, _, make_x, _ = make_case(name, np.random.default_rng(1))
     # gradient_check perturbs a contiguous copy of the (possibly permuted) input
-    err = gradient_check(lambda x_: weighted_sum(fused(x_)), x)
+    err = gradient_check(lambda x_: weighted_sum(fused(x_)), make_x())
     assert err < FD_TOL, err
 
 
 @pytest.mark.parametrize("name", OPS)
 def test_fused_op_parameter_gradients_match_fd(name):
-    fused, _, x, named = make_case(name, np.random.default_rng(2))
-    errors = param_fd_errors(lambda: weighted_sum(fused(x)), named)
+    fused, _, make_x, named = make_case(name, np.random.default_rng(2))
+    errors = param_fd_errors(lambda: weighted_sum(fused(make_x())), named)
     for pname, err in errors.items():
         assert err < FD_TOL, f"{name} {pname}: {err}"
 
@@ -215,14 +229,15 @@ def rel_gap(a, b):
     return float(np.max(np.abs(a - b)) / max(np.max(np.abs(b)), 1e-300))
 
 
-def grads_of(fn, x, named):
-    for _, t in named:
-        t.grad = None
-    x.grad = None
+def grads_of(fn, make_x, named):
+    """fn's output over the input make_x builds, and the gradients of its
+    weighted sum for the named parameters and for the input's leaf."""
+    x = make_x()
     leaf = x
     while leaf.op is not None:  # the permuted input's leaf
         leaf = leaf.parents[0]
-        leaf.grad = None
+    for t in [leaf] + [t for _, t in named]:
+        t.grad = None
     out = fn(x)
     backward(weighted_sum(out))
     grads = {n: t.grad.copy() for n, t in named}
@@ -232,9 +247,9 @@ def grads_of(fn, x, named):
 
 @pytest.mark.parametrize("name", OPS)
 def test_fused_op_matches_primitive_chain(name):
-    fused, chain, x, named = make_case(name, np.random.default_rng(3))
-    out_f, grads_f = grads_of(fused, x, named)
-    out_c, grads_c = grads_of(chain, x, named)
+    fused, chain, make_x, named = make_case(name, np.random.default_rng(3))
+    out_f, grads_f = grads_of(fused, make_x, named)
+    out_c, grads_c = grads_of(chain, make_x, named)
     assert rel_gap(out_f, out_c) < PARITY_RTOL
     for key in grads_c:
         assert rel_gap(grads_f[key], grads_c[key]) < PARITY_RTOL, key
@@ -242,7 +257,8 @@ def test_fused_op_matches_primitive_chain(name):
 
 @pytest.mark.parametrize("name", OPS)
 def test_fused_op_no_grad_equals_taped(name):
-    fused, _, x, _ = make_case(name, np.random.default_rng(4))
+    fused, _, make_x, _ = make_case(name, np.random.default_rng(4))
+    x = make_x()
     taped = fused(x)
     assert taped.op == name
     with no_grad():
@@ -312,7 +328,7 @@ def test_fourier_inject_calls_trig_once_per_slab(monkeypatch):
             calls[_name] += 1
             return _fn(*args, **kwargs)
         monkeypatch.setattr(T.np, name, counted)
-    x = time_axis_input(np.random.default_rng(51), (5, 3, 4), 5)
+    x = time_axis_input(np.random.default_rng(51), (5, 3, 4), 5)()
     monkeypatch.setattr(T, "SLAB", 2 * x.size // x.shape[0])
     freqs = [0.25, 0.5, 1.5, 2.0, 3.25]
     ca = [param(np.random.default_rng(52), (5, 2)) for _ in range(len(freqs) + 1)]
@@ -325,7 +341,7 @@ def test_fourier_inject_keeps_only_the_unit_angle():
     """A taped forward keeps e^{i theta}, two values per input, however many
     frequencies; an untaped one keeps nothing beyond its output."""
     rng = np.random.default_rng(54)
-    x = time_axis_input(rng, (96, 8), 96)
+    x = time_axis_input(rng, (96, 8), 96)()
     assert len(T._slabs(x.shape)[0]) > 1
     freqs = [2.0 * b / 96 for b in (5, 6, 7, 13, 14)]
     ca = [param(rng, (96, 5)) for _ in range(len(freqs) + 1)]
@@ -350,11 +366,11 @@ def test_fourier_inject_keeps_only_the_unit_angle():
 def rebuilding_case(name, rng):
     """(taped call of the op, its input) with the input over several slabs."""
     if name == "poly_inject":
-        x = time_axis_input(rng, (96, 8), 96)
+        x = time_axis_input(rng, (96, 8), 96)()
         coeffs = [param(rng, (96, 3)) for _ in range(4)]
         return (lambda: T.poly_inject(x, coeffs)), x
     if name == "taylor_kan":
-        x = time_axis_input(rng, (96, 8), 96)
+        x = time_axis_input(rng, (96, 8), 96)()
         ps = taylor_params(rng, 8, 96)
         return (lambda: T.taylor_kan(x, *ps)), x
     if name == "patch_compress":
@@ -424,10 +440,9 @@ def test_patch_windows_input_gradient_matches_fd(patch_len, stride):
 @pytest.mark.parametrize("patch_len,stride", WINDOW_CASES)
 def test_patch_windows_matches_slice_chain(patch_len, stride):
     # a permuted (N, L, d) view of an (N, d, L) array, as a strided input
-    base = np.random.default_rng(21).normal(size=(2, 3, 9))
-    x = Tensor(base, requires_grad=True).permute(0, 2, 1)
-    out_w, grads_w = grads_of(lambda x_: windows_of(x_, patch_len, stride), x, [])
-    out_c, grads_c = grads_of(lambda x_: windows_chain(x_, patch_len, stride), x, [])
+    make_x = view_input(np.random.default_rng(21).normal(size=(2, 3, 9)), (0, 2, 1))
+    out_w, grads_w = grads_of(lambda x_: windows_of(x_, patch_len, stride), make_x, [])
+    out_c, grads_c = grads_of(lambda x_: windows_chain(x_, patch_len, stride), make_x, [])
     np.testing.assert_array_equal(out_w, out_c)
     assert out_w.shape == (2, (9 - patch_len) // stride + 2, patch_len * 3)
     assert rel_gap(grads_w["x"], grads_c["x"]) < PARITY_RTOL
@@ -520,7 +535,9 @@ def test_leaf_grads_are_owned_writable_and_row_major():
     np.testing.assert_array_equal(z.grad, upstream)
 
 
-def test_backward_releases_every_interior_gradient():
+def small_model_step():
+    """A small model, its forecast of 5 windows and a loss over it that
+    reaches every parameter and one regulariser."""
     cfg = ModelConfig(
         lookback=24, horizon=8, embed_dim=3, kernel=5, trend_degree=3,
         top_k=3, patch_len=4, stride=4,
@@ -528,19 +545,64 @@ def test_backward_releases_every_interior_gradient():
     model = ForecastModel(cfg, [1 / 12, 0.25, 0.5], seed=8)
     x = Tensor(np.random.default_rng(9).normal(size=(5, 24)))
     pred = model.forward(x)
-    loss = (pred * pred).mean() + model.reg_losses()[0]
+    return model, pred, (pred * pred).mean() + model.reg_losses()[0]
+
+
+CONSUMED = "was consumed by an earlier backward"
+
+
+def test_backward_releases_every_interior_gradient():
+    model, _, loss = small_model_step()
     nodes = T.Graph.from_output(loss).nodes
     backward(loss)
     assert all(t.grad is None for t in nodes)
     for name, t in model.parameters():
         assert t.grad is not None and t.grad.shape == t.shape, name
-    # the graph is intact: a second backward over it gives the same grads
+    # the graph is consumed: a second backward over it raises before it
+    # touches a gradient
     first = {name: t.grad.copy() for name, t in model.parameters()}
-    for _, t in model.parameters():
-        t.grad = None
-    backward(loss)
+    with pytest.raises(RuntimeError, match=f"'add' {CONSUMED}"):
+        backward(loss)
     for name, t in model.parameters():
         np.testing.assert_array_equal(t.grad, first[name], err_msg=name)
+
+
+def test_backward_consumes_the_graph():
+    """After backward no node keeps its rule, and a non-leaf of the swept
+    graph that feeds a new graph fails that graph's backward by name."""
+    model, pred, loss = small_model_step()
+    nodes = T.Graph.from_output(loss).nodes
+    backward(loss)
+    assert nodes and all(node.backward is None for node in nodes)
+    first = {name: t.grad.copy() for name, t in model.parameters()}
+    with pytest.raises(RuntimeError, match=f"^backward: the graph through 'add' {CONSUMED}"):
+        backward(weighted_sum(pred))  # pred is the head's bias add
+    for name, t in model.parameters():
+        np.testing.assert_array_equal(t.grad, first[name], err_msg=name)
+    x = Tensor(np.ones((2, 3)), requires_grad=True)
+    h = x.permute(1, 0)
+    backward(weighted_sum(h))
+    with pytest.raises(RuntimeError, match=f"'permute' {CONSUMED}"):
+        backward(weighted_sum(h * 2.0))
+
+
+def test_backward_frees_a_rules_arrays_before_it_returns():
+    """With the forecast and the loss still referenced, an array that only
+    a backward rule holds is freed by the time backward returns: here the
+    input of the trend KAN's second layer, which its taylor_kan keeps."""
+    model, pred, loss = small_model_step()
+    w = model.trend_kan.layers[1].w
+    (rule,) = [
+        node.backward for node in T.Graph.from_output(loss).nodes
+        if node.op == "taylor_kan" and any(p is w for p in node.parents)
+    ]
+    cells = dict(zip(rule.__code__.co_freevars, rule.__closure__))
+    layer_input = weakref.ref(data_owner(cells["xd"].cell_contents))
+    del rule, cells
+    assert layer_input() is not None
+    backward(loss)
+    assert layer_input() is None
+    assert pred.requires_grad and loss.requires_grad  # both still referenced
 
 
 # --- what the tape keeps ---------------------------------------------------------
@@ -679,10 +741,10 @@ def test_output_read_only_by_a_shape_rule_is_freed(reader):
 
 @pytest.mark.parametrize("name", OPS)
 def test_fused_op_rule_keeps_not_its_own_output(name):
-    fused, _, x, named = make_case(name, np.random.default_rng(63))
+    fused, _, make_x, named = make_case(name, np.random.default_rng(63))
 
     def loss_and_owner():
-        return loss_over_dropped_output(lambda: fused(x), SHAPE_READERS["add"])
+        return loss_over_dropped_output(lambda: fused(make_x()), SHAPE_READERS["add"])
 
     loss, owner = loss_and_owner()
     assert owner() is None
@@ -711,34 +773,29 @@ def test_model_no_grad_forward_equals_taped_bitwise():
 # --- slabs -----------------------------------------------------------------------
 
 def slab_case(name, rng, permuted):
-    """(fused fn, chain fn, input tensor, named parameters) with a leading
+    """(fused fn, chain fn, input maker, named parameters) with a leading
     axis of 5, the input permuted as the model feeds it or row-major."""
     if name == "patch_kans":
         base = rng.normal(size=(5, 2, 4))  # (N, d, P)
         base[:, :, 2] = 0.0
-        fused, chain, x, named = patch_kans_case(
-            rng, Tensor(base, requires_grad=True).permute(0, 2, 1)
-        )
+        fused, chain, make_x, named = patch_kans_case(rng, view_input(base, (0, 2, 1)))
     elif name == "patch_compress":
         base = rng.normal(size=(5, 3, 9))  # (N, d, L)
         base[:, :, 4] = 0.0
-        fused, chain, x, named = patch_compress_case(
-            rng, Tensor(base, requires_grad=True).permute(0, 2, 1)
-        )
+        fused, chain, make_x, named = patch_compress_case(rng, view_input(base, (0, 2, 1)))
     else:
         fused, chain, _, named = make_case(name, rng)
-        x = time_axis_input(rng, (5, 3, 4), 5)
+        make_x = time_axis_input(rng, (5, 3, 4), 5)
     if not permuted:
-        x = Tensor(np.ascontiguousarray(x.data), requires_grad=True)
-    return fused, chain, x, named
+        make_x = leaf_input(np.ascontiguousarray(make_x().data))
+    return fused, chain, make_x, named
 
 
 @pytest.fixture
 def small_slabs(monkeypatch):
-    """Slabs of two leading rows' worth of ``shape`` (x's own by default):
-    the 5 leading rows of every slab case run as three slabs of 1, 2 and 2."""
-    def use(x, shape=None):
-        shape = x.shape if shape is None else shape
+    """Slabs of two leading rows' worth of ``shape``: the 5 leading rows of
+    every slab case run as three slabs of 1, 2 and 2."""
+    def use(shape):
         monkeypatch.setattr(T, "SLAB", 2 * math.prod(shape[1:]))
         slices, _ = T._slabs(shape)
         assert [s.stop - s.start for s in slices] == [1, 2, 2]
@@ -749,11 +806,11 @@ def small_slabs(monkeypatch):
 @pytest.mark.parametrize("permuted", [True, False])
 @pytest.mark.parametrize("name", OPS)
 def test_fused_op_over_slabs_matches_fd(name, permuted, small_slabs):
-    fused, _, x, named = slab_case(name, np.random.default_rng(40), permuted)
-    small_slabs(x, slab_shape(name, x))
-    err = gradient_check(lambda x_: weighted_sum(fused(x_)), x)
+    fused, _, make_x, named = slab_case(name, np.random.default_rng(40), permuted)
+    small_slabs(slab_shape(name, make_x()))
+    err = gradient_check(lambda x_: weighted_sum(fused(x_)), make_x())
     assert err < FD_TOL, err
-    errors = param_fd_errors(lambda: weighted_sum(fused(x)), named)
+    errors = param_fd_errors(lambda: weighted_sum(fused(make_x())), named)
     for pname, err in errors.items():
         assert err < FD_TOL, f"{name} {pname}: {err}"
 
@@ -761,15 +818,15 @@ def test_fused_op_over_slabs_matches_fd(name, permuted, small_slabs):
 @pytest.mark.parametrize("permuted", [True, False])
 @pytest.mark.parametrize("name", OPS)
 def test_fused_op_over_slabs_matches_chain(name, permuted, small_slabs):
-    fused, chain, x, named = slab_case(name, np.random.default_rng(41), permuted)
-    small_slabs(x, slab_shape(name, x))
-    out_f, grads_f = grads_of(fused, x, named)
-    out_c, grads_c = grads_of(chain, x, named)
+    fused, chain, make_x, named = slab_case(name, np.random.default_rng(41), permuted)
+    small_slabs(slab_shape(name, make_x()))
+    out_f, grads_f = grads_of(fused, make_x, named)
+    out_c, grads_c = grads_of(chain, make_x, named)
     assert rel_gap(out_f, out_c) < PARITY_RTOL
     for key in grads_c:
         assert rel_gap(grads_f[key], grads_c[key]) < PARITY_RTOL, key
     with no_grad():
-        plain = fused(x)
+        plain = fused(make_x())
     np.testing.assert_array_equal(plain.data, out_f)
 
 
@@ -779,8 +836,8 @@ def test_taylor_kan_prior_equals_concat_bitwise(kind, permuted, small_slabs):
     """A prior written into taylor_kan's output gives the concatenation of
     the two ops' outputs, and the same gradients, bit for bit."""
     rng = np.random.default_rng(43)
-    _, _, x, named = slab_case("taylor_kan", rng, permuted)
-    small_slabs(x)
+    _, _, make_x, named = slab_case("taylor_kan", rng, permuted)
+    small_slabs(make_x().shape)
     ps = [t for _, t in named]
     if kind == "trend":
         coeffs = [param(rng, (5, 3)) for _ in range(4)]
@@ -793,13 +850,13 @@ def test_taylor_kan_prior_equals_concat_bitwise(kind, permuted, small_slabs):
     named = named + [(f"c{k}", c) for k, c in enumerate(coeffs)]
     joined = lambda x_: T.taylor_kan(x_, *ps, prior=inject(x_))  # noqa: E731
     concatenated = lambda x_: T.concat([inject(x_), T.taylor_kan(x_, *ps)], -1)  # noqa: E731
-    out_j, grads_j = grads_of(joined, x, named)
-    out_c, grads_c = grads_of(concatenated, x, named)
+    out_j, grads_j = grads_of(joined, make_x, named)
+    out_c, grads_c = grads_of(concatenated, make_x, named)
     np.testing.assert_array_equal(out_j, out_c)
     for key in grads_c:
         np.testing.assert_array_equal(grads_j[key], grads_c[key], err_msg=key)
     with no_grad():
-        plain = joined(x)
+        plain = joined(make_x())
     np.testing.assert_array_equal(plain.data, out_c)
 
 
@@ -846,15 +903,15 @@ def test_threaded_slabs_equal_one_worker_bitwise(
 ):
     """Three slabs on two workers give the one-worker run's forward, no-grad
     forward and gradients, bit for bit: partials are summed in slab order."""
-    fused, _, x, named = slab_case(name, np.random.default_rng(44), permuted)
-    small_slabs(x, slab_shape(name, x))
+    fused, _, make_x, named = slab_case(name, np.random.default_rng(44), permuted)
+    small_slabs(slab_shape(name, make_x()))
     runs = {}
     for workers in (1, 2):
         cpus(monkeypatch, workers)
         slab_threads.clear()
-        out, grads = grads_of(fused, x, named)
+        out, grads = grads_of(fused, make_x, named)
         with no_grad():
-            plain = fused(x).data
+            plain = fused(make_x()).data
         assert slab_threads and all(len(t) == workers for t in slab_threads)
         runs[workers] = out, plain, grads
     (out_1, plain_1, grads_1), (out_2, plain_2, grads_2) = runs[1], runs[2]
@@ -871,9 +928,9 @@ def test_one_slab_starts_no_thread(name, monkeypatch):
 
     cpus(monkeypatch, 2)
     monkeypatch.setattr(threading, "Thread", no_thread)
-    fused, _, x, named = make_case(name, np.random.default_rng(45))
-    assert len(T._slabs(slab_shape(name, x))[0]) == 1
-    grads_of(fused, x, named)
+    fused, _, make_x, named = make_case(name, np.random.default_rng(45))
+    assert len(T._slabs(slab_shape(name, make_x()))[0]) == 1
+    grads_of(fused, make_x, named)
 
 
 def test_slab_sums_follow_slab_order(slab_threads, monkeypatch):
@@ -965,13 +1022,13 @@ def test_slab_error_reaches_caller_with_its_type(failing, slab_threads, monkeypa
 
 @pytest.mark.parametrize("name", ["taylor_kan", "poly_inject", "fourier_inject"])
 def test_fused_op_on_one_row(name):
-    fused, chain, x, named = make_case(name, np.random.default_rng(42))
-    row = Tensor(np.ascontiguousarray(x.data[0, 0, 0]), requires_grad=True)
-    out_f, grads_f = grads_of(fused, row, named)
-    out_c, grads_c = grads_of(chain, row, named)
+    fused, chain, make_x, named = make_case(name, np.random.default_rng(42))
+    make_row = leaf_input(np.ascontiguousarray(make_x().data[0, 0, 0]))
+    out_f, grads_f = grads_of(fused, make_row, named)
+    out_c, grads_c = grads_of(chain, make_row, named)
     width = named[0][1].shape[0 if name == "taylor_kan" else 1]
     assert out_f.shape == out_c.shape == (width,)
     assert rel_gap(out_f, out_c) < PARITY_RTOL
     for key in grads_c:
         assert rel_gap(grads_f[key], grads_c[key]) < PARITY_RTOL, key
-    assert gradient_check(lambda x_: weighted_sum(fused(x_)), row) < FD_TOL
+    assert gradient_check(lambda x_: weighted_sum(fused(x_)), make_row()) < FD_TOL

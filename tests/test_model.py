@@ -17,7 +17,8 @@ from itfkan.model import (
     train,
 )
 from itfkan import tensor
-from itfkan.tensor import Tensor, backward
+from itfkan.decomposition import moving_average_decompose
+from itfkan.tensor import Tensor, backward, matmul, no_grad, reshape
 
 
 def tiny_config(**overrides):
@@ -119,6 +120,37 @@ def test_forward_matches_compositional_oracle():
     got = model.forward(Tensor(x)).data
     expected = numpy_forward(model, x)
     np.testing.assert_allclose(got, expected, rtol=1e-9, atol=1e-11)
+
+
+def test_forecast_sums_the_branches_in_order_bitwise():
+    """The taped and no-grad forecasts are head((h_trend + h_seasonal) +
+    h_tf) bit for bit, with each branch computed on its own. Another
+    grouping of the three sums rounds differently here, so this pins the
+    order that keeps the forecast's bits."""
+    cfg = ModelConfig(
+        lookback=24, horizon=8, embed_dim=3, kernel=5, trend_degree=3,
+        top_k=3, patch_len=4, stride=4,
+    )
+    model = ForecastModel(cfg, [1 / 12, 0.25, 0.5], seed=8)
+    x = Tensor(np.random.default_rng(9).normal(size=(5, 24)))
+
+    def head(h):
+        collapsed = reshape(matmul(h, model.head_w1) + model.head_b1, (5, 24))
+        return (matmul(collapsed, model.head_w2) + model.head_b2).data
+
+    with no_grad():
+        trend, seasonal = moving_average_decompose(model.embed(x), cfg.kernel)
+        h_trend = model._along_time(model.trend_kan, trend, "trend")
+        h_seasonal = model._along_time(model.seasonal_kan, seasonal, "seasonal")
+        h_tf = model.unpatcher(model.tf_kans(model.patcher(seasonal)))
+        expected = head((h_trend + h_seasonal) + h_tf)
+        assert not np.array_equal(head(h_trend + (h_seasonal + h_tf)), expected)
+        assert not np.array_equal(head((h_trend + h_tf) + h_seasonal), expected)
+        plain = model.forward(x)
+    taped = model.forward(x)
+    assert taped.requires_grad
+    np.testing.assert_array_equal(taped.data, expected)
+    np.testing.assert_array_equal(plain.data, expected)
 
 
 def test_forward_zero_parameters_zero_output():
@@ -428,26 +460,6 @@ def test_threaded_train_step_leaves_no_thread(monkeypatch):
 
 # --- checkpoints -----------------------------------------------------------------------
 
-def test_kan_layers_cover_each_kan_parameter_once():
-    """``kan_layers`` lists every trend, seasonal and per-patch KAN layer
-    once, in parameter order, under the names the checkpoint uses."""
-    model = tiny_model(seed=4)
-    listed = [
-        (name, t)
-        for (tag, li), layer in model.kan_layers()
-        for name, t in layer.parameters(f"{tag}.l{li}")
-    ]
-    kan_params = [
-        (name, t) for name, t in model.parameters()
-        if name.split(".")[0] in ("trend", "seasonal", "tf")
-    ]
-    assert [name for name, _ in listed] == [name for name, _ in kan_params]
-    assert len({name for name, _ in listed}) == len(listed)
-    assert all(a is b for (_, a), (_, b) in zip(listed, kan_params))
-    tags = [tag for (tag, _), _ in model.kan_layers()]
-    assert tags == ["trend"] * 2 + ["seasonal"] * 2 + [f"tf.p{p}" for p in range(model.n_patches)]
-
-
 def test_checkpoint_roundtrip_bit_exact(tmp_path):
     model = tiny_model(seed=25)
     path = tmp_path / "model.itfk"
@@ -465,9 +477,11 @@ def test_checkpoint_roundtrip_bit_exact(tmp_path):
 
 
 def test_checkpoint_tensor_names_in_order(tmp_path):
-    """The checkpoint's tensor names, in order, for a small model. A
-    checkpoint written under these names straight through the file format
-    is byte for byte the model's own save, and it loads."""
+    """The checkpoint's tensor names, in order, for a small model, and the
+    tags ``kan_layers`` lists every trend, seasonal and per-patch KAN layer
+    under, once each. A checkpoint written under these names straight
+    through the file format is byte for byte the model's own save, and it
+    loads."""
     cfg = ModelConfig(
         lookback=24, horizon=8, embed_dim=3, kernel=5, trend_degree=3,
         top_k=3, patch_len=4, stride=4,
@@ -494,6 +508,8 @@ def test_checkpoint_tensor_names_in_order(tmp_path):
         "head.w1", "head.b1", "head.w2", "head.b2",
     ]
     assert [name for name, _ in model.parameters()] == names
+    tags = [tag for (tag, _), _ in model.kan_layers()]
+    assert tags == ["trend"] * 2 + ["seasonal"] * 2 + [f"tf.p{p}" for p in range(model.n_patches)]
     saved, written = tmp_path / "saved.itfk", tmp_path / "written.itfk"
     model.save(str(saved))
     tensors = [("frequencies", model.frequencies)]

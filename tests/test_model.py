@@ -460,6 +460,24 @@ def test_threaded_train_step_leaves_no_thread(monkeypatch):
 
 # --- checkpoints -----------------------------------------------------------------------
 
+def test_kan_layers_cover_each_kan_parameter_once():
+    """``kan_layers`` names every trend, seasonal and per-patch KAN
+    parameter once, in parameter order, under the names the checkpoint
+    uses."""
+    model = tiny_model(seed=4)
+    listed = [
+        name
+        for (tag, li), layer in model.kan_layers()
+        for name, _ in layer.parameters(f"{tag}.l{li}")
+    ]
+    kan_names = [
+        name for name, _ in model.parameters()
+        if name.split(".")[0] in ("trend", "seasonal", "tf")
+    ]
+    assert listed == kan_names
+    assert len(set(listed)) == len(listed)
+
+
 def test_checkpoint_roundtrip_bit_exact(tmp_path):
     model = tiny_model(seed=25)
     path = tmp_path / "model.itfk"

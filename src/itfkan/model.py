@@ -156,8 +156,10 @@ class ForecastModel:
             raise ValueError(f"expected lookback {cfg.lookback}, got {length}")
         trend, seasonal = moving_average_decompose(self.embed(x), cfg.kernel)
         # each branch is added in as soon as it finishes, so no two branch
-        # outputs are held at once; the sum is (trend + seasonal) + tf
+        # outputs are held at once; the sum is (trend + seasonal) + tf.
+        # Untaped, the trend component goes before the other branches run
         h = self._along_time(self.trend_kan, trend, "trend")
+        del trend  # on the tape, its KAN layers' closures still hold it
         h = h + self._along_time(self.seasonal_kan, seasonal, "seasonal")
         h = h + self.unpatcher(self.tf_kans(self.patcher(seasonal)))
         collapsed = reshape(matmul(h, self.head_w1) + self.head_b1, (n, length))

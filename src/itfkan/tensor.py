@@ -583,7 +583,9 @@ def matmul(a, b):
 #
 # Each op below does the work of a chain of the primitives above in one tape
 # node with a hand-written backward. Outputs agree with the primitive chains
-# to rounding (the test suite keeps those chains as oracles).
+# to rounding (the test suite keeps those chains as oracles, and checks each
+# op against them and against central finite differences, also with SLAB
+# shrunk so that the op runs over several slabs).
 #
 # The ops' elementwise passes are bound by memory traffic, so each op
 # streams its input in slabs along the first leading axis, about SLAB values
@@ -608,13 +610,15 @@ def matmul(a, b):
 # a cheap linear function of a smaller input is built slab by slab and
 # never held whole: patch_compress gathers each slab's patch windows, and
 # patch_kans each slab's rows of the time-frequency grid. Backward rebuilds
-# what is cheap to rebuild from its slab of the input (the sigmoid, the
-# polynomial prior's powers, the grid, the windows), so a taped forward
-# runs the no-grad forward's code and gives its bits; only a recorded
-# fourier_inject also keeps its unit angle e^{i theta}, which would cost a
-# cos and a sin per input to rebuild. Each forward GEMM also rounds as the
-# whole batch's GEMM would (see ``_slabs``, ``_slab_rows``, ``poly_inject``
-# and the two patch ops), so slabbing left the forward's bits unchanged.
+# from its slab of the input, by the forward's own code and so with its
+# bits, everything it reads beyond the op's inputs: the sigmoid, the
+# polynomial prior's powers, the Fourier prior's unit angle e^{i theta}
+# (one cos and one sin per input) and harmonics, the grid, the windows.
+# So no op keeps a full-size array beyond its inputs for backward, and a
+# taped forward runs the no-grad forward's code and gives its bits. Each
+# forward GEMM also rounds as the whole batch's GEMM would (see
+# ``_slabs``, ``_slab_rows``, ``poly_inject`` and the two patch ops), so
+# slabbing left the forward's bits unchanged.
 
 SLAB = 2 ** 15  # float64 values per slab of input; chosen by a measured sweep
 # threads per slab loop: measured on 2 CPUs only (the elementwise passes
@@ -1024,8 +1028,10 @@ def harmonic_base(freqs):
     """The largest base b of which every frequency is an integer multiple,
     and those multiples: ``(b, multiples)`` with f_k = multiples[k] * b.
 
-    The prior's frequencies 2*bin/L always have one, b = 2*gcd(bins)/L;
-    ``fourier_inject`` builds its harmonics from it. Each ratio
+    The prior's frequencies 2*bin/L always have one, b = 2*gcd(bins)/L
+    (1/48 for bins 5, 6, 7, 13 and 14 at L = 96); ``fourier_inject``
+    builds its harmonics from it, and a seasonal layer is checked against
+    this rule when it is built and when a checkpoint is loaded. Each ratio
     f_k / f_0 must equal a fraction of denominator at most MAX_MULTIPLE to
     within a few ulp, and no multiple may exceed MAX_MULTIPLE; otherwise a
     ValueError names the frequency.
@@ -1101,8 +1107,9 @@ def fourier_inject(x, freqs, cos_coeffs, sin_coeffs):
     harmonic e^{i m_k theta} from e^{i theta} by angle addition
     (``_harmonics``). A harmonic's cos and sin sit interleaved in one
     complex array, so one GEMM against the interleaved coefficients gives
-    both of its terms. Backward keeps only e^{i theta}, two values per
-    input, and rebuilds the harmonics slab by slab.
+    both of its terms. Backward keeps none of them: each slab rebuilds
+    e^{i theta} by the forward's one cos and one sin, and the harmonics
+    from it, so it reads the forward's bits.
 
     A harmonic's rounding error grows with the steps taken to reach it.
     Against np.cos/np.sin(f pi x) over |x| <= 20 it measured at most
@@ -1124,7 +1131,6 @@ def fourier_inject(x, freqs, cos_coeffs, sin_coeffs):
     base, multiples = harmonic_base(freqs)
     order = np.argsort(multiples, kind="stable")
     parents = (x,) + coeffs
-    keep = _records(parents)
     xd = _batched(x.data)
     n_in, n_out = coeffs[0].shape
     x_shape, out_shape = x.shape, x.shape[:-1] + (n_out,)
@@ -1136,20 +1142,22 @@ def fourier_inject(x, freqs, cos_coeffs, sin_coeffs):
     ).reshape(freqs.size, 2 * n_in, n_out)
     slices, rows = _slabs(xd.shape)
     out = np.empty(xd.shape[:-1] + (n_out,))
-    unit = np.empty(xd.shape, dtype=np.complex128) if keep else None
     const = cos_coeffs[0].data.sum(axis=0) * 0.5
 
-    def forward(sl, bufs, _):
-        zbuf, dbuf, hbuf, tbuf = bufs
+    def unit(sl, zbuf):
+        """e^{i theta} with theta = b pi x over the slab, as (rows, in), in
+        the front of ``zbuf``: the slab's one cos and one sin."""
         part = xd[sl]
-        z = unit[sl] if keep else _complex(zbuf, part.shape)
-        # e^{i theta} with theta = b pi x: the slab's one cos and one sin
+        z = _complex(zbuf, part.shape)
         theta = np.multiply(part, base * np.pi, out=z.imag)
         np.cos(theta, out=z.real)
         np.sin(theta, out=theta)
-        z = _rows(z)
+        return _rows(z)
+
+    def forward(sl, bufs, _):
+        zbuf, dbuf, hbuf, tbuf = bufs
         o = _rows(out[sl])
-        for n, (j, h) in enumerate(_harmonics(z, multiples, order, dbuf, hbuf)):
+        for n, (j, h) in enumerate(_harmonics(unit(sl, zbuf), multiples, order, dbuf, hbuf)):
             term = _scratch(tbuf, o.shape) if n else o
             np.matmul(h.view(np.float64), mix[j], out=term)
             if n:
@@ -1159,12 +1167,9 @@ def fourier_inject(x, freqs, cos_coeffs, sin_coeffs):
     sizes = (rows * 2 * n_in,) * 3 + (rows * n_out,)
     _slab_loop(slices, sizes, forward)
 
-    # backward reads x's shape, not its data
-    x_rows = xd.shape
-
     def bw(g):
-        g = g.reshape(x_rows[:-1] + (n_out,))
-        gx = np.zeros(x_rows)
+        g = g.reshape(xd.shape[:-1] + (n_out,))
+        gx = np.zeros(xd.shape)
         g_mix = np.zeros(mix.shape)
         g_sum = np.zeros(n_out)
         # d/dx (a cos + b sin)(f pi x) = f pi Im(e^{i f pi x} (-a + i b))
@@ -1172,19 +1177,19 @@ def fourier_inject(x, freqs, cos_coeffs, sin_coeffs):
         slope = (mix.reshape(freqs.size, n_in, 2, n_out) * flip).reshape(mix.shape)
 
         def slab(sl, bufs, parts):
-            dbuf, hbuf, wbuf, gbuf = bufs
+            zbuf, dbuf, hbuf, wbuf, gbuf = bufs
             part_mix, part_sum = parts
             gs = _rows(_slab(g, sl, gbuf))
             gxs = _rows(gx[sl])
             np.sum(gs, axis=0, out=part_sum)
-            for j, h in _harmonics(_rows(unit[sl]), multiples, order, dbuf, hbuf):
+            for j, h in _harmonics(unit(sl, zbuf), multiples, order, dbuf, hbuf):
                 np.matmul(h.view(np.float64).T, gs, out=part_mix[j])
                 w = np.matmul(gs, slope[j].T, out=_scratch(wbuf, (gs.shape[0], 2 * n_in)))
                 wz = w.view(np.complex128)
                 wz *= h
                 gxs += wz.imag
 
-        _slab_loop(slices, sizes, slab, totals=(g_mix, g_sum))
+        _slab_loop(slices, (rows * 2 * n_in,) + sizes, slab, totals=(g_mix, g_sum))
         g_pairs = g_mix.reshape(freqs.size, n_in, 2, n_out)
         g_const = np.broadcast_to(g_sum * 0.5, (n_in, n_out))
         return (

@@ -153,6 +153,44 @@ def test_forecast_sums_the_branches_in_order_bitwise():
     np.testing.assert_array_equal(plain.data, expected)
 
 
+def test_nograd_forward_holds_at_most_four_series_arrays():
+    """An untaped forward holds at most four (N, L, d) arrays at once beyond
+    its output: the branch sum h (the trend component while its branch
+    runs), the seasonal component (the time-frequency branch reads it
+    last), and two of the running branch's (a KAN layer's
+    input and output, the trend prior's x^2 and x^3, or the unpatcher's
+    product and its bias sum). The trend component goes once its branch
+    has run; kept, it makes five.
+
+    The slack counts what else can be live at such a point: one slab loop's
+    scratch (at most MAX_WORKERS workers of seven slabs, fourier_inject's
+    three complex buffers and an output slab, each slab at most SLAB + d*L
+    values), one (N, P, d) patch array, one (N, d, r) prior output, and
+    1 MB for the layers' (L, L) products and Python objects. It is under
+    one (N, L, d) array, so a fifth one fails the bound."""
+    n, length, d = 448, 96, 32  # the reference step's batch, over many slabs
+    cfg = ModelConfig(lookback=length, horizon=96, embed_dim=d)
+    model = ForecastModel(cfg, [2.0 * b / length for b in (4, 8, 12, 16, 24)], seed=38)
+    x = Tensor(np.random.default_rng(39).normal(size=(n, length)))
+    series = n * length * d * 8
+    assert len(tensor._slabs((n, d, length))[0]) > 1
+    scratch = tensor.MAX_WORKERS * 7 * (tensor.SLAB + d * length) * 8
+    patches = n * model.n_patches * d * 8
+    prior = n * d * max(cfg.top_k, cfg.trend_degree) * 8
+    slack = scratch + patches + prior + 2**20
+    assert slack < series
+    with no_grad():
+        model.forward(x)  # fills the per-process caches before tracing
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            out = model.forward(x)
+            held = tracemalloc.get_traced_memory()[1] - before - out.data.nbytes
+        finally:
+            tracemalloc.stop()
+    assert held <= 4 * series + slack, (held / series, slack)
+
+
 def test_forward_zero_parameters_zero_output():
     model = zero_all(tiny_model())
     x = np.random.default_rng(0).normal(size=(2, 8))

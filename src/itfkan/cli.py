@@ -1,5 +1,6 @@
-"""Operator surface: train, eval, prune, symbolify, report.
+"""Operator surface: train, eval, prune, report.
 
+Each command takes only the options it reads; any other exits 2.
 Configs are line-oriented ``key = value`` files with ``#`` comments.
 Unknown keys are rejected; the resolved configuration is echoed at train
 time and re-parses to the same values. Exit codes: 0 success, 1 runtime
@@ -57,10 +58,11 @@ class RunConfig(ModelConfig):
     out: str = "out"
     split: str = "auto"
     frequency: str = "hourly"
-    checkpoint: str = ""
 
     def __post_init__(self):
         super().__post_init__()
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
         choices = {"task": TASKS, "split": SPLIT_MODES, "frequency": tuple(SEASON_PERIOD)}
         for name, allowed in choices.items():
             value = getattr(self, name)
@@ -264,20 +266,17 @@ def cmd_train(args):
 
 
 def _load_checkpoint_model(path):
-    if not path:
-        raise ConfigError("a checkpoint path is required (--checkpoint)")
     try:
         return ForecastModel.load(path)
     except FileNotFoundError:
         raise ConfigError(f"checkpoint not found: {path}") from None
 
 
-def _open_checkpoint(cfg, args):
+def _open_checkpoint(cfg, path):
     """(model, dataset, splits) for a command that runs a checkpoint on the
     config's dataset: the config's lookback and horizon must be the
     checkpoint's, and every split is z-scored with the checkpoint's
     ``.stats`` sidecar, the statistics it was trained on."""
-    path = args.checkpoint or cfg.checkpoint
     model, _ = _load_checkpoint_model(path)
     for field_name in ("lookback", "horizon"):
         expected = getattr(model.config, field_name)
@@ -291,8 +290,8 @@ def _open_checkpoint(cfg, args):
 
 
 def cmd_eval(args):
-    cfg = load_config(args.config, seed=args.seed, out=args.out)
-    model, ds, split = _open_checkpoint(cfg, args)
+    cfg = load_config(args.config)
+    model, ds, split = _open_checkpoint(cfg, args.checkpoint)
     windows = _window_splits(cfg, split)
     values = _test_metrics(model, cfg, ds, split, windows)
     sys.stdout.write(_format_metrics(values))
@@ -324,13 +323,13 @@ def _calibration_windows(cfg, split):
     return inputs
 
 
-def cmd_symbolify(args, emit_graph=False):
+def cmd_report(args):
     if not args.tau >= 0:  # NaN fails too
         raise ConfigError("--tau must be >= 0")
     if args.top_m < 0:
         raise ConfigError("--top-m must be >= 0")
-    cfg = load_config(args.config, seed=args.seed, out=args.out)
-    model, _, split = _open_checkpoint(cfg, args)
+    cfg = load_config(args.config)
+    model, _, split = _open_checkpoint(cfg, args.checkpoint)
     calib = _calibration_windows(cfg, split)
     out = args.out or cfg.out
     os.makedirs(out, exist_ok=True)
@@ -344,17 +343,12 @@ def cmd_symbolify(args, emit_graph=False):
         format_symbolic_report(records, args.top_m),
     )
     _write(os.path.join(out, "symbolic_edges.tsv"), format_machine_report(records))
-    if emit_graph:
-        _write(os.path.join(out, "graph.tsv"), format_graph_description(records))
+    _write(os.path.join(out, "graph.tsv"), format_graph_description(records))
     _write(os.path.join(out, "fit_summary.tsv"), format_fit_summary(records))
     _write(os.path.join(out, "report_timing.tsv"), format_report_timing(timing))
     preserved = sum(r.preserved for r in prune_rows)
     print(f"symbolified {preserved} surviving edges (tau={args.tau}, top_m={args.top_m})")
     return 0
-
-
-def cmd_report(args):
-    return cmd_symbolify(args, emit_graph=True)
 
 
 def build_parser():
@@ -364,18 +358,15 @@ def build_parser():
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, config_required):
-        p.add_argument("--config", required=config_required, help="run config file")
-        p.add_argument("--checkpoint", help="checkpoint path")
-        p.add_argument("--seed", type=int, default=None, help="override config seed")
-        p.add_argument("--out", default=None, help="override output directory")
-
     p_train = sub.add_parser("train", help="train a model and write artifacts")
-    common(p_train, config_required=True)
+    p_train.add_argument("--config", required=True, help="run config file")
+    p_train.add_argument("--seed", type=int, default=None, help="override config seed")
+    p_train.add_argument("--out", default=None, help="override output directory")
     p_train.set_defaults(func=cmd_train)
 
     p_eval = sub.add_parser("eval", help="evaluate a checkpoint on the test split")
-    common(p_eval, config_required=True)
+    p_eval.add_argument("--config", required=True, help="run config file")
+    p_eval.add_argument("--checkpoint", required=True, help="checkpoint path")
     p_eval.set_defaults(func=cmd_eval)
 
     p_prune = sub.add_parser("prune", help="prune a checkpoint by edge norm")
@@ -384,14 +375,10 @@ def build_parser():
     p_prune.add_argument("--tau", type=float, default=DEFAULT_TAU)
     p_prune.set_defaults(func=cmd_prune)
 
-    p_sym = sub.add_parser("symbolify", help="fit symbolic formulas to edges")
-    common(p_sym, config_required=True)
-    p_sym.add_argument("--tau", type=float, default=DEFAULT_TAU)
-    p_sym.add_argument("--top-m", type=int, default=DEFAULT_TOP_M, dest="top_m")
-    p_sym.set_defaults(func=cmd_symbolify)
-
     p_rep = sub.add_parser("report", help="prune + symbolify + graph description")
-    common(p_rep, config_required=True)
+    p_rep.add_argument("--config", required=True, help="run config file")
+    p_rep.add_argument("--checkpoint", required=True, help="checkpoint path")
+    p_rep.add_argument("--out", default=None, help="output directory (default: config out)")
     p_rep.add_argument("--tau", type=float, default=DEFAULT_TAU)
     p_rep.add_argument("--top-m", type=int, default=DEFAULT_TOP_M, dest="top_m")
     p_rep.set_defaults(func=cmd_report)

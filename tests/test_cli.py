@@ -1,6 +1,7 @@
 import dataclasses
 import os
 import re
+import shlex
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ from itfkan.checkpoint import load_checkpoint, save_checkpoint
 from itfkan.cli import (
     ConfigError,
     RunConfig,
+    build_parser,
     load_config,
     main,
     parse_config_text,
@@ -63,6 +65,32 @@ def test_unknown_key_rejected():
         resolve_config(parse_config_text("dataset = a\nlokback = 96\nhorizon = 4\nlookback = 8\n"))
 
 
+def test_checkpoint_key_rejected(workspace, capsys):
+    """The checkpoint is given by ``--checkpoint`` alone."""
+    cfg_path, out_dir = workspace
+    write_config(
+        cfg_path, dataset=str(cfg_path.parent / "panel.csv"), out=str(out_dir), checkpoint="x",
+    )
+    assert main(["train", "--config", str(cfg_path)]) == 2
+    assert f"error: {cfg_path}: unknown keys: checkpoint" in capsys.readouterr().err
+    assert not out_dir.exists()
+
+
+@pytest.mark.parametrize("in_config", [True, False], ids=["config", "option"])
+def test_negative_seed_exits_2_at_load_naming_seed(workspace, capsys, in_config):
+    cfg_path, out_dir = workspace
+    if in_config:
+        write_config(
+            cfg_path, dataset=str(cfg_path.parent / "panel.csv"), out=str(out_dir), seed=-1,
+        )
+    override = [] if in_config else ["--seed", "-1"]
+    assert main(["train", "--config", str(cfg_path), *override]) == 2
+    captured = capsys.readouterr()
+    assert f"error: {cfg_path}: seed must be >= 0, got -1" in captured.err
+    assert captured.out == ""
+    assert not out_dir.exists()
+
+
 def test_missing_required_key_names_it():
     with pytest.raises(ConfigError, match="dataset"):
         resolve_config(parse_config_text("lookback = 8\nhorizon = 4\n"))
@@ -88,16 +116,46 @@ def test_choice_outside_its_list_names_key_and_choices(key, value):
         resolve_config(parse_config_text(text), origin="run.cfg")
 
 
+def _readme():
+    with open(os.path.join(os.path.dirname(__file__), "..", "README.md"), encoding="utf-8") as fh:
+        return fh.read()
+
+
 def test_readme_configuration_table_lists_every_field():
-    readme = os.path.join(os.path.dirname(__file__), "..", "README.md")
-    with open(readme, encoding="utf-8") as fh:
-        section = fh.read().split("\n## Configuration\n", 1)[1].split("\n## ", 1)[0]
+    section = _readme().split("\n## Configuration\n", 1)[1].split("\n## ", 1)[0]
     keys = [
         name
         for row in section.splitlines() if row.startswith("| `")
         for name in re.findall(r"`(\w+)`", row.split("|")[1])
     ]
     assert sorted(keys) == sorted(f.name for f in dataclasses.fields(RunConfig))
+
+
+def test_readme_commands_parse_and_cover_the_parser():
+    """Every ``itfkan`` line in the README's fenced blocks parses, and
+    together they use every subcommand and each of its options."""
+    blocks = re.findall(r"^```[^\n]*\n(.*?)^```", _readme(), flags=re.M | re.S)
+    lines = [
+        line.strip()
+        for block in blocks
+        for line in block.replace("\\\n", " ").splitlines()
+        if line.strip().startswith("itfkan ")
+    ]
+    parser = build_parser()
+    used = {}
+    for line in lines:
+        argv = shlex.split(line)[1:]
+        try:
+            parser.parse_args(argv)
+        except SystemExit:
+            pytest.fail(f"README line does not parse: {line}")
+        used.setdefault(argv[0], set()).update(a for a in argv if a.startswith("--"))
+    subcommands = next(a for a in parser._actions if a.dest == "command").choices
+    declared = {
+        name: {o for a in sub._actions for o in a.option_strings if o.startswith("--")} - {"--help"}
+        for name, sub in subcommands.items()
+    }
+    assert used == declared
 
 
 def test_etth1_preset_matches_reference_settings():
@@ -195,6 +253,21 @@ def test_train_writes_artifacts(workspace, capsys):
     for line in metrics_text.strip().splitlines():
         key, value = line.split("=")
         assert len(value.split(".")[1]) == 6  # fixed 6-decimal rendering
+
+
+def test_train_seed_and_out_options_take_effect(workspace, tmp_path):
+    cfg_path, out_dir = workspace
+    other = tmp_path / "seed-9"
+    assert main(["train", "--config", str(cfg_path), "--seed", "9", "--out", str(other)]) == 0
+    assert sorted(os.listdir(other)) == [
+        "checkpoint.itfk", "checkpoint.itfk.stats", "history.tsv", "metrics.txt",
+        "resolved_config.txt",
+    ]
+    assert not out_dir.exists()
+    assert "seed = 9\n" in (other / "resolved_config.txt").read_text()
+    assert main(["train", "--config", str(cfg_path)]) == 0
+    assert "seed = 3\n" in (out_dir / "resolved_config.txt").read_text()
+    assert (other / "history.tsv").read_text() != (out_dir / "history.tsv").read_text()
 
 
 def test_resolved_config_reparses_equal(workspace):
@@ -547,7 +620,7 @@ def test_prune_negative_tau_exits_2(workspace, capsys):
     assert code == 2
 
 
-@pytest.mark.parametrize("command", ["prune", "symbolify", "report"])
+@pytest.mark.parametrize("command", ["prune", "report"])
 def test_nan_tau_exits_2_and_writes_nothing(workspace, capsys, command):
     """No edge norm is >= NaN, so a NaN threshold would prune every edge."""
     cfg_path, out_dir = workspace
@@ -562,7 +635,7 @@ def test_nan_tau_exits_2_and_writes_nothing(workspace, capsys, command):
     assert not dest.exists()
 
 
-@pytest.mark.parametrize("command", ["symbolify", "report"])
+@pytest.mark.parametrize("command", ["report"])
 def test_negative_top_m_exits_2(workspace, capsys, command):
     cfg_path, out_dir = workspace
     assert main(["train", "--config", str(cfg_path)]) == 0
@@ -577,13 +650,36 @@ def test_negative_top_m_exits_2(workspace, capsys, command):
     assert not report_dir.exists()
 
 
-@pytest.mark.parametrize("option", [["--config", "run.cfg"], ["--seed", "9"]])
-def test_prune_rejects_options_it_would_ignore(workspace, capsys, option):
-    cfg_path, out_dir = workspace
+UNREAD = "unrecognized arguments: "
+REQUIRED = "the following arguments are required: --checkpoint"
+
+
+@pytest.mark.parametrize("argv, message", [
+    pytest.param(["train", "--config", "run.cfg", "--checkpoint", "x.itfk"],
+                 UNREAD + "--checkpoint x.itfk", id="train-checkpoint"),
+    pytest.param(["eval", "--config", "run.cfg", "--checkpoint", "x.itfk", "--seed", "9"],
+                 UNREAD + "--seed 9", id="eval-seed"),
+    pytest.param(["eval", "--config", "run.cfg", "--checkpoint", "x.itfk", "--out", "d"],
+                 UNREAD + "--out d", id="eval-out"),
+    pytest.param(["report", "--config", "run.cfg", "--checkpoint", "x.itfk", "--seed", "9"],
+                 UNREAD + "--seed 9", id="report-seed"),
+    pytest.param(["prune", "--checkpoint", "x.itfk", "--config", "run.cfg"],
+                 UNREAD + "--config run.cfg", id="prune-config"),
+    pytest.param(["prune", "--checkpoint", "x.itfk", "--seed", "9"],
+                 UNREAD + "--seed 9", id="prune-seed"),
+    pytest.param(["symbolify", "--config", "run.cfg", "--checkpoint", "x.itfk"],
+                 "invalid choice: 'symbolify'", id="symbolify"),
+    pytest.param(["eval", "--config", "run.cfg"], REQUIRED, id="eval-without-checkpoint"),
+    pytest.param(["report", "--config", "run.cfg"], REQUIRED, id="report-without-checkpoint"),
+])
+def test_every_command_rejects_options_it_does_not_read(capsys, argv, message):
+    """Each command declares only the options it reads, so an option it
+    would ignore, a removed command or a missing checkpoint is a usage
+    error before any file is read."""
     with pytest.raises(SystemExit) as exc:
-        main(["prune", "--checkpoint", str(out_dir / "checkpoint.itfk"), *option])
+        main(argv)
     assert exc.value.code == 2
-    assert f"unrecognized arguments: {' '.join(option)}" in capsys.readouterr().err
+    assert message in capsys.readouterr().err
 
 
 def test_prune_requires_checkpoint(capsys):

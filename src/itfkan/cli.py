@@ -63,6 +63,8 @@ class RunConfig(ModelConfig):
         super().__post_init__()
         if self.seed < 0:
             raise ValueError(f"seed must be >= 0, got {self.seed}")
+        if not self.out:
+            raise ValueError("out must name a directory, got an empty value")
         choices = {"task": TASKS, "split": SPLIT_MODES, "frequency": tuple(SEASON_PERIOD)}
         for name, allowed in choices.items():
             value = getattr(self, name)
@@ -122,6 +124,15 @@ def load_config(path, **overrides):
     except OSError as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from None
     return resolve_config(parse_config_text(text, origin=path), origin=path, **overrides)
+
+
+def load_run_config(path, **overrides):
+    """A command's config: ``load_config``, and its dataset must be a file,
+    checked before train creates its output directory."""
+    cfg = load_config(path, **overrides)
+    if not os.path.isfile(cfg.dataset):
+        raise ConfigError(f"{path}: dataset {cfg.dataset!r} is not a file")
+    return cfg
 
 
 # --- shared pipeline pieces ------------------------------------------------------
@@ -205,7 +216,7 @@ def _write(path, text, created=None):
 # --- commands -----------------------------------------------------------------------
 
 def cmd_train(args):
-    cfg = load_config(args.config, seed=args.seed, out=args.out)
+    cfg = load_run_config(args.config, seed=args.seed, out=args.out)
     os.makedirs(cfg.out, exist_ok=True)
     created = []
     try:
@@ -290,7 +301,7 @@ def _open_checkpoint(cfg, path):
 
 
 def cmd_eval(args):
-    cfg = load_config(args.config)
+    cfg = load_run_config(args.config)
     model, ds, split = _open_checkpoint(cfg, args.checkpoint)
     windows = _window_splits(cfg, split)
     values = _test_metrics(model, cfg, ds, split, windows)
@@ -328,7 +339,7 @@ def cmd_report(args):
         raise ConfigError("--tau must be >= 0")
     if args.top_m < 0:
         raise ConfigError("--top-m must be >= 0")
-    cfg = load_config(args.config)
+    cfg = load_run_config(args.config)
     model, _, split = _open_checkpoint(cfg, args.checkpoint)
     calib = _calibration_windows(cfg, split)
     out = args.out or cfg.out

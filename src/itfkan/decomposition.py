@@ -8,7 +8,7 @@ reconstructs the input by construction.
 
 import numpy as np
 
-from .tensor import Tensor, matmul, permute, reshape, sub
+from .tensor import Tensor, lift, matmul, permute, sub
 
 
 _AVG_CACHE = {}
@@ -57,9 +57,7 @@ class Embedding:
         """(N, L) -> (N, L, d)."""
         if x.size == 0:
             raise ValueError("embed: empty input")
-        n, length = x.shape
-        lifted = reshape(x, (n, length, 1))
-        return matmul(lifted, self.w) + self.b
+        return lift(x, self.w, self.b)
 
     def parameters(self):
         return [("embed.w", self.w), ("embed.b", self.b)]

@@ -149,19 +149,26 @@ class ForecastModel:
         self.head_b2 = Tensor(np.zeros(config.horizon), requires_grad=True)
 
     def forward(self, x):
-        """(N, L) standardized windows -> (N, F) forecasts."""
+        """(N, L) standardized windows -> (N, F) forecasts.
+
+        The embedding is one tape node, and so is each time-axis KAN with
+        both its layers (its prior is another), which never holds its
+        hidden layer's output whole. Each branch is added in as soon as it
+        finishes, so no two branch outputs are held at once: the sum is
+        (trend + seasonal) + tf. The unpatch map adds its bias and then the
+        running sum into its own GEMM output, so the forward's tail
+        allocates one (N, L, d) array, not one per op of its chain.
+        """
         cfg = self.config
         n, length = x.shape
         if length != cfg.lookback:
             raise ValueError(f"expected lookback {cfg.lookback}, got {length}")
         trend, seasonal = moving_average_decompose(self.embed(x), cfg.kernel)
-        # each branch is added in as soon as it finishes, so no two branch
-        # outputs are held at once; the sum is (trend + seasonal) + tf.
-        # Untaped, the trend component goes before the other branches run
+        # untaped, the trend component goes before the other branches run
         h = self._along_time(self.trend_kan, trend, "trend")
-        del trend  # on the tape, its KAN layers' closures still hold it
+        del trend  # on the tape, its KAN's and its prior's closures still hold it
         h = h + self._along_time(self.seasonal_kan, seasonal, "seasonal")
-        h = h + self.unpatcher(self.tf_kans(self.patcher(seasonal)))
+        h = self.unpatcher(self.tf_kans(self.patcher(seasonal)), h)
         collapsed = reshape(matmul(h, self.head_w1) + self.head_b1, (n, length))
         return matmul(collapsed, self.head_w2) + self.head_b2
 

@@ -188,17 +188,24 @@ class TaylorKanLayer:
         w, a0, a1, a2 = (t.data != 0.0 for t in (self.w, self.a0, self.a1, self.a2))
         return w | a0 | a1 | a2
 
-    def forward(self, x):
+    def edges(self):
+        """The adjustable edges' (w, a0, a1, a2), as ``taylor_kan`` takes a layer."""
+        return self.w, self.a0, self.a1, self.a2
+
+    def prior(self, x):
+        """The injected edges' outputs over x, or None without an injection."""
         if x.shape[-1] != self.in_dim:
             raise ValueError(
                 f"layer expects last axis {self.in_dim}, got {x.shape[-1]}"
             )
-        prior = None
         if self.inject_kind == "trend":
-            prior = poly_inject(x, self.poly_coeffs)
-        elif self.inject_kind == "fourier":
-            prior = fourier_inject(x, self.freqs, self.four_a, self.four_b)
-        return taylor_kan(x, self.w, self.a0, self.a1, self.a2, prior=prior)
+            return poly_inject(x, self.poly_coeffs)
+        if self.inject_kind == "fourier":
+            return fourier_inject(x, self.freqs, self.four_a, self.four_b)
+        return None
+
+    def forward(self, x):
+        return taylor_kan(x, [self.edges()], prior=self.prior(x))
 
     def reg_terms(self):
         """(tensor, scale) pairs whose sum of scale * sum(t**2) is the sum of
@@ -264,7 +271,8 @@ def reg_loss(layers):
 
 class KanNetwork:
     """A chain of TaylorKanLayers along the last axis (the trend and seasonal
-    KANs). Naming, regularising and counting its layers go through
+    KANs), of which only the first may carry injected edges. Naming,
+    regularising and counting its layers go through
     ``ForecastModel.kan_layers``; the network only runs them."""
 
     def __init__(self, layers):
@@ -273,16 +281,18 @@ class KanNetwork:
                 raise ValueError(
                     f"layer dims do not chain: {prev.out_dim} -> {nxt.in_dim}"
                 )
+            if nxt.inject_kind is not None:
+                raise ValueError("only a network's first layer may carry injected edges")
         self.layers = list(layers)
 
     def forward(self, x, tag=""):
-        """Apply the layer chain. ``tag`` names the branch ("trend",
-        "seasonal"); the forward ignores it, but perfbench's span hooks
-        (``_kan_name`` in ``perfbench/hooks.py``) read it to time each
-        branch apart."""
-        for layer in self.layers:
-            x = layer.forward(x)
-        return x
+        """Apply the layer chain as one ``taylor_kan`` node, whose slabs run
+        every layer in turn, so that no hidden layer's output is held
+        whole. ``tag`` names the branch ("trend", "seasonal"); the forward
+        ignores it, but perfbench's span hooks (``_kan_name`` in
+        ``perfbench/hooks.py``) read it to time each branch apart."""
+        first = self.layers[0]
+        return taylor_kan(x, [layer.edges() for layer in self.layers], prior=first.prior(x))
 
 
 def build_trend_kan(length, degree, rng):

@@ -579,6 +579,77 @@ def matmul(a, b):
     return Tensor._from_op(out, "matmul", (a, b), bw)
 
 
+# --- fused affine ops -------------------------------------------------------
+#
+# Each op below is a chain of the primitives above in one tape node: its
+# forward gives the chain's bits, and its backward evaluates the chain's
+# gradient expressions, so gradients keep their bits too.
+
+def lift(x, w, b):
+    """x[..., None] * w[0] + b: each value of x lifted to len(b) values by
+    the (1, d) row w and the bias b. The bits of the chain reshape, a K=1
+    matmul and an add, whose GEMM rounds each product once."""
+    if w.ndim != 2 or w.shape[0] != 1 or b.shape != (w.shape[1],):
+        raise ShapeError("lift", x.shape, w.shape, b.shape)
+    xd, wd = x.data, w.data
+    width = wd.shape[1]
+    out = np.multiply(xd[..., None], wd[0])
+    out += b.data
+    xk = xd if w.requires_grad else None
+    wk = wd if x.requires_grad else None
+    x_shape = x.shape
+
+    def bw(g):
+        gx = None if wk is None else (g @ wk.T).reshape(x_shape)
+        gw = None if xk is None else xk.reshape(-1, 1).T @ g.reshape(-1, width)
+        return gx, gw, _unbroadcast(g, (width,))
+
+    return Tensor._from_op(out, "lift", (x, w, b), bw)
+
+
+def unpatch(h, w, b, residual=None):
+    """(N, P, d) h mapped over its middle axis to (N, L, d): out[n, l, c] =
+    sum_p w[p, l] h[n, p, c] + b[l], plus ``residual`` (N, L, d) if given.
+
+    The bits of the chain permute(permute(h) @ w + b) and then ``residual
+    + that``. The sum is built in the GEMM's own (N, d, L) output, whose
+    permuted view is the result, and backward evaluates the chain's
+    gradients through the same views.
+    """
+    if (
+        h.ndim != 3
+        or w.ndim != 2
+        or h.shape[1] != w.shape[0]
+        or b.shape != (w.shape[1],)
+        or residual is not None and residual.shape != (h.shape[0], w.shape[1], h.shape[2])
+    ):
+        shapes = [h.shape, w.shape, b.shape] + ([] if residual is None else [residual.shape])
+        raise ShapeError("unpatch", *shapes)
+    ht, wd = h.data.transpose(0, 2, 1), w.data  # (N, d, P)
+    length = wd.shape[1]
+    out = ht @ wd
+    out += b.data
+    if residual is not None:
+        out += residual.data.transpose(0, 2, 1)
+    hk = ht if w.requires_grad else None
+    wk = wd if h.requires_grad else None
+    # Graph.from_output expands a node's last parent first, and backward
+    # runs what it expands first last. With the residual first, the rules
+    # behind it (the time-axis KANs') run before h's, as they did behind
+    # the chain's add(residual, unpatched); the other order peaked 7 MB
+    # higher on the reference training step.
+    parents = (() if residual is None else (residual,)) + (h, w, b)
+    n_residual = len(parents) - 3
+
+    def bw(g):
+        gt = g.transpose(0, 2, 1)  # the GEMM output's gradient
+        gh = None if wk is None else (gt @ wk.T).transpose(0, 2, 1)
+        gw = None if hk is None else hk.reshape(-1, hk.shape[-1]).T @ gt.reshape(-1, length)
+        return (g,) * n_residual + (gh, gw, _unbroadcast(gt, (length,)))
+
+    return Tensor._from_op(out.transpose(0, 2, 1), "unpatch", parents, bw)
+
+
 # --- fused KAN ops ----------------------------------------------------------
 #
 # Each op below does the work of a chain of the primitives above in one tape
@@ -613,12 +684,38 @@ def matmul(a, b):
 # from its slab of the input, by the forward's own code and so with its
 # bits, everything it reads beyond the op's inputs: the sigmoid, the
 # polynomial prior's powers, the Fourier prior's unit angle e^{i theta}
-# (one cos and one sin per input) and harmonics, the grid, the windows.
-# So no op keeps a full-size array beyond its inputs for backward, and a
-# taped forward runs the no-grad forward's code and gives its bits. Each
-# forward GEMM also rounds as the whole batch's GEMM would (see
-# ``_slabs``, ``_slab_rows``, ``poly_inject`` and the two patch ops), so
-# slabbing left the forward's bits unchanged.
+# (one cos and one sin per input) and harmonics, the grid, the windows,
+# a KAN chain's hidden layers. So no op keeps a full-size array beyond its
+# inputs for backward, and a taped forward runs the no-grad forward's code
+# and gives its bits. Each forward GEMM also rounds as the whole batch's
+# GEMM would (see ``_slabs``, ``_slab_rows``, ``poly_inject`` and the two
+# patch ops), so slabbing left the forward's bits unchanged.
+#
+# A time-axis KAN runs both its layers as one ``taylor_kan`` node. Each
+# slab passes its rows through both layers in its worker's scratch, so the
+# hidden layer's (N, d, L) output, and in backward its gradient, never
+# exist whole (11 MB each at the reference step). The node keeps its input
+# and the first layer's prior output (r columns). Its backward rebuilds
+# each slab's hidden rows from the input rows by the forward's code, keeps
+# the sigmoid, silu and square of each layer's input from that rebuild for
+# the layer's own backward, and runs the layers' backward from the last.
+# The rebuild repeats the first layer's three forward GEMMs: on the
+# reference step (two cores, three rounds of ten steps, each rule timed)
+# the two chains' backward took 10-26 ms more than the four single
+# layers', and their forward 2-18 ms less.
+#
+# Full-width rule: a first layer with a prior runs its forward GEMMs over
+# whole output rows, with zero weights in the prior's r leading rows, and
+# then writes the prior's columns over them. On one core, over the 42
+# slabs of 352 rows of the reference step, a 93- or 91-column GEMM into
+# the strided block of a 96-wide row took 5.5 ms against 4.7 ms at 96
+# columns into whole rows, and each strided ``o += t`` 1.5-1.7 ms against
+# 0.3-0.4 ms. Each output column is the same dot product at either width,
+# and the bits were the narrow GEMMs' at every shape checked (the reference
+# step's, pipeline-toy's and the tests'); OpenBLAS picks its kernel by
+# shape, so the tests keep the strided block as an oracle. The backward
+# keeps its 93- and 91-column GEMMs: padded to 96 they measured the same
+# (4.4-4.5 against 4.6-4.7 ms, 5.0-5.4 against 5.2 ms).
 
 SLAB = 2 ** 15  # float64 values per slab of input; chosen by a measured sweep
 # threads per slab loop: measured on 2 CPUs only (the elementwise passes
@@ -868,93 +965,204 @@ def _batched(a):
     return a if a.ndim > 1 else a[None]
 
 
-def taylor_kan(x, w, a0, a1, a2, prior=None):
-    """Adjustable Taylor-KAN block along the last axis of x.
+class _TaylorLayer:
+    """One Taylor-KAN layer's arrays, as ``taylor_kan``'s slab loops read
+    them. The forward's weights, prefixed ``f``, carry ``lead`` zero rows
+    for the prior's columns, so the layer's forward GEMMs write whole rows."""
 
-    out[..., j] = sum_i w[j, i] * (silu(x_i) + a0[j, i] + a1[j, i] x_i
-    + a2[j, i] x_i^2), with w and the a's of shape (out, in). Backward
-    recomputes each slab's sigmoid from its copy of x, sums the weight
-    gradients' GEMMs over the basis [silu(x), x, x^2] across slabs and takes
-    each slab's input gradient from GEMMs with [w, w*a1, 2*w*a2].
+    def __init__(self, w, a0, a1, a2, lead):
+        self.w, self.a0, self.a1, self.a2 = w, a0, a1, a2
+        self.n_out, self.n_in = w.shape
+        self.width = lead + self.n_out
+        self.wa1 = w * a1
+        self.wa2 = w * a2
+        self.w_quad = 2.0 * self.wa2
+        const = (w * a0).sum(axis=1)
 
-    ``prior``, if given, is a tensor of shape x.shape[:-1] + (r,): a first
-    layer's injected edges. Its values then fill the output's first r
-    columns and the block's fill the rest, so the layer's output is one
-    array and one tape node with no concatenation.
+        def padded(m):
+            return np.concatenate([np.zeros((lead,) + m.shape[1:]), m]) if lead else m
+
+        self.fw, self.fwa1, self.fwa2 = padded(w), padded(self.wa1), padded(self.wa2)
+        self.fconst = padded(const)
+
+
+def _taylor_basis(xs, bufs):
+    """sigmoid(x), silu(x) and x^2 of a slab's rows xs, in the front of the
+    three scratch buffers ``bufs``."""
+    s = sigmoid(xs, out=_scratch(bufs[0], xs.shape))
+    silu_x = np.multiply(s, xs, out=_scratch(bufs[1], xs.shape))
+    return s, silu_x, np.square(xs, out=_scratch(bufs[2], xs.shape))
+
+
+def _taylor_forward(layer, basis, lin, t, out):
+    """A layer's output over a slab, into ``out`` (rows, width), from the
+    rows' ``_taylor_basis``; ``lin`` is the rows as the linear term's GEMM
+    operand, and ``t`` is (rows, width) scratch."""
+    _, silu_x, sq = basis
+    np.matmul(silu_x, layer.fw.T, out=out)
+    out += np.matmul(lin, layer.fwa1.T, out=t)
+    out += np.matmul(sq, layer.fwa2.T, out=t)
+    out += layer.fconst
+
+
+def _taylor_backward(layer, gs, xs, basis, t, gx, parts):
+    """A layer's backward over a slab: its weight-gradient partials into
+    ``parts`` and its input gradient into ``gx``, from the gradient ``gs``
+    of its adjustable columns, its input rows xs and their basis, which
+    this overwrites. ``t`` is scratch of xs's shape."""
+    s, silu_x, sq = basis
+    part, part_sum = parts
+    np.matmul(gs.T, silu_x, out=part[0])
+    np.matmul(gs.T, xs, out=part[1])
+    np.matmul(gs.T, sq, out=part[2])
+    np.sum(gs, axis=0, out=part_sum)
+    # silu'(x) = s + silu(x) * (1 - s)
+    np.subtract(1.0, s, out=gx)
+    gx *= silu_x
+    gx += s
+    gx *= np.matmul(gs, layer.w, out=t)
+    gx += np.matmul(gs, layer.wa1, out=t)
+    gx += np.multiply(np.matmul(gs, layer.w_quad, out=t), xs, out=sq)
+
+
+def taylor_kan(x, layers, prior=None):
+    """A chain of adjustable Taylor-KAN layers along the last axis of x, as
+    one tape node.
+
+    ``layers`` holds each layer's (w, a0, a1, a2), all of shape (out, in).
+    A layer maps its input h to out[..., j] = sum_i w[j, i] * (silu(h_i) +
+    a0[j, i] + a1[j, i] h_i + a2[j, i] h_i^2), and the next layer reads
+    that output. ``prior``, if given, is a tensor of shape x.shape[:-1] +
+    (r,): the first layer's injected edges. Its values fill that layer's
+    first r output columns and the layer's own edges the rest, so the
+    layer's output is one array with no concatenation.
+
+    Each slab runs through every layer in its worker's scratch, so no layer
+    output but the last is ever held whole. Backward keeps only the op's
+    inputs: each slab rebuilds its hidden rows from its copy of x by the
+    forward's code, keeps every layer's sigmoid, silu and square from that
+    rebuild, and runs the layers' backward from the last one down. Weight
+    gradients are GEMMs over the basis [silu(h), h, h^2] summed across
+    slabs; input gradients are GEMMs with [w, w*a1, 2*w*a2].
     """
-    if (
-        w.ndim != 2
-        or not w.shape == a0.shape == a1.shape == a2.shape
-        or x.ndim < 1
-        or x.shape[-1] != w.shape[1]
-        or prior is not None and prior.shape[:-1] != x.shape[:-1]
-    ):
-        operands = (x, w, a0, a1, a2, prior)
-        raise ShapeError("taylor_kan", *(t.shape for t in operands if t is not None))
-    parents = (x, w, a0, a1, a2) + (() if prior is None else (prior,))
-    xd, wd, a0d, a1d, a2d = _batched(x.data), w.data, a0.data, a1.data, a2.data
-    n_out, n_in = wd.shape
+    layers = [tuple(ps) for ps in layers]
     lead = 0 if prior is None else prior.shape[-1]
-    x_shape, out_shape = x.shape, x.shape[:-1] + (lead + n_out,)
+
+    def conform():
+        if not layers or x.ndim < 1 or prior is not None and prior.shape[:-1] != x.shape[:-1]:
+            return False
+        width = x.shape[-1]
+        for k, ps in enumerate(layers):
+            if len(ps) != 4 or ps[0].ndim != 2 or ps[0].shape[1] != width:
+                return False
+            if any(t.shape != ps[0].shape for t in ps):
+                return False
+            width = ps[0].shape[0] + (lead if k == 0 else 0)
+        return True
+
+    if not conform():
+        shapes = [x.shape] + [t.shape for ps in layers for t in ps]
+        raise ShapeError("taylor_kan", *shapes, *(() if prior is None else (prior.shape,)))
+    parents = (x,) + tuple(t for ps in layers for t in ps) + (() if prior is None else (prior,))
+    xd = _batched(x.data)
+    arrays = [tuple(t.data for t in ps) for ps in layers]
+
+    def build():
+        """The layers' derived arrays; backward builds its own rather than
+        keep these."""
+        return [_TaylorLayer(*a, lead if k == 0 else 0) for k, a in enumerate(arrays)]
+
+    kans = build()
+    depth = len(kans)
+    out_width = kans[-1].width
+    x_shape, out_shape = x.shape, x.shape[:-1] + (out_width,)
+    pd = None if prior is None else _batched(prior.data)
+    # backward rebuilds a hidden layer's input, whose first columns are the
+    # prior's, so a chain keeps the prior's output
+    kept_prior = pd if depth > 1 else None
     prior_shape = None if prior is None else prior.shape
-    wa1 = wd * a1d
-    wa2 = wd * a2d
-    const = (wd * a0d).sum(axis=1)
     slices, rows = _slabs(xd.shape)
-    full = np.empty(xd.shape[:-1] + (lead + n_out,))
-    if prior is not None:
-        full[..., :lead] = _batched(prior.data)
+    size = rows * max([xd.shape[-1]] + [layer.width for layer in kans])
+    full = np.empty(xd.shape[:-1] + (out_width,))
+
+    def chain(kans, sl, xs, lin, bufs, tbuf, prior_data, out=None):
+        """The slab's rows xs through the layers; returns every layer's
+        input rows and basis. Layer k's basis goes to the first three of
+        ``bufs[k]`` and, but for the last layer's, its output to the fourth.
+        The last layer's GEMMs run only if ``out`` is given, into it.
+        ``lin`` is xs as the first layer's linear-term GEMM operand."""
+        inputs, bases = [xs], []
+        for k, layer in enumerate(kans):
+            bases.append(_taylor_basis(inputs[k], bufs[k]))
+            dst = out if k == depth - 1 else _scratch(bufs[k][3], (xs.shape[0], layer.width))
+            if dst is None:
+                break
+            _taylor_forward(layer, bases[k], lin, _scratch(tbuf, dst.shape), dst)
+            if k == 0 and lead:
+                dst[:, :lead] = prior_data[sl].reshape(-1, lead)
+            inputs.append(dst)
+            lin = dst
+        return inputs, bases
 
     def forward(sl, bufs, _):
-        xbuf, basis_buf, tbuf = bufs
+        xbuf, lin_buf, tbuf, hbuf, silu_buf, sq_buf = bufs
         xs = _rows(_slab(xd, sl, xbuf))
-        basis = sigmoid(xs, out=_scratch(basis_buf, xs.shape))
-        t = _scratch(tbuf, (xs.shape[0], n_out))
-        o = _rows(full[sl])[:, lead:]
-        np.matmul(np.multiply(basis, xs, out=basis), wd.T, out=o)
-        o += np.matmul(_slab_rows(xd, sl, basis_buf), wa1.T, out=t)
-        o += np.matmul(np.square(xs, out=basis), wa2.T, out=t)
-        o += const
+        # silu(x) overwrites the sigmoid, which only backward reads, and a
+        # hidden layer writes where the input of the one before it was
+        layer_bufs = [(silu_buf, silu_buf, sq_buf, (hbuf, xbuf)[k % 2]) for k in range(depth)]
+        chain(kans, sl, xs, _slab_rows(xd, sl, lin_buf), layer_bufs, tbuf, pd, out=_rows(full[sl]))
 
-    _slab_loop(slices, (rows * n_in, rows * n_in, rows * n_out), forward)
+    _slab_loop(slices, (size,) * 6, forward)
 
     def bw(g):
-        g = g.reshape(xd.shape[:-1] + (lead + n_out,))
-        g_prior = g[..., :lead]
-        g = g[..., lead:]
+        kans = build()
+        g = g.reshape(xd.shape[:-1] + (out_width,))
         gx = np.empty(xd.shape)
-        coeffs = np.zeros((3, n_out, n_in))  # summed over the basis silu(x), x, x^2
-        g_sum = np.zeros(n_out)
-        w_quad = 2.0 * wa2
+        g_prior = None if prior_shape is None else np.empty(xd.shape[:-1] + (lead,))
+        # per layer, summed over the basis silu(h), h, h^2, and the gradient's sum
+        totals = [
+            a for layer in kans for a in (np.zeros((3, layer.n_out, layer.n_in)), np.zeros(layer.n_out))
+        ]
 
         def slab(sl, bufs, parts):
-            gbuf, xbuf, sig_buf, silu_buf, sq_buf, tb = bufs
-            part, part_sum = parts
+            gbuf, xbuf, lin_buf, tbuf, *rest = bufs
+            layer_bufs = [rest[4 * k : 4 * k + 4] for k in range(depth)]
+            # a hidden layer's input gradient goes where the first layer's
+            # GEMM operand was, and every other one from a third layer on to
+            # the last buffer
+            g_in_bufs = (rest[-1], lin_buf)
             gs = _rows(_slab(g, sl, gbuf))
             xs = _rows(_slab(xd, sl, xbuf))
-            s = sigmoid(xs, out=_scratch(sig_buf, xs.shape))
-            silu_x = np.multiply(s, xs, out=_scratch(silu_buf, xs.shape))
-            sq = np.square(xs, out=_scratch(sq_buf, xs.shape))
-            t = _scratch(tb, xs.shape)
-            np.matmul(gs.T, silu_x, out=part[0])
-            np.matmul(gs.T, xs, out=part[1])
-            np.matmul(gs.T, sq, out=part[2])
-            np.sum(gs, axis=0, out=part_sum)
-            # silu'(x) = s + silu(x) * (1 - s)
-            gxs = np.subtract(1.0, s, out=_rows(gx[sl]))
-            gxs *= silu_x
-            gxs += s
-            gxs *= np.matmul(gs, wd, out=t)
-            gxs += np.matmul(gs, wa1, out=t)
-            gxs += np.multiply(np.matmul(gs, w_quad, out=t), xs, out=sq)
+            # a single layer's GEMMs do not run again, so need no operand
+            lin = _slab_rows(xd, sl, lin_buf) if depth > 1 else None
+            inputs, bases = chain(kans, sl, xs, lin, layer_bufs, tbuf, kept_prior)
+            g_out = gs  # the gradient of layer k's output
+            for k in reversed(range(depth)):
+                h = inputs[k]
+                if k:
+                    g_in = _scratch(g_in_bufs[k % 2], h.shape)
+                else:
+                    g_in = _rows(gx[sl])
+                    if lead:
+                        _rows(g_prior[sl])[...] = g_out[:, :lead]
+                        g_out = g_out[:, lead:]
+                layer_parts = parts[2 * k : 2 * k + 2]
+                _taylor_backward(kans[k], g_out, h, bases[k], _scratch(tbuf, h.shape), g_in, layer_parts)
+                g_out = g_in
 
-        sizes = (rows * n_out,) + (rows * n_in,) * 5
-        _slab_loop(slices, sizes, slab, totals=(coeffs, g_sum))
-        c_silu, c_lin, c_quad = coeffs
-        g_sum = g_sum[:, None]
-        gw = c_silu + c_lin * a1d + c_quad * a2d + g_sum * a0d
-        grads = (gx.reshape(x_shape), gw, g_sum * wd, c_lin * wd, c_quad * wd)
-        return grads + (() if prior_shape is None else (g_prior.reshape(prior_shape),))
+        # g, x, lin and t; four per layer (its basis and its output) but the
+        # last layer's output; a second input-gradient buffer from three on
+        n_bufs = 4 + 4 * depth - 1 + (depth > 2)
+        _slab_loop(slices, (size,) * n_bufs, slab, totals=totals)
+        grads = [gx.reshape(x_shape)]
+        for layer, coeffs, g_sum in zip(kans, totals[::2], totals[1::2]):
+            c_silu, c_lin, c_quad = coeffs
+            g_sum = g_sum[:, None]
+            gw = c_silu + c_lin * layer.a1 + c_quad * layer.a2 + g_sum * layer.a0
+            grads += [gw, g_sum * layer.w, c_lin * layer.w, c_quad * layer.w]
+        if prior_shape is not None:
+            grads.append(g_prior.reshape(prior_shape))
+        return tuple(grads)
 
     return Tensor._from_op(full.reshape(out_shape), "taylor_kan", parents, bw)
 

@@ -31,6 +31,7 @@ from .tensor import (
     patch_kans,
     permute,
     reshape,
+    unpatch,
 )
 
 
@@ -137,9 +138,10 @@ class Unpatcher:
         )
         self.b = Tensor(np.zeros(length), requires_grad=True)
 
-    def __call__(self, h):
-        out = matmul(permute(h, (0, 2, 1)), self.w) + self.b
-        return permute(out, (0, 2, 1))
+    def __call__(self, h, residual=None):
+        """(N, P, d) -> (N, L, d), plus ``residual`` (N, L, d) if given,
+        added into the map's own output (``tensor.unpatch``)."""
+        return unpatch(h, self.w, self.b, residual)
 
     def parameters(self, prefix):
         return [(f"{prefix}.w", self.w), (f"{prefix}.b", self.b)]

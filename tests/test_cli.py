@@ -183,6 +183,31 @@ def test_train_missing_file_exits_2(tmp_path, capsys):
     assert code == 2
 
 
+def test_empty_out_exits_2_at_load_naming_config_and_out(workspace, capsys):
+    cfg_path, _ = workspace
+    write_config(cfg_path, dataset=str(cfg_path.parent / "panel.csv"), out="")
+    assert main(["train", "--config", str(cfg_path)]) == 2
+    captured = capsys.readouterr()
+    assert f"error: {cfg_path}: out must name a directory" in captured.err
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize("command", ["train", "eval", "report"])
+def test_missing_dataset_exits_2_naming_it_and_creates_nothing(tmp_path, capsys, command):
+    """A dataset path that names no file is a usage error at load, before
+    train creates its output directory."""
+    cfg_path, out_dir, missing = tmp_path / "run.cfg", tmp_path / "o2", tmp_path / "missing.csv"
+    write_config(cfg_path, dataset=str(missing), out=str(out_dir))
+    argv = [command, "--config", str(cfg_path)]
+    if command != "train":
+        argv += ["--checkpoint", str(tmp_path / "checkpoint.itfk")]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert f"error: {cfg_path}: dataset {str(missing)!r} is not a file" in captured.err
+    assert captured.out == ""
+    assert sorted(os.listdir(tmp_path)) == ["run.cfg"]
+
+
 def test_train_unknown_frequency_exits_2_before_training(workspace, capsys):
     cfg_path, out_dir = workspace
     write_config(

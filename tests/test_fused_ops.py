@@ -126,9 +126,24 @@ def make_case(name, rng):
         ps = taylor_params(rng, 4, 5)
         names = ["w", "a0", "a1", "a2"]
         return (
-            lambda x_: T.taylor_kan(x_, *ps),
+            lambda x_: T.taylor_kan(x_, [ps]),
             lambda x_: taylor_chain(x_, *ps),
             make_x, list(zip(names, ps)),
+        )
+    if name == "taylor_kan_chain":
+        make_x = time_axis_input(rng, (2, 3, 4), 5)
+        coeffs = [param(rng, (5, 2)) for _ in range(3)]
+        first, second = taylor_params(rng, 3, 5), taylor_params(rng, 4, 5)
+        names = ["w", "a0", "a1", "a2"]
+        return (
+            lambda x_: T.taylor_kan(x_, [first, second], prior=T.poly_inject(x_, coeffs)),
+            lambda x_: taylor_chain(
+                T.concat([poly_chain(x_, coeffs), taylor_chain(x_, *first)], -1), *second
+            ),
+            make_x,
+            [(f"l0.{n}", t) for n, t in zip(names, first)]
+            + [(f"l1.{n}", t) for n, t in zip(names, second)]
+            + [(f"poly{k}", c) for k, c in enumerate(coeffs)],
         )
     if name == "poly_inject":
         make_x = time_axis_input(rng, (2, 3, 4), 5)
@@ -188,7 +203,13 @@ def patch_compress_case(rng, make_x):
     )
 
 
-OPS = ["taylor_kan", "poly_inject", "fourier_inject", "patch_kans", "patch_compress"]
+OPS = [
+    "taylor_kan", "taylor_kan_chain", "poly_inject", "fourier_inject", "patch_kans",
+    "patch_compress",
+]
+# the tape op of each case's output: the chain case's two layers are one
+# taylor_kan node, whose prior is a poly_inject node
+TAPE_OP = {"taylor_kan_chain": "taylor_kan"}
 
 
 def slab_shape(name, x):
@@ -260,7 +281,7 @@ def test_fused_op_no_grad_equals_taped(name):
     fused, _, make_x, _ = make_case(name, np.random.default_rng(4))
     x = make_x()
     taped = fused(x)
-    assert taped.op == name
+    assert taped.op == TAPE_OP.get(name, name)
     with no_grad():
         plain = fused(x)
     assert plain.op is None
@@ -272,9 +293,9 @@ def test_fused_ops_reject_bad_shapes():
     x = Tensor(rng.normal(size=(2, 4)))
     w, a0, a1, a2 = (Tensor(rng.normal(size=(3, 5))) for _ in range(4))
     with pytest.raises(ShapeError):
-        T.taylor_kan(x, w, a0, a1, a2)
+        T.taylor_kan(x, [(w, a0, a1, a2)])
     with pytest.raises(ShapeError):  # the prior's leading axes are not x's
-        T.taylor_kan(x, *(Tensor(rng.normal(size=(3, 4))) for _ in range(4)),
+        T.taylor_kan(x, [[Tensor(rng.normal(size=(3, 4))) for _ in range(4)]],
                      prior=Tensor(np.zeros((3, 2))))
     with pytest.raises(ShapeError):
         T.poly_inject(x, [Tensor(np.zeros((4, 2)))])
@@ -375,7 +396,12 @@ def rebuilding_case(name, rng):
     if name == "taylor_kan":
         x = time_axis_input(rng, (96, 8), 96)()
         ps = taylor_params(rng, 8, 96)
-        return (lambda: T.taylor_kan(x, *ps)), x
+        return (lambda: T.taylor_kan(x, [ps])), x
+    if name == "taylor_kan_chain":
+        x = time_axis_input(rng, (96, 8), 96)()
+        prior = T.poly_inject(x, [param(rng, (96, 3)) for _ in range(4)])
+        first, second = taylor_params(rng, 93, 96), taylor_params(rng, 8, 96)
+        return (lambda: T.taylor_kan(x, [first, second], prior=prior)), x
     if name == "patch_compress":
         x = Tensor(rng.normal(size=(64, 96, 32)), requires_grad=True)
         w = param(rng, (6 * 32, 32))
@@ -386,11 +412,14 @@ def rebuilding_case(name, rng):
     return (lambda: T.patch_kans(patches, maps, params)), patches
 
 
-@pytest.mark.parametrize("name", ["poly_inject", "taylor_kan", "patch_kans", "patch_compress"])
+@pytest.mark.parametrize(
+    "name", ["poly_inject", "taylor_kan", "taylor_kan_chain", "patch_kans", "patch_compress"]
+)
 def test_taped_forward_keeps_only_its_output(name):
     """A taped forward keeps nothing beyond its output and the op's small
     per-call constants: backward rebuilds the polynomial powers, the
-    sigmoid, the time-frequency grid and the patch windows slab by slab."""
+    sigmoid, a chain's hidden layer (here 96 wide, 590 KB whole), the
+    time-frequency grid and the patch windows slab by slab."""
     call, x = rebuilding_case(name, np.random.default_rng(55))
     assert len(T._slabs(slab_shape(name, x))[0]) > 1
     slack = 64 * 1024
@@ -591,8 +620,9 @@ def test_backward_consumes_the_graph():
 
 def test_backward_frees_a_rules_arrays_before_it_returns():
     """With the forecast and the loss still referenced, an array that only
-    a backward rule holds is freed by the time backward returns: here the
-    input of the trend KAN's second layer, which its taylor_kan keeps."""
+    backward rules hold is freed by the time backward returns: here the
+    trend KAN's input, which its taylor_kan (both layers in one node) and
+    its prior keep."""
     model, pred, loss = small_model_step()
     w = model.trend_kan.layers[1].w
     (rule,) = [
@@ -643,7 +673,7 @@ def test_no_backward_closure_of_the_model_holds_a_tensor(task):
     rng = np.random.default_rng(9)
     x, y = Tensor(rng.normal(size=(5, 24))), Tensor(rng.normal(size=(5, 8)))
     loss, _ = total_loss(model.forward(x), y, model, cfg.reg_lambda, task)
-    assert len(T.Graph.from_output(loss)) == {"long": 40, "short": 46}[task]
+    assert len(T.Graph.from_output(loss)) == {"long": 33, "short": 39}[task]
     assert closures_holding_tensors(loss) == []
 
 
@@ -751,7 +781,7 @@ def test_fused_op_rule_keeps_not_its_own_output(name):
 
     loss, owner = loss_and_owner()
     assert owner() is None
-    assert name in {node.op for node in T.Graph.from_output(loss).nodes}
+    assert TAPE_OP.get(name, name) in {node.op for node in T.Graph.from_output(loss).nodes}
     errors = param_fd_errors(lambda: loss_and_owner()[0], named)
     for pname, err in errors.items():
         assert err < FD_TOL, f"{name} {pname}: {err}"
@@ -851,8 +881,8 @@ def test_taylor_kan_prior_equals_concat_bitwise(kind, permuted, small_slabs):
             x_, FREQS, coeffs[: len(FREQS) + 1], coeffs[len(FREQS) + 1 :]
         )
     named = named + [(f"c{k}", c) for k, c in enumerate(coeffs)]
-    joined = lambda x_: T.taylor_kan(x_, *ps, prior=inject(x_))  # noqa: E731
-    concatenated = lambda x_: T.concat([inject(x_), T.taylor_kan(x_, *ps)], -1)  # noqa: E731
+    joined = lambda x_: T.taylor_kan(x_, [ps], prior=inject(x_))  # noqa: E731
+    concatenated = lambda x_: T.concat([inject(x_), T.taylor_kan(x_, [ps])], -1)  # noqa: E731
     out_j, grads_j = grads_of(joined, make_x, named)
     out_c, grads_c = grads_of(concatenated, make_x, named)
     np.testing.assert_array_equal(out_j, out_c)
@@ -861,6 +891,127 @@ def test_taylor_kan_prior_equals_concat_bitwise(kind, permuted, small_slabs):
     with no_grad():
         plain = joined(make_x())
     np.testing.assert_array_equal(plain.data, out_c)
+
+
+# --- chained layers ------------------------------------------------------------------
+
+def prior_of(kind, rng, width):
+    """A prior maker over inputs of last axis ``width`` and its coefficients:
+    the trend prior's 3 columns, the Fourier prior's 5 or none."""
+    if kind == "trend":
+        coeffs = [param(rng, (width, 3)) for _ in range(4)]
+        return (lambda x_: T.poly_inject(x_, coeffs)), coeffs
+    if kind == "fourier":
+        freqs = [2.0 * b / 96 for b in (5, 6, 7, 13, 14)]
+        coeffs = [param(rng, (width, 5)) for _ in range(2 * len(freqs) + 1)]
+        return (
+            lambda x_: T.fourier_inject(x_, freqs, coeffs[: len(freqs) + 1], coeffs[len(freqs) + 1 :]),
+            coeffs,
+        )
+    return (lambda x_: None), []
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+@pytest.mark.parametrize("permuted", [True, False])
+@pytest.mark.parametrize("kind", ["trend", "fourier", None])
+def test_taylor_kan_chain_equals_one_layer_twice_bitwise(kind, permuted, workers, small_slabs, monkeypatch):
+    """Two layers in one node give, over several slabs and on one or two
+    workers, the taped and no-grad outputs and every gradient of the
+    one-layer op applied twice, bit for bit: the second layer reads the
+    first's rows from scratch as it would read them from its whole output."""
+    cpus(monkeypatch, workers)
+    rng = np.random.default_rng(47)
+    make_x = time_axis_input(rng, (5, 3, 4), 8)
+    if not permuted:
+        make_x = leaf_input(np.ascontiguousarray(make_x().data))
+    small_slabs(make_x().shape)
+    inject, coeffs = prior_of(kind, rng, 8)
+    r = {"trend": 3, "fourier": 5, None: 0}[kind]
+    first, second = taylor_params(rng, 8 - r, 8), taylor_params(rng, 4, 8)
+    named = [(f"c{k}", c) for k, c in enumerate(coeffs)]
+    named += [(f"l{k}.{n}", t) for k, ps in enumerate((first, second)) for n, t in zip("w0123", ps)]
+
+    def chained(x_):
+        return T.taylor_kan(x_, [first, second], prior=inject(x_))
+
+    def twice(x_):
+        return T.taylor_kan(T.taylor_kan(x_, [first], prior=inject(x_)), [second])
+
+    out_c, grads_c = grads_of(chained, make_x, named)
+    out_t, grads_t = grads_of(twice, make_x, named)
+    np.testing.assert_array_equal(out_c, out_t)
+    for key in grads_t:
+        np.testing.assert_array_equal(grads_c[key], grads_t[key], err_msg=key)
+    with no_grad():
+        plain = chained(make_x())
+    np.testing.assert_array_equal(plain.data, out_t)
+
+
+def test_taylor_kan_three_layers_equal_one_layer_thrice_bitwise(small_slabs):
+    """A third layer takes its input gradient in the buffer a second one
+    does not use."""
+    rng = np.random.default_rng(49)
+    make_x = time_axis_input(rng, (5, 3, 4), 8)
+    small_slabs(make_x().shape)
+    inject, coeffs = prior_of("trend", rng, 8)
+    layers = [taylor_params(rng, 5, 8), taylor_params(rng, 8, 8), taylor_params(rng, 4, 8)]
+    named = [(f"c{k}", c) for k, c in enumerate(coeffs)]
+    named += [(f"l{k}.{n}", t) for k, ps in enumerate(layers) for n, t in zip("w0123", ps)]
+
+    def chained(x_):
+        return T.taylor_kan(x_, layers, prior=inject(x_))
+
+    def thrice(x_):
+        h = T.taylor_kan(x_, layers[:1], prior=inject(x_))
+        return T.taylor_kan(T.taylor_kan(h, layers[1:2]), layers[2:])
+
+    out_c, grads_c = grads_of(chained, make_x, named)
+    out_t, grads_t = grads_of(thrice, make_x, named)
+    np.testing.assert_array_equal(out_c, out_t)
+    for key in grads_t:
+        np.testing.assert_array_equal(grads_c[key], grads_t[key], err_msg=key)
+
+
+def strided_block_forward(x, w, a0, a1, a2, prior):
+    """One layer with a prior as taylor_kan ran it before its first layers'
+    GEMMs ran at full width: each slab's three GEMMs write the adjustable
+    columns, a strided block of the output's rows, after the prior's."""
+    xd, wd = x.data, w.data
+    lead, n_out, n_in = prior.shape[-1], wd.shape[0], wd.shape[1]
+    wa1, wa2, const = wd * a1.data, wd * a2.data, (wd * a0.data).sum(axis=1)
+    full = np.empty(xd.shape[:-1] + (lead + n_out,))
+    full[..., :lead] = prior.data
+    slices, rows = T._slabs(xd.shape)
+    xbuf, basis_buf, tbuf = (np.empty(rows * n) for n in (n_in, n_in, n_out))
+    for sl in slices:
+        xs = T._rows(T._slab(xd, sl, xbuf))
+        basis = T.sigmoid(xs, out=T._scratch(basis_buf, xs.shape))
+        t = T._scratch(tbuf, (xs.shape[0], n_out))
+        o = T._rows(full[sl])[:, lead:]
+        np.matmul(np.multiply(basis, xs, out=basis), wd.T, out=o)
+        o += np.matmul(T._slab_rows(xd, sl, basis_buf), wa1.T, out=t)
+        o += np.matmul(np.square(xs, out=basis), wa2.T, out=t)
+        o += const
+    return full
+
+
+@pytest.mark.parametrize("permuted", [True, False])
+@pytest.mark.parametrize("kind", ["trend", "fourier"])
+def test_full_width_first_layer_equals_strided_block_bitwise(kind, permuted):
+    """A first layer's GEMMs over whole rows, with zero weights in the
+    prior's columns, give the 93- and 91-column GEMMs' bits at the
+    reference width, over several slabs."""
+    rng = np.random.default_rng(48)
+    make_x = time_axis_input(rng, (12, 32), 96)
+    x = make_x() if permuted else leaf_input(np.ascontiguousarray(make_x().data))()
+    assert len(T._slabs(x.shape)[0]) > 1
+    inject, _ = prior_of(kind, rng, 96)
+    prior = inject(x)
+    ps = taylor_params(rng, 96 - prior.shape[-1], 96)
+    expected = strided_block_forward(x, *ps, prior)
+    np.testing.assert_array_equal(T.taylor_kan(x, [ps], prior=prior).data, expected)
+    with no_grad():
+        np.testing.assert_array_equal(T.taylor_kan(x, [ps], prior=prior).data, expected)
 
 
 # --- slabs on several threads ------------------------------------------------------

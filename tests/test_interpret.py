@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 import itfkan.interpret as interpret
+import itfkan.taylorkan as taylorkan
 import itfkan.tensor as tensor
 import itfkan.tfsynergy as tfsynergy
 from itfkan.interpret import (
@@ -585,18 +586,30 @@ def test_calibration_ranges_cover_inputs():
 
 def time_axis_inputs(model, windows, batch_size):
     """Per-node input ranges of each time-axis KAN layer, as the model's own
-    no-grad forward feeds them, batch by batch."""
-    keys = {id(layer): key for key, layer in model.kan_layers()}
+    no-grad forward feeds them, batch by batch: the rows from which each
+    layer of a ``taylor_kan`` call builds its basis, slab by slab, the
+    second layer's inside the op's scratch."""
+    keys = {id(layer.w): key for key, layer in model.kan_layers()}
     seen = {}
-    real = TaylorKanLayer.forward
+    running = []  # the keys of the running taylor_kan call's layers
+    calls = [0]  # its basis calls so far: one per layer per slab, in order
+    real_op, real_basis = taylorkan.taylor_kan, tensor._taylor_basis
 
-    def recording(layer, x):
-        flat = x.data.reshape(-1, x.shape[-1])
-        seen.setdefault(keys[id(layer)], []).append((flat.min(axis=0), flat.max(axis=0)))
-        return real(layer, x)
+    def op(x, layers, prior=None):
+        running[:] = [keys[id(ps[0])] for ps in layers]
+        calls[0] = 0
+        return real_op(x, layers, prior=prior)
+
+    def basis(xs, bufs):
+        key = running[calls[0] % len(running)]
+        calls[0] += 1
+        seen.setdefault(key, []).append((xs.min(axis=0), xs.max(axis=0)))
+        return real_basis(xs, bufs)
 
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(TaylorKanLayer, "forward", recording)
+        mp.setattr(os, "sched_getaffinity", lambda pid: {0})  # slabs in order, on the caller
+        mp.setattr(taylorkan, "taylor_kan", op)
+        mp.setattr(tensor, "_taylor_basis", basis)
         with no_grad():
             for start in range(0, len(windows), batch_size):
                 xb = windows[start : start + batch_size]

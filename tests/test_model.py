@@ -157,15 +157,16 @@ def test_nograd_forward_holds_at_most_four_series_arrays():
     """An untaped forward holds at most four (N, L, d) arrays at once beyond
     its output: the branch sum h (the trend component while its branch
     runs), the seasonal component (the time-frequency branch reads it
-    last), and two of the running branch's (a KAN layer's
-    input and output, the trend prior's x^2 and x^3, or the unpatcher's
-    product and its bias sum). The trend component goes once its branch
-    has run; kept, it makes five.
+    last), and two of the running branch's (the trend prior's x^2 and x^3,
+    or the seasonal KAN's output and the sum it is added into; the unpatch
+    map adds into its own GEMM output, so it needs one). The trend
+    component goes once its branch has run; kept, it makes five.
 
     The slack counts what else can be live at such a point: one slab loop's
-    scratch (at most MAX_WORKERS workers of seven slabs, fourier_inject's
-    three complex buffers and an output slab, each slab at most SLAB + d*L
-    values), one (N, P, d) patch array, one (N, d, r) prior output, and
+    scratch (at most MAX_WORKERS workers of seven slabs, a taylor_kan
+    forward's or fourier_inject's three complex buffers and an output slab,
+    each slab at most SLAB + d*L values), one (N, P, d) patch array, one
+    (N, d, r) prior output, and
     1 MB for the layers' (L, L) products and Python objects. It is under
     one (N, L, d) array, so a fifth one fails the bound."""
     n, length, d = 448, 96, 32  # the reference step's batch, over many slabs
@@ -189,6 +190,56 @@ def test_nograd_forward_holds_at_most_four_series_arrays():
         finally:
             tracemalloc.stop()
     assert held <= 4 * series + slack, (held / series, slack)
+
+
+def test_training_step_holds_at_most_five_series_arrays():
+    """A taped training step (forward, loss and backward) holds at most
+    five (N, L, d) arrays at once beyond what it started with. It peaks in
+    the trend prior's backward rule, where five are live: the trend and
+    seasonal components, which rules still read; the branch sum's
+    gradient, which the seasonal KAN's rule has yet to read; and two
+    gradients of the trend KAN's input, its taylor_kan's and the prior's
+    own. A step peaked at 7.7 arrays (84.7 MB) while the time-axis KANs ran
+    each layer as its own node, keeping the hidden layer's output whole,
+    and the forward's tail held three arrays.
+
+    The slack counts what else can be live at such a point: one slab
+    loop's scratch (at most MAX_WORKERS workers of the fourteen slabs of a
+    two-layer taylor_kan backward, each at most SLAB + d*L values) and its
+    partial-sum slots (_PARTIAL_SLOTS per worker, each two layers' sums),
+    two (N, P, d) patch arrays, two (N, d, r) prior arrays, three (N, F)
+    loss arrays, the parameters' gradients, and 1 MB for the layers' (L, L)
+    products and Python objects."""
+    n, length, d = 448, 96, 32  # the reference step's batch, over many slabs
+    cfg = ModelConfig(lookback=length, horizon=96, embed_dim=d)
+    model = ForecastModel(cfg, [2.0 * b / length for b in (4, 8, 12, 16, 24)], seed=38)
+    rng = np.random.default_rng(39)
+    x, y = Tensor(rng.normal(size=(n, length))), Tensor(rng.normal(size=(n, cfg.horizon)))
+    series = n * length * d * 8
+    workers = tensor.MAX_WORKERS
+    scratch = workers * 14 * (tensor.SLAB + d * length) * 8
+    slots = tensor._PARTIAL_SLOTS * workers * 2 * (3 * length * length + length) * 8
+    patches = 2 * n * model.n_patches * d * 8
+    priors = 2 * n * d * max(cfg.top_k, cfg.trend_degree) * 8
+    loss_arrays = 3 * n * cfg.horizon * 8
+    grads = sum(t.data.nbytes for _, t in model.parameters())
+    slack = scratch + slots + patches + priors + loss_arrays + grads + 2**20
+
+    def step():
+        loss, _ = total_loss(model.forward(x), y, model, cfg.reg_lambda, "long")
+        backward(loss)
+        for _, t in model.parameters():
+            t.grad = None
+
+    step()  # fills the per-process caches before tracing
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        step()
+        held = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    assert held <= 5 * series + slack, (held / series, slack / series)
 
 
 def test_forward_zero_parameters_zero_output():

@@ -158,6 +158,21 @@ def test_network_rejects_mismatched_dims():
         KanNetwork([TaylorKanLayer(4, 4, rng()), TaylorKanLayer(5, 4, rng())])
 
 
+def test_network_rejects_injected_edges_after_its_first_layer():
+    """A network runs as one taylor_kan node, whose prior is its first
+    layer's."""
+    with pytest.raises(ValueError, match="only a network's first layer"):
+        KanNetwork([TaylorKanLayer(4, 4, rng()), TaylorKanLayer(4, 4, rng(), trend_degree=1)])
+
+
+def test_network_forward_is_its_layers_in_turn():
+    net = build_trend_kan(6, 2, rng())
+    x = Tensor(np.random.default_rng(7).normal(size=(3, 4, 6)))
+    out = net.forward(x)
+    assert out.op == "taylor_kan"
+    np.testing.assert_array_equal(out.data, net.layers[1].forward(net.layers[0].forward(x)).data)
+
+
 def test_fourier_constant_contribution():
     layer = zeroed(TaylorKanLayer(2, 3, rng(), fourier_freqs=[0.5]))
     layer.four_a[0].data[:] = 3.0  # a0 per edge

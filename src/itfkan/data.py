@@ -164,7 +164,12 @@ def destandardize(values, mean, std):
 
 
 def make_windows(values, lookback, horizon):
-    """Stride-1 windows of a (T, N) split: inputs (W, N, L), targets (W, N, F)."""
+    """Stride-1 windows of a (T, N) split: inputs (W, N, L), targets (W, N, F).
+
+    Both are read-only views of ``values``, which they keep alive; nothing
+    is copied, so a write into either raises ValueError. A consumer that
+    needs a batch as its own array copies that batch (``train``'s fancy
+    index does)."""
     total = len(values)
     count = total - lookback - horizon + 1
     if count < 1:
@@ -173,10 +178,7 @@ def make_windows(values, lookback, horizon):
             f"horizon {horizon} windows"
         )
     sw = np.lib.stride_tricks.sliding_window_view(values, lookback + horizon, axis=0)
-    # sw: (W, N, L+F) with shared memory; copy to keep windows contiguous
-    inputs = np.ascontiguousarray(sw[:count, :, :lookback])
-    targets = np.ascontiguousarray(sw[:count, :, lookback:])
-    return inputs, targets
+    return sw[:count, :, :lookback], sw[:count, :, lookback:]
 
 
 def write_stats(path, variate_names, mean, std):

@@ -19,7 +19,9 @@ def averaging_matrix(length, kernel):
 
     Column t holds weight 1/kernel for each padded window position, with
     out-of-range positions folded onto the clipped edge index, which is
-    exactly a mean over the edge-replicated padding.
+    exactly a mean over the edge-replicated padding. The matrix is cached
+    per (L, kernel) and read-only: every caller shares it, so a write
+    raises ValueError instead of changing later decompositions.
     """
     validate_kernel(length, kernel)
     key = (length, kernel)
@@ -32,6 +34,7 @@ def averaging_matrix(length, kernel):
         for s in range(-half, half + 1):
             u = min(max(t + s, 0), length - 1)
             mat[u, t] += 1.0 / kernel
+    mat.flags.writeable = False
     _AVG_CACHE[key] = mat
     return mat
 

@@ -153,22 +153,32 @@ class ForecastModel:
 
         The embedding is one tape node, and so is each time-axis KAN with
         both its layers (its prior is another), which never holds its
-        hidden layer's output whole. Each branch is added in as soon as it
-        finishes, so no two branch outputs are held at once: the sum is
-        (trend + seasonal) + tf. The unpatch map adds its bias and then the
+        hidden layer's output whole. The branches run trend, then the
+        time-frequency branch's patcher and per-patch KANs, then seasonal,
+        so the seasonal component goes once its KAN has read it; each
+        branch output goes as soon as it is summed, and the sum is
+        (trend + seasonal) + tf. Untaped, no more than three (N, L, d)
+        arrays are held at once. The unpatch map adds its bias and then the
         running sum into its own GEMM output, so the forward's tail
-        allocates one (N, L, d) array, not one per op of its chain.
+        allocates one (N, L, d) array, not one per op of its chain. The
+        tape gets the same nodes and parents in any run order, and
+        backward's rule order follows the parents alone.
         """
         cfg = self.config
         n, length = x.shape
         if length != cfg.lookback:
             raise ValueError(f"expected lookback {cfg.lookback}, got {length}")
         trend, seasonal = moving_average_decompose(self.embed(x), cfg.kernel)
-        # untaped, the trend component goes before the other branches run
+        # untaped, each component goes once its last reader has run; on the
+        # tape, its KAN's and its prior's closures still hold it
         h = self._along_time(self.trend_kan, trend, "trend")
-        del trend  # on the tape, its KAN's and its prior's closures still hold it
-        h = h + self._along_time(self.seasonal_kan, seasonal, "seasonal")
-        h = self.unpatcher(self.tf_kans(self.patcher(seasonal)), h)
+        del trend
+        tf = self.tf_kans(self.patcher(seasonal))  # (N, P, d)
+        h_seasonal = self._along_time(self.seasonal_kan, seasonal, "seasonal")
+        del seasonal
+        h = h + h_seasonal
+        del h_seasonal
+        h = self.unpatcher(tf, h)
         collapsed = reshape(matmul(h, self.head_w1) + self.head_b1, (n, length))
         return matmul(collapsed, self.head_w2) + self.head_b2
 

@@ -588,12 +588,14 @@ def matmul(a, b):
 def lift(x, w, b):
     """x[..., None] * w[0] + b: each value of x lifted to len(b) values by
     the (1, d) row w and the bias b. The bits of the chain reshape, a K=1
-    matmul and an add, whose GEMM rounds each product once."""
+    matmul and an add, whose GEMM rounds each product once. The output is
+    row-major whatever x's strides (a window view's rows are not), so the
+    ops after it see one layout."""
     if w.ndim != 2 or w.shape[0] != 1 or b.shape != (w.shape[1],):
         raise ShapeError("lift", x.shape, w.shape, b.shape)
     xd, wd = x.data, w.data
     width = wd.shape[1]
-    out = np.multiply(xd[..., None], wd[0])
+    out = np.multiply(xd[..., None], wd[0], order="C")
     out += b.data
     xk = xd if w.requires_grad else None
     wk = wd if x.requires_grad else None
@@ -1191,11 +1193,12 @@ def poly_inject(x, coeffs):
     # Only the backward runs in slabs. The forward keeps whole-batch GEMMs:
     # with r output columns they are narrow enough that OpenBLAS picks their
     # kernel, and so their rounding, by row count up to thousands of rows,
-    # and slabs would change the forward's bits.
+    # and slabs would change the forward's bits. Each power overwrites the
+    # one before it, so one power array exists, not degree - 1 of them.
     out = _mm(xd, cd[1])
-    power = xd
+    power = None
     for c in cd[2:]:
-        power = np.multiply(power, xd, order="C")
+        power = np.multiply(xd if power is None else power, xd, out=power, order="C")
         out += _mm(power, c)
     out += cd[0].sum(axis=0)
 

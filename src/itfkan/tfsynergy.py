@@ -80,15 +80,16 @@ _GRID_MAPS = {}
 
 def grid_map(n_patches):
     """The (K*P, P) grid map whose row (k, p), column q is
-    cos(2*pi*k*(p - q)/P), for k = 0..K-1 and p, q = 1..P."""
+    cos(2*pi*k*(p - q)/P), for k = 0..K-1 and p, q = 1..P. Cached per P and
+    read-only, like ``averaging_matrix``."""
     if n_patches not in _GRID_MAPS:
         p_idx = np.arange(1, n_patches + 1)
         k_idx = np.arange(n_freq_bins(n_patches))
         # k*(p - q) reduced mod P exactly in integers before the cosine
         turns = (k_idx[:, None, None] * (p_idx[:, None] - p_idx)) % n_patches
-        _GRID_MAPS[n_patches] = np.cos(2.0 * np.pi * turns / n_patches).reshape(
-            -1, n_patches
-        )
+        grid = np.cos(2.0 * np.pi * turns / n_patches).reshape(-1, n_patches)
+        grid.flags.writeable = False
+        _GRID_MAPS[n_patches] = grid
     return _GRID_MAPS[n_patches]
 
 

@@ -14,6 +14,7 @@ from itfkan.data import (
     write_csv,
     write_stats,
 )
+from itfkan.decomposition import moving_average_np
 from itfkan.metrics import (
     mase,
     metric_set,
@@ -24,6 +25,7 @@ from itfkan.metrics import (
     seasonality_test,
     smape,
 )
+from itfkan.taylorkan import top_k_frequencies
 
 
 # --- csv ingestion ----------------------------------------------------------------
@@ -141,6 +143,34 @@ def test_windows_stride_one_within_split():
     np.testing.assert_array_equal(inputs[0, 0], [0.0, 2.0, 4.0])
     np.testing.assert_array_equal(targets[0, 0], [6.0, 8.0])
     np.testing.assert_array_equal(inputs[1, 0], [2.0, 4.0, 6.0])
+
+
+@pytest.mark.parametrize("seed", [3, 20261017])
+@pytest.mark.parametrize(
+    "rows, variates, horizon", [(2000, 7, 96), (1200, 3, 24)], ids=["ref", "toy"]
+)
+def test_windows_are_read_only_views_that_keep_the_copies_bits(
+    seed, rows, variates, horizon
+):
+    """make_windows returns views of the split, not copies: they share its
+    memory and refuse writes. The values, the trend filter and the top-k
+    frequencies extracted from them are bitwise those of contiguous copies
+    (at the reference panel's shape and at the toy pipeline's)."""
+    names = [f"v{i}" for i in range(variates)]
+    ds = SeriesDataset("panel", synthetic_series(rows, variates, seed=seed), names)
+    split = split_standardize(ds)
+    inputs, targets = make_windows(split.train, 96, horizon)
+    for view in (inputs, targets):
+        assert np.shares_memory(view, split.train)
+        with pytest.raises(ValueError, match="read-only"):
+            view[0, 0, 0] = 0.0
+    copies = [np.ascontiguousarray(w) for w in (inputs, targets)]
+    np.testing.assert_array_equal(inputs, copies[0])
+    np.testing.assert_array_equal(targets, copies[1])
+    trends = [moving_average_np(w, 25) for w in (inputs, copies[0])]
+    np.testing.assert_array_equal(trends[0], trends[1])
+    freqs = [top_k_frequencies(w - t, 5) for w, t in zip((inputs, copies[0]), trends)]
+    np.testing.assert_array_equal(freqs[0], freqs[1])
 
 
 def test_stats_sidecar_roundtrip(tmp_path):

@@ -120,6 +120,16 @@ def test_oversized_kernel_rejected():
         averaging_matrix(4, 9)
 
 
+def test_cached_averaging_matrix_is_read_only():
+    """Every decomposition wraps the one cached matrix, so a write into it
+    raises instead of changing later decompositions."""
+    x = Tensor(np.random.default_rng(9).normal(size=(2, 10, 3)))
+    trend, _ = moving_average_decompose(x, 5)
+    with pytest.raises(ValueError, match="read-only"):
+        averaging_matrix(10, 5)[0, 0] = 1.0
+    np.testing.assert_array_equal(moving_average_decompose(x, 5)[0].data, trend.data)
+
+
 def test_numpy_twin_agrees():
     rng = np.random.default_rng(8)
     vals = rng.normal(size=(3, 4, 10))

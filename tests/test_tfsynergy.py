@@ -9,6 +9,7 @@ from itfkan.tfsynergy import (
     PatchCompressor,
     PatchKans,
     Unpatcher,
+    grid_map,
     n_freq_bins,
     patch_count,
     spectrum_grid,
@@ -256,6 +257,16 @@ def test_calibration_records_per_patch_ranges(monkeypatch):
         lo, hi = ranges[key]
         np.testing.assert_array_equal(lo, both[:, :, p, :].min(axis=(0, 2)))
         np.testing.assert_array_equal(hi, both[:, :, p, :].max(axis=(0, 2)))
+
+
+def test_cached_grid_map_is_read_only():
+    """Every spectrum grid and patch_kans call reads the one cached map, so
+    a write into it raises instead of changing later grids."""
+    patches = Tensor(np.random.default_rng(12).normal(size=(2, 5, 3)))
+    grid = spectrum_grid(patches).data
+    with pytest.raises(ValueError, match="read-only"):
+        grid_map(5)[0, 0] = 0.0
+    np.testing.assert_array_equal(spectrum_grid(patches).data, grid)
 
 
 def test_patchkans_rejects_wrong_grid():

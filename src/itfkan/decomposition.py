@@ -3,7 +3,9 @@
 The raw (N, L) series is lifted to (N, L, d) by a shared per-timepoint
 affine map. The trend is a centered moving average with edge-replication
 padding; the seasonal part is the exact residual, so trend + seasonal
-reconstructs the input by construction.
+reconstructs the input by construction. Both come out channel-first,
+as row-major (N, d, L) arrays: every op after the decomposition acts
+along the time axis of each channel, which is then their last axis.
 """
 
 import numpy as np
@@ -67,12 +69,12 @@ class Embedding:
 
 
 def moving_average_decompose(x, kernel):
-    """Split (N, L, d) into (trend, seasonal) along the time axis."""
-    n, length, d = x.shape
-    mat = Tensor(averaging_matrix(length, kernel))
-    trend = permute(matmul(permute(x, (0, 2, 1)), mat), (0, 2, 1))
-    seasonal = sub(x, trend)
-    return trend, seasonal
+    """Split (N, L, d) along the time axis into (trend, seasonal), each a
+    row-major (N, d, L) array: x is permuted once, and both are computed
+    in that layout."""
+    xt = permute(x, (0, 2, 1))
+    trend = matmul(xt, Tensor(averaging_matrix(x.shape[1], kernel)))
+    return trend, sub(xt, trend)
 
 
 def moving_average_np(values, kernel):

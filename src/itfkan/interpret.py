@@ -35,7 +35,7 @@ from typing import Optional
 import numpy as np
 
 from .decomposition import moving_average_decompose
-from .tensor import Tensor, no_grad, permute, sigmoid
+from .tensor import Tensor, no_grad, sigmoid
 from .tfsynergy import spectrum_grid
 
 FIT_SAMPLES = 257  # odd: alternating points split into fit / held-out sets
@@ -172,8 +172,7 @@ def calibrate_ranges(model, inputs, batch_size=64, layers=None):
                 for p, key in tf_keys:
                     merge_range(ranges, key, lo[:, p], hi[:, p])
                 del grid  # freed before the time-axis KANs allocate theirs
-            for tag, branch in (("trend", trend), ("seasonal", seasonal)):
-                h = permute(branch, (0, 2, 1))  # (N, d, L), as the forward feeds it
+            for tag, h in (("trend", trend), ("seasonal", seasonal)):
                 for li in range(depth[tag]):
                     if li:
                         h = layer_of[(tag, li - 1)].forward(h)

@@ -4,8 +4,10 @@ All variates share every weight (channel independence): the model maps a
 batch of univariate lookback windows (N, L) to forecasts (N, F). The trend
 and seasonal branches run two-layer KANs along the time axis; the
 time-frequency branch patches the seasonal component, learns per-patch
-frequency mixes, and unpatches. The three (N, L, d) representations are
-summed and projected d -> 1 then L -> F.
+frequency mixes, and unpatches. From the decomposition to the unpatch map
+each series array is channel-first, row-major (N, d, L), so every
+time-axis op reads its rows as they lie. The three branch outputs are
+summed, permuted to (N, L, d) and projected d -> 1 then L -> F.
 """
 
 import math
@@ -157,10 +159,10 @@ class ForecastModel:
         time-frequency branch's patcher and per-patch KANs, then seasonal,
         so the seasonal component goes once its KAN has read it; each
         branch output goes as soon as it is summed, and the sum is
-        (trend + seasonal) + tf. Untaped, no more than three (N, L, d)
+        (trend + seasonal) + tf. Untaped, no more than three (N, d, L)
         arrays are held at once. The unpatch map adds its bias and then the
         running sum into its own GEMM output, so the forward's tail
-        allocates one (N, L, d) array, not one per op of its chain. The
+        allocates one (N, d, L) array, not one per op of its chain. The
         tape gets the same nodes and parents in any run order, and
         backward's rule order follows the parents alone.
         """
@@ -171,21 +173,16 @@ class ForecastModel:
         trend, seasonal = moving_average_decompose(self.embed(x), cfg.kernel)
         # untaped, each component goes once its last reader has run; on the
         # tape, its KAN's and its prior's closures still hold it
-        h = self._along_time(self.trend_kan, trend, "trend")
+        h = self.trend_kan.forward(trend, tag="trend")
         del trend
         tf = self.tf_kans(self.patcher(seasonal))  # (N, P, d)
-        h_seasonal = self._along_time(self.seasonal_kan, seasonal, "seasonal")
+        h_seasonal = self.seasonal_kan.forward(seasonal, tag="seasonal")
         del seasonal
         h = h + h_seasonal
         del h_seasonal
-        h = self.unpatcher(tf, h)
+        h = permute(self.unpatcher(tf, h), (0, 2, 1))  # (N, L, d)
         collapsed = reshape(matmul(h, self.head_w1) + self.head_b1, (n, length))
         return matmul(collapsed, self.head_w2) + self.head_b2
-
-    @staticmethod
-    def _along_time(net, x, tag):
-        out = net.forward(permute(x, (0, 2, 1)), tag=tag)
-        return permute(out, (0, 2, 1))
 
     def reg_losses(self):
         """One regulariser node per network: trend, seasonal, tf."""
@@ -267,6 +264,13 @@ class ForecastModel:
                 raise CheckpointError(
                     f"{path}: tensor {name}: checkpoint shape {tensors[name].shape} "
                     f"!= model shape {t.data.shape}"
+                )
+            finite = np.isfinite(tensors[name])
+            if not finite.all():
+                index = tuple(int(i) for i in np.unravel_index(np.argmin(finite), finite.shape))
+                value = tensors[name][index]
+                raise CheckpointError(
+                    f"{path}: tensor {name}: non-finite value {value} at index {index}"
                 )
             t.data[...] = tensors[name]
         return model, raw_config

@@ -295,6 +295,7 @@ def backward(loss):
             else:
                 p.grad = p.grad + g
                 owned.add(id(p))
+        grads = g = None  # a summed gradient goes before the next rule runs
     for p in leaves.values():
         if id(p) not in owned or not p.grad.flags.c_contiguous:
             p.grad = np.array(p.grad, dtype=np.float64, order="C")
@@ -562,7 +563,8 @@ def slice_(a, key):
 
 def matmul(a, b):
     """a @ b with 2-D b; a may carry leading batch axes. Backward computes
-    only the gradients of operands that required one at forward time."""
+    only the gradients of operands that required one at forward time; a's
+    is one GEMM over the rows of a row-major gradient (``_mm``)."""
     if a.ndim < 1 or b.ndim != 2 or a.shape[-1] != b.shape[0]:
         raise ShapeError("matmul", a.shape, b.shape)
     out_cols = b.shape[1]
@@ -572,7 +574,7 @@ def matmul(a, b):
     ad = a.data if b.requires_grad else None
 
     def bw(g):
-        ga = None if bd is None else g @ bd.T
+        ga = None if bd is None else _mm(g, bd.T)
         gb = None if ad is None else ad.reshape(-1, ad.shape[-1]).T @ g.reshape(-1, out_cols)
         return ga, gb
 
@@ -589,8 +591,9 @@ def lift(x, w, b):
     """x[..., None] * w[0] + b: each value of x lifted to len(b) values by
     the (1, d) row w and the bias b. The bits of the chain reshape, a K=1
     matmul and an add, whose GEMM rounds each product once. The output is
-    row-major whatever x's strides (a window view's rows are not), so the
-    ops after it see one layout."""
+    row-major whatever x's strides (a window view's rows are not). Backward
+    reads a row-major copy of its gradient, a permuted view of the
+    decomposition's (N, d, L) one, so its sums run in the chain's order."""
     if w.ndim != 2 or w.shape[0] != 1 or b.shape != (w.shape[1],):
         raise ShapeError("lift", x.shape, w.shape, b.shape)
     xd, wd = x.data, w.data
@@ -602,6 +605,7 @@ def lift(x, w, b):
     x_shape = x.shape
 
     def bw(g):
+        g = np.ascontiguousarray(g)
         gx = None if wk is None else (g @ wk.T).reshape(x_shape)
         gw = None if xk is None else xk.reshape(-1, 1).T @ g.reshape(-1, width)
         return gx, gw, _unbroadcast(g, (width,))
@@ -610,20 +614,18 @@ def lift(x, w, b):
 
 
 def unpatch(h, w, b, residual=None):
-    """(N, P, d) h mapped over its middle axis to (N, L, d): out[n, l, c] =
-    sum_p w[p, l] h[n, p, c] + b[l], plus ``residual`` (N, L, d) if given.
+    """(N, P, d) h mapped over its middle axis to (N, d, L): out[n, c, l] =
+    sum_p w[p, l] h[n, p, c] + b[l], plus ``residual`` (N, d, L) if given.
 
-    The bits of the chain permute(permute(h) @ w + b) and then ``residual
-    + that``. The sum is built in the GEMM's own (N, d, L) output, whose
-    permuted view is the result, and backward evaluates the chain's
-    gradients through the same views.
+    The bits of the chain permute(h) @ w + b and then ``residual + that``,
+    with the sum built in the GEMM's own output.
     """
     if (
         h.ndim != 3
         or w.ndim != 2
         or h.shape[1] != w.shape[0]
         or b.shape != (w.shape[1],)
-        or residual is not None and residual.shape != (h.shape[0], w.shape[1], h.shape[2])
+        or residual is not None and residual.shape != (h.shape[0], h.shape[2], w.shape[1])
     ):
         shapes = [h.shape, w.shape, b.shape] + ([] if residual is None else [residual.shape])
         raise ShapeError("unpatch", *shapes)
@@ -632,7 +634,7 @@ def unpatch(h, w, b, residual=None):
     out = ht @ wd
     out += b.data
     if residual is not None:
-        out += residual.data.transpose(0, 2, 1)
+        out += residual.data
     hk = ht if w.requires_grad else None
     wk = wd if h.requires_grad else None
     # Graph.from_output expands a node's last parent first, and backward
@@ -644,12 +646,11 @@ def unpatch(h, w, b, residual=None):
     n_residual = len(parents) - 3
 
     def bw(g):
-        gt = g.transpose(0, 2, 1)  # the GEMM output's gradient
-        gh = None if wk is None else (gt @ wk.T).transpose(0, 2, 1)
-        gw = None if hk is None else hk.reshape(-1, hk.shape[-1]).T @ gt.reshape(-1, length)
-        return (g,) * n_residual + (gh, gw, _unbroadcast(gt, (length,)))
+        gh = None if wk is None else (g @ wk.T).transpose(0, 2, 1)
+        gw = None if hk is None else hk.reshape(-1, hk.shape[-1]).T @ g.reshape(-1, length)
+        return (g,) * n_residual + (gh, gw, _unbroadcast(g, (length,)))
 
-    return Tensor._from_op(out.transpose(0, 2, 1), "unpatch", parents, bw)
+    return Tensor._from_op(out, "unpatch", parents, bw)
 
 
 # --- fused KAN ops ----------------------------------------------------------
@@ -678,20 +679,22 @@ def unpatch(h, w, b, residual=None):
 # no backward closure keeps: scratch left alive among the full-size arrays
 # fragments the heap, which then re-faults its pages every step. The slab
 # functions touch only numpy arrays, never a Tensor or the thread-local
-# recording state. A slab that is not row-major (the time-axis KANs see a
-# permuted (N, d, L) view) is copied while it is in cache. An array that is
-# a cheap linear function of a smaller input is built slab by slab and
-# never held whole: patch_compress gathers each slab's patch windows, and
-# patch_kans each slab's rows of the time-frequency grid. Backward rebuilds
-# from its slab of the input, by the forward's own code and so with its
-# bits, everything it reads beyond the op's inputs: the sigmoid, the
-# polynomial prior's powers, the Fourier prior's unit angle e^{i theta}
-# (one cos and one sin per input) and harmonics, the grid, the windows,
-# a KAN chain's hidden layers. So no op keeps a full-size array beyond its
-# inputs for backward, and a taped forward runs the no-grad forward's code
-# and gives its bits. Each forward GEMM also rounds as the whole batch's
-# GEMM would (see ``_slabs``, ``_slab_rows``, ``poly_inject`` and the two
-# patch ops), so slabbing left the forward's bits unchanged.
+# recording state. From the decomposition to the unpatch map the model's
+# series are row-major (N, d, L), so a time-axis op's input slab is a view
+# of its rows; a slab that is not row-major, such as a gradient a permute
+# passed on, is copied in cache. An array that is a cheap linear function of
+# a smaller input is built slab by slab and never held whole: patch_compress
+# gathers each slab's patch windows, and patch_kans each slab's rows of the
+# time-frequency grid. Backward rebuilds from its slab of the input, by the
+# forward's own code and so with its bits, everything it reads beyond the
+# op's inputs: the sigmoid, the polynomial prior's powers, the Fourier
+# prior's unit angle e^{i theta} (one cos and one sin per input) and
+# harmonics, the grid, the windows, a KAN chain's hidden layers. So no op
+# keeps a full-size array beyond its inputs for backward, and a taped
+# forward runs the no-grad forward's code and gives its bits. Each forward
+# GEMM also rounds as the whole batch's GEMM would (see ``_slabs``,
+# ``poly_inject`` and the two patch ops), so slabbing left the forward's
+# bits unchanged.
 #
 # A time-axis KAN runs both its layers as one ``taylor_kan`` node. Each
 # slab passes its rows through both layers in its worker's scratch, so the
@@ -929,26 +932,6 @@ def _slab(a, sl, buf):
     return dst
 
 
-def _slab_rows(a, sl, buf):
-    """a[sl] as a 2-D (rows, last axis) GEMM operand: a view if a[sl] is
-    row-major, else a column-major copy in the front of ``buf``.
-
-    For a permuted view whose last axis varies slowest, as the time-axis
-    KANs' (N, d, L) input, numpy's batched matmul hands BLAS each (d, L)
-    matrix transposed. Column-major, the slab enters its GEMM transposed
-    too, and BLAS rounds it the same whatever its row count; a row-major
-    copy of a few rows would take OpenBLAS's small-matrix kernel instead.
-    """
-    part = a[sl]
-    width = a.shape[-1]
-    if part.flags.c_contiguous:
-        return part.reshape(-1, width)
-    rows = part.size // width
-    dst = _scratch(buf, (width, rows)).T
-    np.copyto(dst.reshape(part.shape), part)
-    return dst
-
-
 def _rows(a):
     """A row-major array viewed as 2-D (rows, last axis)."""
     return a.reshape(-1, a.shape[-1])
@@ -996,13 +979,13 @@ def _taylor_basis(xs, bufs):
     return s, silu_x, np.square(xs, out=_scratch(bufs[2], xs.shape))
 
 
-def _taylor_forward(layer, basis, lin, t, out):
-    """A layer's output over a slab, into ``out`` (rows, width), from the
-    rows' ``_taylor_basis``; ``lin`` is the rows as the linear term's GEMM
-    operand, and ``t`` is (rows, width) scratch."""
+def _taylor_forward(layer, xs, basis, t, out):
+    """A layer's output over a slab, into ``out`` (rows, width), from its
+    input rows xs and their ``_taylor_basis``; ``t`` is (rows, width)
+    scratch."""
     _, silu_x, sq = basis
     np.matmul(silu_x, layer.fw.T, out=out)
-    out += np.matmul(lin, layer.fwa1.T, out=t)
+    out += np.matmul(xs, layer.fwa1.T, out=t)
     out += np.matmul(sq, layer.fwa2.T, out=t)
     out += layer.fconst
 
@@ -1041,7 +1024,7 @@ def taylor_kan(x, layers, prior=None):
 
     Each slab runs through every layer in its worker's scratch, so no layer
     output but the last is ever held whole. Backward keeps only the op's
-    inputs: each slab rebuilds its hidden rows from its copy of x by the
+    inputs: each slab rebuilds its hidden rows from its rows of x by the
     forward's code, keeps every layer's sigmoid, silu and square from that
     rebuild, and runs the layers' backward from the last one down. Weight
     gradients are GEMMs over the basis [silu(h), h, h^2] summed across
@@ -1087,34 +1070,32 @@ def taylor_kan(x, layers, prior=None):
     size = rows * max([xd.shape[-1]] + [layer.width for layer in kans])
     full = np.empty(xd.shape[:-1] + (out_width,))
 
-    def chain(kans, sl, xs, lin, bufs, tbuf, prior_data, out=None):
+    def chain(kans, sl, xs, bufs, tbuf, prior_data, out=None):
         """The slab's rows xs through the layers; returns every layer's
         input rows and basis. Layer k's basis goes to the first three of
         ``bufs[k]`` and, but for the last layer's, its output to the fourth.
-        The last layer's GEMMs run only if ``out`` is given, into it.
-        ``lin`` is xs as the first layer's linear-term GEMM operand."""
+        The last layer's GEMMs run only if ``out`` is given, into it."""
         inputs, bases = [xs], []
         for k, layer in enumerate(kans):
             bases.append(_taylor_basis(inputs[k], bufs[k]))
             dst = out if k == depth - 1 else _scratch(bufs[k][3], (xs.shape[0], layer.width))
             if dst is None:
                 break
-            _taylor_forward(layer, bases[k], lin, _scratch(tbuf, dst.shape), dst)
+            _taylor_forward(layer, inputs[k], bases[k], _scratch(tbuf, dst.shape), dst)
             if k == 0 and lead:
                 dst[:, :lead] = prior_data[sl].reshape(-1, lead)
             inputs.append(dst)
-            lin = dst
         return inputs, bases
 
     def forward(sl, bufs, _):
-        xbuf, lin_buf, tbuf, hbuf, silu_buf, sq_buf = bufs
+        xbuf, tbuf, hbuf, silu_buf, sq_buf = bufs
         xs = _rows(_slab(xd, sl, xbuf))
         # silu(x) overwrites the sigmoid, which only backward reads, and a
         # hidden layer writes where the input of the one before it was
         layer_bufs = [(silu_buf, silu_buf, sq_buf, (hbuf, xbuf)[k % 2]) for k in range(depth)]
-        chain(kans, sl, xs, _slab_rows(xd, sl, lin_buf), layer_bufs, tbuf, pd, out=_rows(full[sl]))
+        chain(kans, sl, xs, layer_bufs, tbuf, pd, out=_rows(full[sl]))
 
-    _slab_loop(slices, (size,) * 6, forward)
+    _slab_loop(slices, (size,) * 5, forward)
 
     def bw(g):
         kans = build()
@@ -1127,22 +1108,17 @@ def taylor_kan(x, layers, prior=None):
         ]
 
         def slab(sl, bufs, parts):
-            gbuf, xbuf, lin_buf, tbuf, *rest = bufs
+            gbuf, xbuf, tbuf, *rest = bufs
             layer_bufs = [rest[4 * k : 4 * k + 4] for k in range(depth)]
-            # a hidden layer's input gradient goes where the first layer's
-            # GEMM operand was, and every other one from a third layer on to
-            # the last buffer
-            g_in_bufs = (rest[-1], lin_buf)
             gs = _rows(_slab(g, sl, gbuf))
             xs = _rows(_slab(xd, sl, xbuf))
-            # a single layer's GEMMs do not run again, so need no operand
-            lin = _slab_rows(xd, sl, lin_buf) if depth > 1 else None
-            inputs, bases = chain(kans, sl, xs, lin, layer_bufs, tbuf, kept_prior)
+            inputs, bases = chain(kans, sl, xs, layer_bufs, tbuf, kept_prior)
             g_out = gs  # the gradient of layer k's output
             for k in reversed(range(depth)):
                 h = inputs[k]
                 if k:
-                    g_in = _scratch(g_in_bufs[k % 2], h.shape)
+                    # where layer k's output was, which layer k + 1 has read
+                    g_in = _scratch(layer_bufs[k][3], h.shape)
                 else:
                     g_in = _rows(gx[sl])
                     if lead:
@@ -1152,10 +1128,9 @@ def taylor_kan(x, layers, prior=None):
                 _taylor_backward(kans[k], g_out, h, bases[k], _scratch(tbuf, h.shape), g_in, layer_parts)
                 g_out = g_in
 
-        # g, x, lin and t; four per layer (its basis and its output) but the
-        # last layer's output; a second input-gradient buffer from three on
-        n_bufs = 4 + 4 * depth - 1 + (depth > 2)
-        _slab_loop(slices, (size,) * n_bufs, slab, totals=totals)
+        # g, x and t, and four per layer: its basis, and its output, whose
+        # buffer then takes the gradient of the layer's input
+        _slab_loop(slices, (size,) * (3 + 4 * depth), slab, totals=totals)
         grads = [gx.reshape(x_shape)]
         for layer, coeffs, g_sum in zip(kans, totals[::2], totals[1::2]):
             c_silu, c_lin, c_quad = coeffs
@@ -1413,51 +1388,61 @@ def fourier_inject(x, freqs, cos_coeffs, sin_coeffs):
 
 
 def patch_compress(a, w, patch_len, stride):
-    """Windows of an (N, L, d) series along its time axis, each flattened
+    """Windows of an (N, d, L) series along its time axis, each flattened
     and mapped through w: the (N, W, patch_len*d) windows @ w.
 
     The tail is padded with ``stride`` copies of the last step, and window
     v covers padded steps [v*stride, v*stride + patch_len), flattened
     step-major, where W = (L - patch_len) // stride + 2. The windows are
-    gathered slab by slab and dropped; numpy's matmul runs one GEMM per
-    leading index, so each slab's GEMMs round as the whole batch's would.
-    Backward keeps only the data of a and w. Each slab's window gradients
-    are overlap-added into one padded buffer, so overlapping windows
-    (stride < patch_len) are summed, and the pad is folded onto the last
-    step; w's gradient gathers the windows again for one whole-batch GEMM.
+    gathered slab by slab, from the slab's (rows, L, d) copy, and dropped;
+    numpy's matmul runs one GEMM per leading index, so each slab's GEMMs
+    round as the whole batch's would. Backward keeps only the data of a and
+    w. Each slab's window gradients are overlap-added into one padded
+    buffer, so overlapping windows (stride < patch_len) are summed, and the
+    pad is folded onto the last step; w's gradient gathers every slab's
+    windows into one array for one whole-batch GEMM.
     """
     if (
         a.ndim != 3
         or w.ndim != 2
         or stride < 1
-        or not 1 <= patch_len <= a.shape[1]
-        or w.shape[0] != patch_len * a.shape[2]
+        or not 1 <= patch_len <= a.shape[2]
+        or w.shape[0] != patch_len * a.shape[1]
     ):
         raise ShapeError("patch_compress", a.shape, w.shape, (patch_len, stride))
     ad, wd = a.data, w.data
-    n, length, d = ad.shape
+    n, d, length = ad.shape
     count = (length - patch_len) // stride + 2
     n_out = wd.shape[1]
     # step i of window v: padded step v*stride + i, clipped to the last step
     steps = np.minimum(np.arange(count)[:, None] * stride + np.arange(patch_len), length - 1)
     slices, rows = _slabs(ad.shape)
-    widest = rows // length
+    widest = rows // d
     window_size = widest * count * patch_len * d
     out = np.empty((n, count, n_out))
 
+    def gather(sl, buf, windows):
+        """Rows sl's windows into ``windows``, through ``buf`` as scratch."""
+        part = ad[sl]
+        time_major = _scratch(buf, (part.shape[0], length, d))
+        np.copyto(time_major, part.transpose(0, 2, 1))
+        np.take(time_major, steps, axis=1, out=windows, mode="clip")  # clip: unbuffered out
+
     def forward(sl, bufs, _):
-        windows = _scratch(bufs[0], (sl.stop - sl.start, count, patch_len, d))
-        np.take(ad[sl], steps, axis=1, out=windows, mode="clip")  # clip: unbuffered out
+        windows = _scratch(bufs[1], (sl.stop - sl.start, count, patch_len, d))
+        gather(sl, bufs[0], windows)
         np.matmul(windows.reshape(-1, count, patch_len * d), wd, out=out[sl])
 
-    _slab_loop(slices, (window_size,), forward)
+    _slab_loop(slices, (rows * length, window_size), forward)
 
     def bw(g):
         gx = np.empty(ad.shape)
+        windows = np.empty((n, count, patch_len, d))
         span = (count - 1) * stride + 1
 
         def slab(sl, bufs, _):
             win_buf, pad_buf = bufs
+            gather(sl, pad_buf, windows[sl])
             m = sl.stop - sl.start
             g_win = _scratch(win_buf, (m, count, patch_len * d))
             g_win = np.matmul(g[sl], wd.T, out=g_win).reshape(m, count, patch_len, d)
@@ -1466,12 +1451,11 @@ def patch_compress(a, w, patch_len, stride):
             for j in range(patch_len):
                 pad[:, j : j + span : stride] += g_win[:, :, j]
             gxs = gx[sl]
-            gxs[...] = pad[:, :length]
-            gxs[:, -1] += pad[:, length:].sum(axis=1)
+            gxs[...] = pad[:, :length].transpose(0, 2, 1)
+            gxs[:, :, -1] += pad[:, length:].sum(axis=1)
 
         _slab_loop(slices, (window_size, widest * (length + stride) * d), slab)
-        windows = np.take(ad, steps, axis=1).reshape(-1, patch_len * d)
-        return gx, windows.T @ g.reshape(-1, n_out)
+        return gx, windows.reshape(-1, patch_len * d).T @ g.reshape(-1, n_out)
 
     return Tensor._from_op(out, "patch_compress", (a, w), bw)
 

@@ -1,12 +1,13 @@
 """Time-frequency synergy learning over the seasonal component.
 
-The seasonal representation is segmented into overlapping patches (with a
-tail pad that replicates the final time step), each patch window is
-compressed to a d-vector by a shared affine map, a real DFT across the
-patch axis gives the one-sided spectrum, and each bin is expanded back
-over patches into a real 2-D time-frequency grid. One single-layer KAN
-per patch then mixes the frequency axis, and an affine unpatch map
-restores the original series length.
+The seasonal representation, channel-first (N, d, L) as the decomposition
+gives it, is segmented into overlapping patches (with a tail pad that
+replicates the final time step), each patch window is compressed to a
+d-vector by a shared affine map, a real DFT across the patch axis gives
+the one-sided spectrum, and each bin is expanded back over patches into a
+real 2-D time-frequency grid. One single-layer KAN per patch then mixes
+the frequency axis, and an affine unpatch map restores the original series
+length, back in the (N, d, L) layout.
 
 The DFT follows the patch-index convention p = 1..P, so the grid row for
 frequency k regains exactly k full periods across the patch axis.
@@ -68,7 +69,7 @@ class PatchCompressor:
         self.b = Tensor(np.zeros(width), requires_grad=True)
 
     def __call__(self, seasonal):
-        """(N, L, d) -> (N, W, d), one compressed vector per window."""
+        """(N, d, L) -> (N, W, d), one compressed vector per window."""
         return patch_compress(seasonal, self.w, self.patch_len, self.stride) + self.b
 
     def parameters(self, prefix):
@@ -140,7 +141,7 @@ class Unpatcher:
         self.b = Tensor(np.zeros(length), requires_grad=True)
 
     def __call__(self, h, residual=None):
-        """(N, P, d) -> (N, L, d), plus ``residual`` (N, L, d) if given,
+        """(N, P, d) -> (N, d, L), plus ``residual`` (N, d, L) if given,
         added into the map's own output (``tensor.unpatch``)."""
         return unpatch(h, self.w, self.b, residual)
 

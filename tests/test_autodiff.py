@@ -6,6 +6,7 @@ import pytest
 from gradcheck_util import gradient_check
 from itfkan import Adam, Graph, ShapeError, Tensor, backward, no_grad
 from itfkan import tensor as T
+from itfkan.decomposition import averaging_matrix
 from itfkan.optim import adam_update
 
 
@@ -204,6 +205,19 @@ def test_matmul_skips_gradient_of_constant_operand():
         loss = lambda: (T.matmul(a, b) * Tensor(weights)).sum()  # noqa: E731
         errors = param_fd_errors(loss, [live])
         assert errors[live[0]] < 1e-6, errors
+
+
+def test_matmul_input_gradient_is_one_gemm_over_rows():
+    """The input gradient of a row-major 3-D gradient is the 2-D GEMM over
+    its rows, bit for bit. At the decomposition's shape on pipeline-toy
+    (192 rows, d = 8, L = 96) numpy's batched matmul rounds otherwise."""
+    rng = np.random.default_rng(70)
+    a = Tensor(rng.normal(size=(192, 8, 96)), requires_grad=True)
+    b = Tensor(averaging_matrix(96, 25))
+    g = rng.normal(size=a.shape)
+    backward((T.matmul(a, b) * Tensor(g)).sum())
+    expected = (g.reshape(-1, 96) @ b.data.T).reshape(a.shape)
+    assert a.grad.tobytes() == expected.tobytes()
 
 
 def closure_arrays(out):

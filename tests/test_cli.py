@@ -396,6 +396,29 @@ def test_eval_bad_checkpoint_config_names_file_and_key_exits_1(
     assert f"CheckpointError: {ckpt}: {message}" in capsys.readouterr().err
 
 
+def test_non_finite_checkpoint_tensor_exits_1(workspace, tmp_path, capsys):
+    """eval, prune and report each refuse a checkpoint with a NaN weight,
+    naming the file, the tensor and the index."""
+    cfg_path, out_dir = workspace
+    assert main(["train", "--config", str(cfg_path)]) == 0
+    ckpt = str(out_dir / "checkpoint.itfk")
+    config, tensors = load_checkpoint(ckpt)
+    w2 = tensors["head.w2"].copy()
+    w2[2, 1] = np.nan
+    tensors["head.w2"] = w2
+    save_checkpoint(ckpt, list(config.items()), list(tensors.items()))
+    out = str(tmp_path / "refused")
+    for argv in (
+        ["eval", "--config", str(cfg_path), "--checkpoint", ckpt],
+        ["prune", "--checkpoint", ckpt, "--out", out, "--tau", "5e-4"],
+        ["report", "--config", str(cfg_path), "--checkpoint", ckpt, "--out", out, "--tau", "5e-4"],
+    ):
+        capsys.readouterr()
+        assert main(argv) == 1, argv[0]
+        message = f"CheckpointError: {ckpt}: tensor head.w2: non-finite value nan at index (2, 1)"
+        assert message in capsys.readouterr().err, argv[0]
+
+
 def test_eval_invalid_model_field_in_config_exits_2(workspace, tmp_path, capsys):
     cfg_path, out_dir = workspace
     assert main(["train", "--config", str(cfg_path)]) == 0

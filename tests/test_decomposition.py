@@ -7,7 +7,7 @@ from itfkan.decomposition import (
     moving_average_decompose,
     moving_average_np,
 )
-from itfkan.tensor import Tensor
+from itfkan.tensor import Tensor, backward, permute
 
 
 def embed_with(weight, bias, x):
@@ -39,6 +39,26 @@ def test_embed_matches_affine_oracle():
     np.testing.assert_allclose(out.data, expected, rtol=1e-12)
 
 
+def test_embed_gradients_do_not_depend_on_the_gradient_layout():
+    """The embedding's gradient reaches it as the transposed view of the
+    decomposition's (N, d, L) gradient. Its gradients are those over a
+    row-major copy of that gradient, bit for bit: the bias gradient's sum
+    over rows runs in one order whatever the layout."""
+    rng = np.random.default_rng(71)
+    x = Tensor(rng.normal(size=(4, 6)), requires_grad=True)
+    emb = Embedding(3, rng)
+    g = rng.normal(size=(4, 3, 6))
+    grads = []
+    for loss in (
+        lambda: (permute(emb(x), (0, 2, 1)) * Tensor(g)).sum(),
+        lambda: (emb(x) * Tensor(g.transpose(0, 2, 1).copy())).sum(),
+    ):
+        backward(loss())
+        grads.append([t.grad.tobytes() for t in (x, emb.w, emb.b)])
+        x.grad = emb.w.grad = emb.b.grad = None
+    assert grads[0] == grads[1]
+
+
 def test_embed_rejects_empty():
     with pytest.raises(ValueError):
         Embedding(2, np.random.default_rng(0))(Tensor(np.zeros((0, 4))))
@@ -55,7 +75,7 @@ def test_kernel_one_is_identity():
     rng = np.random.default_rng(2)
     x = Tensor(rng.normal(size=(2, 6, 2)))
     trend, seasonal = moving_average_decompose(x, 1)
-    np.testing.assert_allclose(trend.data, x.data, rtol=1e-12)
+    np.testing.assert_allclose(trend.data, x.data.transpose(0, 2, 1), rtol=1e-12)
     np.testing.assert_allclose(seasonal.data, 0.0, atol=1e-12)
 
 
@@ -63,7 +83,7 @@ def test_hand_window_oracle():
     x = Tensor(np.array([1.0, 2.0, 3.0, 4.0, 5.0]).reshape(1, 5, 1))
     trend, _ = moving_average_decompose(x, 3)
     np.testing.assert_allclose(
-        trend.data[0, :, 0], [4.0 / 3.0, 2.0, 3.0, 4.0, 14.0 / 3.0], rtol=1e-12
+        trend.data[0, 0, :], [4.0 / 3.0, 2.0, 3.0, 4.0, 14.0 / 3.0], rtol=1e-12
     )
 
 
@@ -80,15 +100,18 @@ def test_matches_explicit_pad_then_mean():
         [padded[:, t : t + kernel].mean(axis=1) for t in range(10)], axis=1
     )
     trend, _ = moving_average_decompose(Tensor(vals), kernel)
-    np.testing.assert_allclose(trend.data, expected, rtol=1e-12)
+    np.testing.assert_allclose(trend.data, expected.transpose(0, 2, 1), rtol=1e-12)
 
 
 def test_reconstruction_identity():
+    """trend + seasonal gives back the (N, L, d) input, whose channel-first
+    (N, d, L) layout both parts take, each row-major."""
     rng = np.random.default_rng(9)
     for _ in range(1000):
         x = rng.normal(size=(1, 12, 2))
         trend, seasonal = moving_average_decompose(Tensor(x), 5)
-        np.testing.assert_allclose(trend.data + seasonal.data, x, atol=1e-12)
+        assert trend.data.flags.c_contiguous and seasonal.data.flags.c_contiguous
+        np.testing.assert_allclose(trend.data + seasonal.data, x.transpose(0, 2, 1), atol=1e-12)
 
 
 def test_shift_equivariance():
@@ -107,7 +130,7 @@ def test_linear_ramp_interior_exact():
     ramp = np.arange(length, dtype=float).reshape(1, length, 1)
     trend, _ = moving_average_decompose(Tensor(ramp), kernel)
     interior = slice(half, length - half)
-    np.testing.assert_array_equal(trend.data[0, interior, 0], ramp[0, interior, 0])
+    np.testing.assert_array_equal(trend.data[0, 0, interior], ramp[0, interior, 0])
 
 
 def test_even_kernel_rejected():
@@ -136,5 +159,4 @@ def test_numpy_twin_agrees():
     trend_t, _ = moving_average_decompose(
         Tensor(np.moveaxis(vals, -1, 1)), 3
     )
-    trend_np = moving_average_np(vals, 3)
-    np.testing.assert_allclose(np.moveaxis(trend_np, -1, 1), trend_t.data, rtol=1e-12)
+    np.testing.assert_allclose(moving_average_np(vals, 3), trend_t.data, rtol=1e-12)

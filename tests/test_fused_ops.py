@@ -55,8 +55,9 @@ def fourier_chain(x, freqs, cos_coeffs, sin_coeffs):
 
 
 def windows_chain(x, patch_len, stride):
-    """The patch windows by the slice/concat loop PatchCompressor ran
-    before the fused ops."""
+    """The patch windows of an (N, d, L) series by the slice/concat loop
+    PatchCompressor ran before the fused ops, over its (N, L, d) view."""
+    x = T.permute(x, (0, 2, 1))
     n, length, d = x.shape
     count = (length - patch_len) // stride + 2
     padded = T.concat([x] + [x[:, length - 1 : length, :]] * stride, axis=1)
@@ -110,8 +111,10 @@ def view_input(data, axes):
 
 
 def time_axis_input(rng, lead, width):
-    """An input maker for x as the model feeds it: a permuted (…, d, L)
-    view of a (…, L, d) leaf, with exact zeros among the entries."""
+    """An input maker for a time-axis op: a permuted (…, d, L) view of a
+    (…, L, d) leaf, with exact zeros among the entries. The model feeds
+    these ops row-major (…, d, L) arrays; the strided view checks that an
+    op takes any layout."""
     base = rng.normal(size=lead[:-1] + (width, lead[-1]))
     base.reshape(-1)[::7] = 0.0
     return view_input(base, tuple(range(len(lead) - 1)) + (len(lead), len(lead) - 1))
@@ -171,8 +174,8 @@ def make_case(name, rng):
         patches[:, 2, :] = 0.0
         return patch_kans_case(rng, leaf_input(patches))
     if name == "patch_compress":
-        series = rng.normal(size=(2, 9, 3))  # (N, L, d)
-        series[:, 4, :] = 0.0
+        series = rng.normal(size=(2, 3, 9))  # (N, d, L)
+        series[:, :, 4] = 0.0
         return patch_compress_case(rng, leaf_input(series))
     raise KeyError(name)
 
@@ -193,7 +196,7 @@ def patch_kans_case(rng, make_x):
 
 
 def patch_compress_case(rng, make_x):
-    """The patch_compress case over an (N, 9, 3) series: overlapping
+    """The patch_compress case over an (N, 3, 9) series: overlapping
     windows of 4 steps at stride 2, the last one reaching into the pad."""
     w = param(rng, (12, 3))
     return (
@@ -403,7 +406,7 @@ def rebuilding_case(name, rng):
         first, second = taylor_params(rng, 93, 96), taylor_params(rng, 8, 96)
         return (lambda: T.taylor_kan(x, [first, second], prior=prior)), x
     if name == "patch_compress":
-        x = Tensor(rng.normal(size=(64, 96, 32)), requires_grad=True)
+        x = Tensor(rng.normal(size=(64, 32, 96)), requires_grad=True)
         w = param(rng, (6 * 32, 32))
         return (lambda: T.patch_compress(x, w, 6, 6)), x
     patches = Tensor(rng.normal(size=(64, 8, 32)), requires_grad=True)
@@ -452,7 +455,7 @@ def test_fourier_inject_rejects_frequencies_without_a_base(freqs, bad):
 # With an identity map, patch_compress returns the windows it gathers.
 
 def windows_of(x, patch_len, stride):
-    return T.patch_compress(x, Tensor(np.eye(patch_len * x.shape[2])), patch_len, stride)
+    return T.patch_compress(x, Tensor(np.eye(patch_len * x.shape[1])), patch_len, stride)
 
 
 # (patch_len, stride) over a 9-step series: tiled and overlapping windows;
@@ -462,7 +465,7 @@ WINDOW_CASES = [(4, 4), (4, 2), (5, 3), (3, 1)]
 
 @pytest.mark.parametrize("patch_len,stride", WINDOW_CASES)
 def test_patch_windows_input_gradient_matches_fd(patch_len, stride):
-    x = Tensor(np.random.default_rng(20).normal(size=(2, 9, 3)))
+    x = Tensor(np.random.default_rng(20).normal(size=(2, 3, 9)))
     err = gradient_check(
         lambda x_: weighted_sum(windows_of(x_, patch_len, stride)), x
     )
@@ -471,8 +474,8 @@ def test_patch_windows_input_gradient_matches_fd(patch_len, stride):
 
 @pytest.mark.parametrize("patch_len,stride", WINDOW_CASES)
 def test_patch_windows_matches_slice_chain(patch_len, stride):
-    # a permuted (N, L, d) view of an (N, d, L) array, as a strided input
-    make_x = view_input(np.random.default_rng(21).normal(size=(2, 3, 9)), (0, 2, 1))
+    # a permuted (N, d, L) view of an (N, L, d) array, as a strided input
+    make_x = view_input(np.random.default_rng(21).normal(size=(2, 9, 3)), (0, 2, 1))
     out_w, grads_w = grads_of(lambda x_: windows_of(x_, patch_len, stride), make_x, [])
     out_c, grads_c = grads_of(lambda x_: windows_chain(x_, patch_len, stride), make_x, [])
     np.testing.assert_array_equal(out_w, out_c)
@@ -481,7 +484,7 @@ def test_patch_windows_matches_slice_chain(patch_len, stride):
 
 
 def test_patch_windows_no_grad_equals_taped():
-    x = Tensor(np.random.default_rng(22).normal(size=(2, 9, 3)), requires_grad=True)
+    x = Tensor(np.random.default_rng(22).normal(size=(2, 3, 9)), requires_grad=True)
     taped = windows_of(x, 4, 2)
     assert taped.op == "patch_compress"
     with no_grad():
@@ -491,7 +494,7 @@ def test_patch_windows_no_grad_equals_taped():
 
 
 def test_patch_windows_rejects_bad_shapes():
-    x = Tensor(np.zeros((2, 5, 3)))
+    x = Tensor(np.zeros((2, 3, 5)))
     for patch_len, stride in [(6, 2), (0, 1), (3, 0)]:
         with pytest.raises(ShapeError):
             windows_of(x, patch_len, stride)
@@ -638,6 +641,30 @@ def test_backward_frees_a_rules_arrays_before_it_returns():
     assert pred.requires_grad and loss.requires_grad  # both still referenced
 
 
+def test_backward_frees_a_summed_gradient_before_the_next_rule():
+    """A gradient that backward has added into its parent's is freed before
+    the next rule runs, so it never lives beside that rule's arrays."""
+    x = Tensor(np.random.default_rng(64).normal(size=(4, 3)), requires_grad=True)
+    returned, alive = [], []
+
+    def probe(g):
+        alive.extend(ref() is not None for ref in returned)
+        return (g,)
+
+    h = Tensor._from_op(x.data.copy(), "probe", (x,), probe)
+    u, v = h * 2.0, h * 3.0
+    for node in (u._node, v._node):
+        def recording(g, _rule=node.backward):
+            grads = _rule(g)
+            returned.append(weakref.ref(grads[0]))
+            return grads
+
+        node.backward = recording
+    backward((u + v).sum())
+    assert alive == [False, False]
+    np.testing.assert_array_equal(x.grad, np.full((4, 3), 5.0))
+
+
 # --- what the tape keeps ---------------------------------------------------------
 
 def tensors_in(value):
@@ -673,7 +700,7 @@ def test_no_backward_closure_of_the_model_holds_a_tensor(task):
     rng = np.random.default_rng(9)
     x, y = Tensor(rng.normal(size=(5, 24))), Tensor(rng.normal(size=(5, 8)))
     loss, _ = total_loss(model.forward(x), y, model, cfg.reg_lambda, task)
-    assert len(T.Graph.from_output(loss)) == {"long": 33, "short": 39}[task]
+    assert len(T.Graph.from_output(loss)) == {"long": 29, "short": 35}[task]
     assert closures_holding_tensors(loss) == []
 
 
@@ -721,7 +748,7 @@ def test_no_backward_closure_of_a_primitive_holds_a_tensor():
     h = T.matmul(T.silu(x), w) / (T.sin(x) + 2.0) - T.sin(x) * T.cos(x)
     h = T.concat([T.abs_(h), T.pow_int(h, 3)], axis=2)[:, 1:]
     w2 = Tensor(rng.normal(size=(12, 2)), requires_grad=True)
-    h = T.patch_compress(h.permute(0, 2, 1).reshape(2, 5, 6), w2, 2, 2)
+    h = T.patch_compress(h.permute(0, 2, 1).reshape(2, 6, 5), w2, 2, 2)
     loss = T.sum_axis(h, 1).mean() + T.l2_penalty([(w, 0.5), (x, 2.0)])
     assert {node.op for node in T.Graph.from_output(loss).nodes} == {
         "abs", "add", "concat", "cos", "div", "l2_penalty", "matmul",
@@ -807,14 +834,15 @@ def test_model_no_grad_forward_equals_taped_bitwise():
 
 def slab_case(name, rng, permuted):
     """(fused fn, chain fn, input maker, named parameters) with a leading
-    axis of 5, the input permuted as the model feeds it or row-major."""
+    axis of 5, the input a permuted view or row-major, as the model feeds
+    it."""
     if name == "patch_kans":
         base = rng.normal(size=(5, 2, 4))  # (N, d, P)
         base[:, :, 2] = 0.0
         fused, chain, make_x, named = patch_kans_case(rng, view_input(base, (0, 2, 1)))
     elif name == "patch_compress":
-        base = rng.normal(size=(5, 3, 9))  # (N, d, L)
-        base[:, :, 4] = 0.0
+        base = rng.normal(size=(5, 9, 3))  # (N, L, d)
+        base[:, 4, :] = 0.0
         fused, chain, make_x, named = patch_compress_case(rng, view_input(base, (0, 2, 1)))
     else:
         fused, chain, _, named = make_case(name, rng)
@@ -989,7 +1017,7 @@ def strided_block_forward(x, w, a0, a1, a2, prior):
         t = T._scratch(tbuf, (xs.shape[0], n_out))
         o = T._rows(full[sl])[:, lead:]
         np.matmul(np.multiply(basis, xs, out=basis), wd.T, out=o)
-        o += np.matmul(T._slab_rows(xd, sl, basis_buf), wa1.T, out=t)
+        o += np.matmul(xs, wa1.T, out=t)
         o += np.matmul(np.square(xs, out=basis), wa2.T, out=t)
         o += const
     return full

@@ -17,9 +17,10 @@ from itfkan.model import (
     total_loss,
     train,
 )
-from itfkan import data, tensor
+from itfkan import data, taylorkan, tensor, tfsynergy
 from itfkan.decomposition import moving_average_decompose
-from itfkan.tensor import Tensor, backward, matmul, no_grad, reshape
+from itfkan.interpret import calibrate_ranges
+from itfkan.tensor import Tensor, backward, matmul, no_grad, permute, reshape
 
 
 def tiny_config(**overrides):
@@ -136,13 +137,14 @@ def test_forecast_sums_the_branches_in_order_bitwise():
     x = Tensor(np.random.default_rng(9).normal(size=(5, 24)))
 
     def head(h):
-        collapsed = reshape(matmul(h, model.head_w1) + model.head_b1, (5, 24))
+        """(N, d, L) -> (N, F), as the forward's head."""
+        collapsed = reshape(matmul(permute(h, (0, 2, 1)), model.head_w1) + model.head_b1, (5, 24))
         return (matmul(collapsed, model.head_w2) + model.head_b2).data
 
     with no_grad():
         trend, seasonal = moving_average_decompose(model.embed(x), cfg.kernel)
-        h_trend = model._along_time(model.trend_kan, trend, "trend")
-        h_seasonal = model._along_time(model.seasonal_kan, seasonal, "seasonal")
+        h_trend = model.trend_kan.forward(trend)
+        h_seasonal = model.seasonal_kan.forward(seasonal)
         h_tf = model.unpatcher(model.tf_kans(model.patcher(seasonal)))
         expected = head((h_trend + h_seasonal) + h_tf)
         assert not np.array_equal(head(h_trend + (h_seasonal + h_tf)), expected)
@@ -152,6 +154,64 @@ def test_forecast_sums_the_branches_in_order_bitwise():
     assert taped.requires_grad
     np.testing.assert_array_equal(taped.data, expected)
     np.testing.assert_array_equal(plain.data, expected)
+
+
+# the time-axis ops by the module that binds each name the model calls
+TIME_AXIS_OPS = {
+    taylorkan: ("poly_inject", "fourier_inject", "taylor_kan"),
+    tfsynergy: ("patch_compress",),
+}
+
+
+def test_time_axis_ops_receive_row_major_channel_first_series(monkeypatch):
+    """The taped forward, the no-grad forward and calibrate_ranges hand
+    each time-axis op a row-major (N, d, L) series: the decomposition's
+    layout, kept up to the unpatch map, with no permuted view between."""
+    model = tiny_model(seed=40)
+    cfg = model.config
+    windows = np.random.default_rng(41).normal(size=(2, 3, cfg.lookback))
+    x = Tensor(windows.reshape(6, cfg.lookback))
+    seen = []
+    for module, names in TIME_AXIS_OPS.items():
+        for name in names:
+            def recording(series, *args, _name=name, _real=getattr(module, name), **kwargs):
+                seen.append((_name, series.shape, series.data.flags.c_contiguous))
+                return _real(series, *args, **kwargs)
+
+            monkeypatch.setattr(module, name, recording)
+
+    def nograd_forward():
+        with no_grad():
+            model.forward(x)
+
+    for run in (lambda: model.forward(x), nograd_forward,
+                lambda: calibrate_ranges(model, windows, batch_size=2)):
+        seen.clear()
+        run()
+        assert {name for name, _, _ in seen} == {n for ns in TIME_AXIS_OPS.values() for n in ns}
+        assert all(call[1:] == ((6, cfg.embed_dim, cfg.lookback), True) for call in seen), seen
+
+
+def test_seasonal_and_tf_branches_are_batch_invariant():
+    """At the reference shape, the seasonal KAN's and the time-frequency
+    branch's outputs for the first n rows of a 448-row batch are that
+    batch's rows bit for bit. The trend branch is not: its prior's narrow
+    whole-batch GEMMs round by row count."""
+    n, length, d = 448, 96, 32
+    cfg = ModelConfig(lookback=length, horizon=96, embed_dim=d)
+    model = ForecastModel(cfg, [2.0 * b / length for b in (4, 8, 12, 16, 24)], seed=42)
+    x = np.random.default_rng(43).normal(size=(n, length))
+
+    def branches(rows):
+        with no_grad():
+            _, seasonal = moving_average_decompose(model.embed(Tensor(x[:rows])), cfg.kernel)
+            tf = model.unpatcher(model.tf_kans(model.patcher(seasonal)))
+            return model.seasonal_kan.forward(seasonal).data, tf.data
+
+    full = branches(n)
+    for rows in (1, 7, 64):
+        for part, whole in zip(branches(rows), full):
+            assert part.tobytes() == whole[:rows].tobytes(), rows
 
 
 def traced_peak_beyond_start(fn):
@@ -185,7 +245,7 @@ def test_forecasts_of_window_views_are_those_of_copies():
 
 
 def test_nograd_forward_holds_at_most_three_series_arrays():
-    """An untaped forward holds at most three (N, L, d) arrays at once
+    """An untaped forward holds at most three (N, d, L) arrays at once
     beyond its output. The trend branch holds the trend and seasonal
     components and one array of its own: the prior's power (x^3 is built
     over x^2) or the KAN's output. The time-frequency branch runs next,
@@ -203,7 +263,7 @@ def test_nograd_forward_holds_at_most_three_series_arrays():
     each slab at most SLAB + d*L values), one (N, P, d) patch array, one
     (N, d, r) prior output, and
     1 MB for the layers' (L, L) products and Python objects. It is under
-    one (N, L, d) array, so a fourth one fails the bound."""
+    one (N, d, L) array, so a fourth one fails the bound."""
     n, length, d = 448, 96, 32  # the reference step's batch, over many slabs
     cfg = ModelConfig(lookback=length, horizon=96, embed_dim=d)
     model = ForecastModel(cfg, [2.0 * b / length for b in (4, 8, 12, 16, 24)], seed=38)
@@ -224,7 +284,7 @@ def test_nograd_forward_holds_at_most_three_series_arrays():
 
 def test_training_step_holds_at_most_five_series_arrays():
     """A taped training step (forward, loss and backward) holds at most
-    five (N, L, d) arrays at once beyond what it started with. It peaks in
+    five (N, d, L) arrays at once beyond what it started with. It peaks in
     the trend prior's backward rule, where five are live: the trend and
     seasonal components, which rules still read; the branch sum's
     gradient, which the seasonal KAN's rule has yet to read; and two
@@ -736,6 +796,21 @@ def test_checkpoint_frequency_count_other_than_top_k_names_the_tensor(tmp_path):
     with pytest.raises(
         CheckpointError, match=re.escape(f"{path}: tensor frequencies: expected 2 frequencies, got 1")
     ):
+        ForecastModel.load(path)
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+def test_checkpoint_non_finite_tensor_names_tensor_and_first_index(tmp_path, value):
+    path = str(tmp_path / "model.itfk")
+    tiny_model(seed=29).save(path)
+    config, tensors = load_checkpoint(path)
+    w2 = tensors["head.w2"].copy()
+    w2[3, 1] = value
+    w2[5, 0] = np.nan
+    tensors["head.w2"] = w2
+    save_checkpoint(path, list(config.items()), list(tensors.items()))
+    message = f"{path}: tensor head.w2: non-finite value {value} at index (3, 1)"
+    with pytest.raises(CheckpointError, match=f"^{re.escape(message)}$"):
         ForecastModel.load(path)
 
 

@@ -75,10 +75,12 @@ def test_patch_config_validation():
 
 
 def test_patch_windows_match_manual_slices():
+    """Each window of the (N, d, L) input flattens step-major: its d
+    channels at its first step, then at its second."""
     rng = np.random.default_rng(0)
     x = rng.normal(size=(2, 8, 3))
     comp = PatchCompressor(4, 2, 3, np.random.default_rng(1))
-    out = comp(Tensor(x))
+    out = comp(Tensor(x.transpose(0, 2, 1).copy()))
     assert out.shape == (2, 4, 3)
     padded = np.concatenate([x, np.repeat(x[:, -1:], 2, axis=1)], axis=1)
     for w in range(4):
@@ -283,7 +285,7 @@ def test_unpatch_zero_input_gives_bias():
     up = Unpatcher(4, 6, np.random.default_rng(7))
     up.b.data[:] = np.arange(6.0)
     out = up(Tensor(np.zeros((2, 4, 3))))
-    np.testing.assert_allclose(out.data, np.broadcast_to(np.arange(6.0)[None, :, None], (2, 6, 3)))
+    np.testing.assert_allclose(out.data, np.broadcast_to(np.arange(6.0), (2, 3, 6)))
 
 
 def test_unpatch_identity_map():
@@ -291,14 +293,14 @@ def test_unpatch_identity_map():
     up.w.data[:] = np.eye(5)
     up.b.data[:] = 0.0
     x = np.random.default_rng(9).normal(size=(2, 5, 3))
-    np.testing.assert_allclose(up(Tensor(x)).data, x, rtol=1e-12)
+    np.testing.assert_allclose(up(Tensor(x)).data, x.transpose(0, 2, 1), rtol=1e-12)
 
 
 def test_unpatch_matches_matrix_oracle():
     up = Unpatcher(3, 7, np.random.default_rng(10))
     x = np.random.default_rng(11).normal(size=(2, 3, 4))
     out = up(Tensor(x)).data
-    expected = np.einsum("npd,pl->nld", x, up.w.data) + up.b.data[None, :, None]
+    expected = np.einsum("npd,pl->ndl", x, up.w.data) + up.b.data
     np.testing.assert_allclose(out, expected, rtol=1e-12)
 
 
@@ -313,7 +315,7 @@ def test_gradients_flow_through_full_chain():
     n_patches = patch_count(length, 4, 2)
     kans = PatchKans(n_patches, n_freq_bins(n_patches), rng)
     up = Unpatcher(n_patches, length, rng)
-    x = Tensor(np.random.default_rng(13).normal(size=(2, length, width)))
+    x = Tensor(np.random.default_rng(13).normal(size=(2, width, length)))
 
     def loss_fn():
         return (up(kans(comp(x))) ** 2).sum() * 0.1
@@ -330,7 +332,7 @@ def test_input_gradient_through_chain():
     comp = PatchCompressor(3, 3, 1, rng)
     n_patches = patch_count(6, 3, 3)
     kans = PatchKans(n_patches, n_freq_bins(n_patches), rng)
-    x = Tensor(np.random.default_rng(15).normal(size=(1, 6, 1)), requires_grad=True)
+    x = Tensor(np.random.default_rng(15).normal(size=(1, 1, 6)), requires_grad=True)
     loss = (kans(comp(x)) ** 2).sum()
     backward(loss)
     assert x.grad is not None and np.all(np.isfinite(x.grad))

@@ -6,11 +6,15 @@ padding; the seasonal part is the exact residual, so trend + seasonal
 reconstructs the input by construction. Both come out channel-first,
 as row-major (N, d, L) arrays: every op after the decomposition acts
 along the time axis of each channel, which is then their last axis.
+Untaped, either part can be built alone from the (N, L) windows, with the
+split's bits, without the lifted (N, L, d) array ever existing whole.
 """
 
 import numpy as np
 
-from .tensor import Tensor, lift, matmul, permute, sub
+from .tensor import Tensor, is_recording, lift, lift_average, matmul, permute, sub
+
+PARTS = ("trend", "seasonal")
 
 
 _AVG_CACHE = {}
@@ -60,18 +64,36 @@ class Embedding:
 
     def __call__(self, x):
         """(N, L) -> (N, L, d)."""
-        if x.size == 0:
-            raise ValueError("embed: empty input")
+        _check_nonempty(x)
         return lift(x, self.w, self.b)
 
     def parameters(self):
         return [("embed.w", self.w), ("embed.b", self.b)]
 
 
-def moving_average_decompose(x, kernel):
+def _check_nonempty(x):
+    if x.size == 0:
+        raise ValueError("embed: empty input")
+
+
+def moving_average_decompose(x, kernel, embed=None, part=None):
     """Split (N, L, d) along the time axis into (trend, seasonal), each a
     row-major (N, d, L) array: x is permuted once, and both are computed
-    in that layout."""
+    in that layout.
+
+    Given an ``Embedding`` and ``part`` ("trend" or "seasonal"), x is the
+    (N, L) windows instead, and only that part of the split of
+    ``embed(x)`` is built, untaped and slab by slab
+    (``tensor.lift_average``), with the bits the split gives it. So an
+    untaped caller holds one part at a time, and never the embedding."""
+    if embed is not None:
+        if part not in PARTS:
+            raise ValueError(f"part must be one of {PARTS}, got {part!r}")
+        if is_recording():
+            raise RuntimeError("one part of the split is built untaped only")
+        _check_nonempty(x)
+        avg = averaging_matrix(x.shape[-1], kernel)
+        return lift_average(x, embed.w, embed.b, avg, seasonal=part == "seasonal")
     xt = permute(x, (0, 2, 1))
     trend = matmul(xt, Tensor(averaging_matrix(x.shape[1], kernel)))
     return trend, sub(xt, trend)

@@ -12,7 +12,7 @@ held-out sample points. The ranges come from calibration on the unpruned
 model, which runs the model's no-grad ops only as far as the inputs of
 the layers that keep an edge (``calibrate_ranges``): at a typical
 threshold every survivor sits in a per-patch KAN, and calibration is
-then embed, decompose and the time-frequency grid, no KAN layer at all.
+then the seasonal part and the time-frequency grid, no KAN layer at all.
 Each family is fitted in a canonical form with no redundant parameters
 (see ``_canonical_fit``): identity and square in closed form; cube, exp
 and one joint sin/cos fit by a search over a single parameter; gaussian
@@ -34,7 +34,7 @@ from typing import Optional
 
 import numpy as np
 
-from .decomposition import moving_average_decompose
+from .decomposition import PARTS, moving_average_decompose
 from .tensor import Tensor, no_grad, sigmoid
 from .tfsynergy import spectrum_grid
 
@@ -44,6 +44,7 @@ B_POINTS = 41
 REFINE_ROUNDS = 3
 REFINE_POINTS = 21
 GRID_BLOCK = 8  # a-values per scored block: 8 x 41 rows of 129 samples
+CALIB_GRID_VALUES = 2 ** 18  # time-frequency grid values calibration builds at once
 POLISH_STEPS = 100
 POLISH_TOL = 1e-10
 POLISH_DAMPING = 1e-3
@@ -144,10 +145,13 @@ def calibrate_ranges(model, inputs, batch_size=64, layers=None):
 
     The windows go through the model's own no-grad ops in ``batch_size``
     batches, since a layer's output depends on its batch's row count in the
-    last bits, but only as far as the wanted inputs: embed and decompose;
-    the patcher and the time-frequency grid if a "tf.p*" key is wanted; a
-    time-axis KAN up to its last wanted layer, which does not run. No
-    network's last layer, per-patch KAN, unpatcher or head ever runs."""
+    last bits, but only as far as the wanted inputs: each component of the
+    decomposition that is read, built alone from the windows as the
+    untaped forward builds it; the patcher and the time-frequency grid if a
+    "tf.p*" key is wanted; a time-axis KAN up to its last wanted layer,
+    which does not run. No network's last layer, per-patch KAN, unpatcher
+    or head ever runs. The trend goes once its layers' ranges are read,
+    before the seasonal part is built, so the two are never held together."""
     layer_of = dict(model.kan_layers())
     wanted = set(layer_of if layers is None else layers)
     unknown = wanted.difference(layer_of)
@@ -160,25 +164,35 @@ def calibrate_ranges(model, inputs, batch_size=64, layers=None):
     tf_keys = [(p, key) for p, key in tf_keys if key in wanted]
     # layers of each time-axis KAN up to the last wanted one
     depth = {tag: max((li + 1 for t, li in wanted if t == tag), default=0)
-             for tag in ("trend", "seasonal")}
+             for tag in PARTS}
     with no_grad():
         for start in range(0, len(inputs), batch_size):
             xb = inputs[start : start + batch_size]
             x = Tensor(xb.reshape(xb.shape[0] * xb.shape[1], xb.shape[2]))
-            trend, seasonal = moving_average_decompose(model.embed(x), model.config.kernel)
-            if tf_keys:
-                grid = spectrum_grid(model.patcher(seasonal)).data
-                lo, hi = grid.min(axis=(0, 3)), grid.max(axis=(0, 3))  # (K, P)
-                for p, key in tf_keys:
-                    merge_range(ranges, key, lo[:, p], hi[:, p])
-                del grid  # freed before the time-axis KANs allocate theirs
-            for tag, h in (("trend", trend), ("seasonal", seasonal)):
+            for tag in PARTS:
+                grid_read = tag == "seasonal" and bool(tf_keys)
+                if not depth[tag] and not grid_read:
+                    continue
+                h = moving_average_decompose(x, model.config.kernel, embed=model.embed, part=tag)
+                if grid_read:
+                    patches = model.patcher(h)
+                    # a few rows of the grid at a time: each row's grid is
+                    # its own GEMM, so the bits are the whole grid's
+                    n, n_patches, width = patches.shape
+                    step = max(1, CALIB_GRID_VALUES // (model.k_bins * n_patches * width))
+                    for lo_row in range(0, n, step):
+                        grid = spectrum_grid(patches[lo_row : lo_row + step]).data
+                        lo, hi = grid.min(axis=(0, 3)), grid.max(axis=(0, 3))  # (K, P)
+                        for p, key in tf_keys:
+                            merge_range(ranges, key, lo[:, p], hi[:, p])
+                    del patches, grid
                 for li in range(depth[tag]):
                     if li:
                         h = layer_of[(tag, li - 1)].forward(h)
                     if (tag, li) in wanted:
                         lo, hi = h.data.min(axis=(0, 1)), h.data.max(axis=(0, 1))
                         merge_range(ranges, (tag, li), lo, hi)
+                del h
     return ranges
 
 

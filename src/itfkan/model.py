@@ -8,6 +8,14 @@ frequency mixes, and unpatches. From the decomposition to the unpatch map
 each series array is channel-first, row-major (N, d, L), so every
 time-axis op reads its rows as they lie. The three branch outputs are
 summed, permuted to (N, L, d) and projected d -> 1 then L -> F.
+
+An untaped forward (eval, validation, report calibration) holds at most
+two (N, d, L) arrays at once: it builds the trend and the seasonal part
+from the windows one at a time, and each time-axis KAN writes its output
+over its own input. The taped forward still splits the whole embedding
+into both components at once (three arrays): the tape's rules read both
+components in backward, so building them one at a time would free
+nothing there.
 """
 
 import math
@@ -17,7 +25,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .checkpoint import CheckpointError, load_checkpoint, save_checkpoint
-from .decomposition import Embedding, moving_average_decompose, validate_kernel
+from .decomposition import PARTS, Embedding, moving_average_decompose, validate_kernel
 from .optim import Adam
 from .taylorkan import build_seasonal_kan, build_trend_kan, reg_loss
 from .tensor import (
@@ -25,6 +33,7 @@ from .tensor import (
     abs_,
     backward,
     harmonic_base,
+    is_recording,
     matmul,
     no_grad,
     permute,
@@ -156,29 +165,42 @@ class ForecastModel:
         The embedding is one tape node, and so is each time-axis KAN with
         both its layers (its prior is another), which never holds its
         hidden layer's output whole. The branches run trend, then the
-        time-frequency branch's patcher and per-patch KANs, then seasonal,
-        so the seasonal component goes once its KAN has read it; each
-        branch output goes as soon as it is summed, and the sum is
-        (trend + seasonal) + tf. Untaped, no more than three (N, d, L)
-        arrays are held at once. The unpatch map adds its bias and then the
-        running sum into its own GEMM output, so the forward's tail
-        allocates one (N, d, L) array, not one per op of its chain. The
-        tape gets the same nodes and parents in any run order, and
+        time-frequency branch's patcher and per-patch KANs, then seasonal;
+        the sum is (trend + seasonal) + tf. The unpatch map adds its bias
+        and then the running sum into its own GEMM output, so the forward's
+        tail allocates one (N, d, L) array, not one per op of its chain.
+        The tape gets the same nodes and parents in any run order, and
         backward's rule order follows the parents alone.
+
+        Untaped, no more than two (N, d, L) arrays are held at once. The
+        trend is built from the windows alone, and its KAN writes over it;
+        the seasonal part is then built the same way, read by the patcher,
+        and written over by its KAN, whose output is added into the trend
+        branch's array; the unpatch map's output is the second array.
+        Taped, the embedding is split into both components at once, three
+        arrays, and the components stay held: the KANs' and priors' rules
+        read them in backward, so they cannot go as the forward runs.
         """
         cfg = self.config
         n, length = x.shape
         if length != cfg.lookback:
             raise ValueError(f"expected lookback {cfg.lookback}, got {length}")
-        trend, seasonal = moving_average_decompose(self.embed(x), cfg.kernel)
-        # untaped, each component goes once its last reader has run; on the
-        # tape, its KAN's and its prior's closures still hold it
-        h = self.trend_kan.forward(trend, tag="trend")
-        del trend
+        taped = is_recording()
+        # component(part) hands each part of the split to its branch once
+        if taped:
+            component = dict(zip(PARTS, moving_average_decompose(self.embed(x), cfg.kernel))).pop
+        else:
+            def component(part):
+                return moving_average_decompose(x, cfg.kernel, embed=self.embed, part=part)
+        h = self.trend_kan.forward(component("trend"), tag="trend", consume=not taped)
+        seasonal = component("seasonal")
         tf = self.tf_kans(self.patcher(seasonal))  # (N, P, d)
-        h_seasonal = self.seasonal_kan.forward(seasonal, tag="seasonal")
+        h_seasonal = self.seasonal_kan.forward(seasonal, tag="seasonal", consume=not taped)
         del seasonal
-        h = h + h_seasonal
+        if taped:
+            h = h + h_seasonal
+        else:
+            h.data += h_seasonal.data  # add's bits, in the trend branch's own array
         del h_seasonal
         h = permute(self.unpatcher(tf, h), (0, 2, 1))  # (N, L, d)
         collapsed = reshape(matmul(h, self.head_w1) + self.head_b1, (n, length))

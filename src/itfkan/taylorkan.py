@@ -285,14 +285,17 @@ class KanNetwork:
                 raise ValueError("only a network's first layer may carry injected edges")
         self.layers = list(layers)
 
-    def forward(self, x, tag=""):
+    def forward(self, x, tag="", consume=False):
         """Apply the layer chain as one ``taylor_kan`` node, whose slabs run
         every layer in turn, so that no hidden layer's output is held
         whole. ``tag`` names the branch ("trend", "seasonal"); the forward
         ignores it, but perfbench's span hooks (``_kan_name`` in
-        ``perfbench/hooks.py``) read it to time each branch apart."""
+        ``perfbench/hooks.py``) read it to time each branch apart. With
+        ``consume``, an untaped call may write its output over x's array
+        (see ``taylor_kan``), once the prior has read it."""
         first = self.layers[0]
-        return taylor_kan(x, [layer.edges() for layer in self.layers], prior=first.prior(x))
+        edges = [layer.edges() for layer in self.layers]
+        return taylor_kan(x, edges, prior=first.prior(x), consume=consume)
 
 
 def build_trend_kan(length, degree, rng):

@@ -684,8 +684,9 @@ def unpatch(h, w, b, residual=None):
 # of its rows; a slab that is not row-major, such as a gradient a permute
 # passed on, is copied in cache. An array that is a cheap linear function of
 # a smaller input is built slab by slab and never held whole: patch_compress
-# gathers each slab's patch windows, and patch_kans each slab's rows of the
-# time-frequency grid. Backward rebuilds from its slab of the input, by the
+# gathers each slab's patch windows, patch_kans each slab's rows of the
+# time-frequency grid, and, untaped, ``lift_average`` each slab's lifted
+# windows. Backward rebuilds from its slab of the input, by the
 # forward's own code and so with its bits, everything it reads beyond the
 # op's inputs: the sigmoid, the polynomial prior's powers, the Fourier
 # prior's unit angle e^{i theta} (one cos and one sin per input) and
@@ -695,6 +696,16 @@ def unpatch(h, w, b, residual=None):
 # GEMM also rounds as the whole batch's GEMM would (see ``_slabs``,
 # ``poly_inject`` and the two patch ops), so slabbing left the forward's
 # bits unchanged.
+#
+# Untaped, the model's forward holds at most two (N, d, L) arrays: it builds
+# the trend and then the seasonal part from the (N, L) windows
+# (``lift_average``), and each time-axis KAN, a chain of two layers that
+# keeps its width, writes its output over its input (``taylor_kan``'s
+# ``consume``), which is safe because a slab's last layer reads only its
+# worker's scratch. The taped forward keeps three, the embedding and both
+# components at once, and writes nothing in place: backward reads both
+# components, so they could not go early, and ``consume`` is ignored while
+# recording.
 #
 # A time-axis KAN runs both its layers as one ``taylor_kan`` node. Each
 # slab passes its rows through both layers in its worker's scratch, so the
@@ -950,6 +961,38 @@ def _batched(a):
     return a if a.ndim > 1 else a[None]
 
 
+def lift_average(x, w, b, avg, seasonal=False):
+    """Untaped: the trend of the lifted windows, ``permute(lift(x, w, b),
+    (0, 2, 1)) @ avg``, or with ``seasonal`` their seasonal part, the
+    permuted lift minus that trend; a row-major (N, d, L) array for (N, L)
+    windows x and the (L, L) averaging matrix ``avg``.
+
+    Each slab lifts its rows into worker scratch by ``lift``'s arithmetic,
+    runs the same per-row (d, L) @ (L, L) GEMM over the same strided view
+    as ``matmul`` does over the whole permuted lift, and for the seasonal
+    part subtracts as ``sub`` does; so the bits are the taped split's, and
+    the (N, L, d) lift never exists whole."""
+    xd, wd, bd = x.data, w.data[0], b.data
+    n, length = xd.shape
+    width = wd.shape[0]
+    out = np.empty((n, width, length))
+    slices, rows = _slabs(out.shape)
+
+    def slab(sl, bufs, _):
+        count = sl.stop - sl.start
+        lifted = np.multiply(xd[sl, :, None], wd, out=_scratch(bufs[0], (count, length, width)))
+        lifted += bd
+        lifted = lifted.transpose(0, 2, 1)
+        if seasonal:
+            trend = np.matmul(lifted, avg, out=_scratch(bufs[1], (count, width, length)))
+            np.subtract(lifted, trend, out=out[sl])
+        else:
+            np.matmul(lifted, avg, out=out[sl])
+
+    _slab_loop(slices, (rows * length,) * (2 if seasonal else 1), slab)
+    return Tensor(out)
+
+
 class _TaylorLayer:
     """One Taylor-KAN layer's arrays, as ``taylor_kan``'s slab loops read
     them. The forward's weights, prefixed ``f``, carry ``lead`` zero rows
@@ -1010,7 +1053,7 @@ def _taylor_backward(layer, gs, xs, basis, t, gx, parts):
     gx += np.multiply(np.matmul(gs, layer.w_quad, out=t), xs, out=sq)
 
 
-def taylor_kan(x, layers, prior=None):
+def taylor_kan(x, layers, prior=None, consume=False):
     """A chain of adjustable Taylor-KAN layers along the last axis of x, as
     one tape node.
 
@@ -1029,6 +1072,13 @@ def taylor_kan(x, layers, prior=None):
     rebuild, and runs the layers' backward from the last one down. Weight
     gradients are GEMMs over the basis [silu(h), h, h^2] summed across
     slabs; input gradients are GEMMs with [w, w*a1, 2*w*a2].
+
+    ``consume`` lets an untaped call write its output over x's array,
+    which the caller gives up. It is honoured only for a chain of two or
+    more layers whose output has x's shape, over a row-major, writable x:
+    a slab's last layer reads nothing but its worker's scratch, and writes
+    the slab's rows only after the first layer has read them. Otherwise,
+    and always while recording, the output is a new array.
     """
     layers = [tuple(ps) for ps in layers]
     lead = 0 if prior is None else prior.shape[-1]
@@ -1068,7 +1118,11 @@ def taylor_kan(x, layers, prior=None):
     prior_shape = None if prior is None else prior.shape
     slices, rows = _slabs(xd.shape)
     size = rows * max([xd.shape[-1]] + [layer.width for layer in kans])
-    full = np.empty(xd.shape[:-1] + (out_width,))
+    in_place = (
+        consume and not is_recording() and depth > 1 and out_width == xd.shape[-1]
+        and xd.flags.c_contiguous and xd.flags.writeable
+    )
+    full = xd if in_place else np.empty(xd.shape[:-1] + (out_width,))
 
     def chain(kans, sl, xs, bufs, tbuf, prior_data, out=None):
         """The slab's rows xs through the layers; returns every layer's

@@ -1,13 +1,16 @@
+import os
+
 import numpy as np
 import pytest
 
+from itfkan import tensor
 from itfkan.decomposition import (
     Embedding,
     averaging_matrix,
     moving_average_decompose,
     moving_average_np,
 )
-from itfkan.tensor import Tensor, backward, permute
+from itfkan.tensor import Tensor, backward, no_grad, permute
 
 
 def embed_with(weight, bias, x):
@@ -160,3 +163,40 @@ def test_numpy_twin_agrees():
         Tensor(np.moveaxis(vals, -1, 1)), 3
     )
     np.testing.assert_allclose(moving_average_np(vals, 3), trend_t.data, rtol=1e-12)
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+@pytest.mark.parametrize("shape, slab", [((448, 96, 32), None), ((7, 12, 3), 2 * 12 * 3)])
+def test_one_part_equals_the_split_bitwise(shape, slab, workers, monkeypatch):
+    """Each part built alone from the windows, untaped and slab by slab,
+    has the bits of that part of the split of the embedding, at the
+    reference shape and over several slabs, from row-major windows and
+    from strided ones."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(workers)))
+    if slab is not None:
+        monkeypatch.setattr(tensor, "SLAB", slab)
+    n, length, d = shape
+    assert len(tensor._slabs((n, d, length))[0]) > 1
+    emb = Embedding(d, np.random.default_rng(10))
+    emb.b.data[:] = np.random.default_rng(11).normal(size=d)
+    kernel = 25 if length > 25 else 5
+    windows = np.random.default_rng(12).normal(size=(length, n)).T  # strided rows
+    for x in (Tensor(windows), Tensor(np.ascontiguousarray(windows))):
+        with no_grad():
+            split = moving_average_decompose(emb(x), kernel)
+            for part, whole in zip(("trend", "seasonal"), split):
+                alone = moving_average_decompose(x, kernel, embed=emb, part=part).data
+                assert alone.flags.c_contiguous and alone.shape == (n, d, length)
+                assert alone.tobytes() == whole.data.tobytes(), part
+
+
+def test_one_part_is_built_untaped_only():
+    emb = Embedding(2, np.random.default_rng(13))
+    x = Tensor(np.ones((3, 6)))
+    with pytest.raises(RuntimeError, match="untaped"):
+        moving_average_decompose(x, 3, embed=emb, part="trend")
+    with no_grad():
+        with pytest.raises(ValueError, match="part"):
+            moving_average_decompose(x, 3, embed=emb, part="residual")
+        with pytest.raises(ValueError, match="empty"):
+            moving_average_decompose(Tensor(np.ones((0, 6))), 3, embed=emb, part="trend")

@@ -1000,6 +1000,81 @@ def test_taylor_kan_three_layers_equal_one_layer_thrice_bitwise(small_slabs):
         np.testing.assert_array_equal(grads_c[key], grads_t[key], err_msg=key)
 
 
+def in_place_case(kind, depth, rng):
+    """A row-major (5, 3, 4, 8) input, a prior maker of ``kind`` and a
+    chain of ``depth`` layers whose output is as wide as the input."""
+    base = np.ascontiguousarray(time_axis_input(rng, (5, 3, 4), 8)().data)
+    inject, coeffs = prior_of(kind, rng, 8)
+    r = {"trend": 3, "fourier": 5, None: 0}[kind]
+    layers = [taylor_params(rng, 8 - r, 8)] + [taylor_params(rng, 8, 8) for _ in range(depth - 1)]
+    return base, inject, coeffs, layers
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+@pytest.mark.parametrize("depth", [2, 3])
+@pytest.mark.parametrize("kind", ["trend", "fourier", None])
+def test_taylor_kan_in_place_equals_fresh_output_bitwise(kind, depth, workers, small_slabs, monkeypatch):
+    """An untaped chain that may consume its input writes its output over
+    the input's array, over several slabs and on one or two workers, with
+    the bits of a fresh output: each slab's last layer reads only scratch."""
+    cpus(monkeypatch, workers)
+    base, inject, _, layers = in_place_case(kind, depth, np.random.default_rng(51))
+    small_slabs(base.shape)
+    with no_grad():
+        fresh = T.taylor_kan(Tensor(base), layers, prior=inject(Tensor(base)))
+        x = Tensor(base.copy())
+        out = T.taylor_kan(x, layers, prior=inject(x), consume=True)
+    assert np.shares_memory(out.data, x.data)
+    assert out.data.tobytes() == fresh.data.tobytes()
+
+
+@pytest.mark.parametrize("case", ["one layer", "narrower output", "strided", "read-only"])
+def test_taylor_kan_consumes_only_where_it_is_safe(case, small_slabs):
+    """A one-layer call, a chain whose output is narrower than its input,
+    and a strided or read-only input all get a new output array, leave the
+    input as it was, and give the bits of a call that does not consume."""
+    base, inject, _, layers = in_place_case("trend", 2, np.random.default_rng(52))
+    small_slabs(base.shape)
+    x_data = base.copy()
+    if case == "one layer":
+        layers = layers[:1]
+    elif case == "narrower output":
+        layers = [layers[0], taylor_params(np.random.default_rng(53), 4, 8)]
+    elif case == "strided":
+        x_data = np.asfortranarray(x_data)
+    else:
+        x_data.flags.writeable = False
+    with no_grad():
+        fresh = T.taylor_kan(Tensor(base), layers, prior=inject(Tensor(base)))
+        x = Tensor(x_data)
+        out = T.taylor_kan(x, layers, prior=inject(x), consume=True)
+    assert not np.shares_memory(out.data, x.data)
+    np.testing.assert_array_equal(x.data, base)
+    assert out.data.tobytes() == fresh.data.tobytes()
+
+
+@pytest.mark.parametrize("kind", ["trend", "fourier", None])
+def test_taylor_kan_ignores_consume_while_recording(kind, small_slabs):
+    """While recording, a call asked to consume its input keeps it intact,
+    as backward reads it, and gives the taped output and every gradient of
+    a call that was not asked, bit for bit."""
+    base, inject, coeffs, layers = in_place_case(kind, 2, np.random.default_rng(54))
+    small_slabs(base.shape)
+    make_x = leaf_input(base.copy())
+    named = [(f"c{k}", c) for k, c in enumerate(coeffs)]
+    named += [(f"l{k}.{n}", t) for k, ps in enumerate(layers) for n, t in zip("w0123", ps)]
+
+    def run(consume):
+        return lambda x_: T.taylor_kan(x_, layers, prior=inject(x_), consume=consume)
+
+    out_c, grads_c = grads_of(run(True), make_x, named)
+    np.testing.assert_array_equal(make_x().data, base)
+    out_f, grads_f = grads_of(run(False), make_x, named)
+    assert out_c.tobytes() == out_f.tobytes()
+    for key in grads_f:
+        assert grads_c[key].tobytes() == grads_f[key].tobytes(), key
+
+
 def strided_block_forward(x, w, a0, a1, a2, prior):
     """One layer with a prior as taylor_kan ran it before its first layers'
     GEMMs ran at full width: each slab's three GEMMs write the adjustable

@@ -2,6 +2,7 @@ import concurrent.futures
 import copy
 import os
 import threading
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -595,10 +596,10 @@ def time_axis_inputs(model, windows, batch_size):
     calls = [0]  # its basis calls so far: one per layer per slab, in order
     real_op, real_basis = taylorkan.taylor_kan, tensor._taylor_basis
 
-    def op(x, layers, prior=None):
+    def op(x, layers, prior=None, **kwargs):
         running[:] = [keys[id(ps[0])] for ps in layers]
         calls[0] = 0
-        return real_op(x, layers, prior=prior)
+        return real_op(x, layers, prior=prior, **kwargs)
 
     def basis(xs, bufs):
         key = running[calls[0] % len(running)]
@@ -630,6 +631,42 @@ def test_calibration_matches_forward_inputs():
     for key, (lo, hi) in expected.items():
         np.testing.assert_array_equal(ranges[key][0], lo)
         np.testing.assert_array_equal(ranges[key][1], hi)
+
+
+def test_calibration_holds_at_most_two_series_arrays():
+    """A 448-row calibration batch at the reference shape holds at most
+    two (N, d, L) arrays beyond what it started with: a component of the
+    decomposition and one layer's output. It builds the trend and the
+    seasonal part from the windows one at a time, drops each once its
+    layers' ranges are read, and builds the time-frequency grid (1.6
+    arrays whole) a few rows at a time. It held 3.8 arrays while it split
+    the embedding into both parts at once and built the whole grid.
+
+    The slack counts one slab loop's scratch (at most MAX_WORKERS workers
+    of seven slabs, each at most SLAB + d*L values), one (N, P, d) patch
+    array, one (N, d, r) prior output, one chunk of the grid and 1 MB for
+    the layers' (L, L) products and Python objects. It is under one
+    (N, d, L) array, so a third one fails the bound."""
+    n, length, d = 448, 96, 32
+    cfg = ModelConfig(lookback=length, horizon=96, embed_dim=d)
+    model = ForecastModel(cfg, [2.0 * b / length for b in (4, 8, 12, 16, 24)], seed=38)
+    windows = np.random.default_rng(39).normal(size=(64, 7, length))
+    series = n * length * d * 8
+    scratch = tensor.MAX_WORKERS * 7 * (tensor.SLAB + d * length) * 8
+    patches = n * model.n_patches * d * 8
+    prior = n * d * max(cfg.top_k, cfg.trend_degree) * 8
+    grid = interpret.CALIB_GRID_VALUES * 8
+    slack = scratch + patches + prior + grid + 2**20
+    assert slack < series
+    calibrate_ranges(model, windows, batch_size=64)  # fills the per-process caches
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        calibrate_ranges(model, windows, batch_size=64)
+        held = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    assert held <= 2 * series + slack, (held / series, slack / series)
 
 
 TF_KEYS = [(f"tf.p{p}", 0) for p in range(3)]

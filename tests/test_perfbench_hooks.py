@@ -12,7 +12,7 @@ import os
 import numpy as np
 
 from itfkan.model import ForecastModel, ModelConfig, total_loss
-from itfkan.tensor import Graph, Tensor
+from itfkan.tensor import Graph, Tensor, no_grad
 
 HOOKS = os.path.join(os.path.dirname(__file__), "..", "perfbench", "hooks.py")
 
@@ -83,3 +83,29 @@ def test_tracer_times_each_time_axis_kan_apart():
     assert names.count("taylorkan.seasonal") == 1
     assert "taylorkan.tf" not in names
     assert names[0] == "model.forward"
+
+
+def test_nograd_forward_records_each_layers_span():
+    """The untaped forward builds each component of the decomposition
+    alone, through ``moving_average_decompose``, which times the embedding's
+    lift with it, and calls the branches' layers as the taped forward does,
+    so the tracer still times each of them."""
+    cfg = ModelConfig(
+        lookback=24, horizon=8, embed_dim=3, kernel=5, trend_degree=3,
+        top_k=3, patch_len=4, stride=4,
+    )
+    model = ForecastModel(cfg, [1 / 12, 0.25, 0.5], seed=8)
+    x = Tensor(np.random.default_rng(9).normal(size=(5, 24)))
+    tracer = load_hooks().Tracer()
+    tracer.patches.on()
+    try:
+        with no_grad():
+            model.forward(x)
+    finally:
+        tracer.patches.off()
+    names = [span[0] for span in tracer.spans]
+    assert names[0] == "model.forward_nograd"
+    assert names.count("decomposition.decompose") == 2
+    for name in ("taylorkan.trend", "taylorkan.seasonal", "tfsynergy.patch",
+                 "tfsynergy.patch_kans", "tfsynergy.unpatch"):
+        assert names.count(name) == 1, (name, names)

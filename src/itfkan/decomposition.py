@@ -1,18 +1,20 @@
-"""Input embedding and moving-average trend/seasonal decomposition.
+"""Moving-average trend/seasonal decomposition and the input embedding.
 
-The raw (N, L) series is lifted to (N, L, d) by a shared per-timepoint
-affine map. The trend is a centered moving average with edge-replication
-padding; the seasonal part is the exact residual, so trend + seasonal
-reconstructs the input by construction. Both come out channel-first,
-as row-major (N, d, L) arrays: every op after the decomposition acts
-along the time axis of each channel, which is then their last axis.
-Untaped, either part can be built alone from the (N, L) windows, with the
-split's bits, without the lifted (N, L, d) array ever existing whole.
+The (N, L) windows are split first: the trend is a centered moving
+average with edge-replication padding, and the seasonal part is the exact
+residual, so trend + seasonal reconstructs the windows by construction.
+Each part is then lifted to d channels by a shared per-channel affine map,
+written channel-first, as a row-major (N, d, L) array: every op after the
+decomposition acts along the time axis of each channel, which is then its
+last axis. The average is linear and the lift affine, so the lifted parts
+are the split of the lifted windows: each column of the averaging matrix
+sums to 1, so the lifted trend takes the embedding's bias and the lifted
+seasonal part none.
 """
 
 import numpy as np
 
-from .tensor import Tensor, is_recording, lift, lift_average, matmul, permute, sub
+from .tensor import Tensor, lift
 
 PARTS = ("trend", "seasonal")
 
@@ -62,41 +64,26 @@ class Embedding:
         self.w = Tensor(rng.uniform(-scale, scale, size=(1, width)), requires_grad=True)
         self.b = Tensor(np.zeros(width), requires_grad=True)
 
-    def __call__(self, x):
-        """(N, L) -> (N, L, d)."""
-        _check_nonempty(x)
-        return lift(x, self.w, self.b)
+    def __call__(self, x, bias=True):
+        """(N, L) -> (N, d, L), row-major; without ``bias`` the map is
+        linear, as the seasonal part's lift is."""
+        if x.size == 0:
+            raise ValueError("embed: empty input")
+        return lift(x, self.w, self.b if bias else None)
 
     def parameters(self):
         return [("embed.w", self.w), ("embed.b", self.b)]
 
 
-def _check_nonempty(x):
-    if x.size == 0:
-        raise ValueError("embed: empty input")
-
-
-def moving_average_decompose(x, kernel, embed=None, part=None):
-    """Split (N, L, d) along the time axis into (trend, seasonal), each a
-    row-major (N, d, L) array: x is permuted once, and both are computed
-    in that layout.
-
-    Given an ``Embedding`` and ``part`` ("trend" or "seasonal"), x is the
-    (N, L) windows instead, and only that part of the split of
-    ``embed(x)`` is built, untaped and slab by slab
-    (``tensor.lift_average``), with the bits the split gives it. So an
-    untaped caller holds one part at a time, and never the embedding."""
-    if embed is not None:
-        if part not in PARTS:
-            raise ValueError(f"part must be one of {PARTS}, got {part!r}")
-        if is_recording():
-            raise RuntimeError("one part of the split is built untaped only")
-        _check_nonempty(x)
-        avg = averaging_matrix(x.shape[-1], kernel)
-        return lift_average(x, embed.w, embed.b, avg, seasonal=part == "seasonal")
-    xt = permute(x, (0, 2, 1))
-    trend = matmul(xt, Tensor(averaging_matrix(x.shape[1], kernel)))
-    return trend, sub(xt, trend)
+def moving_average_decompose(x, kernel):
+    """Split the (N, L) windows x into (trend, seasonal), each (N, L) and
+    row-major, as data: the split records no tape node. Each row is
+    averaged by its own (1, L) @ (L, L) product, so a window's parts do not
+    depend on the other rows of its batch, which a whole-batch GEMM would
+    round by row count."""
+    rows = np.ascontiguousarray(x.data)
+    trend = moving_average_np(rows[:, None, :], kernel)[:, 0]
+    return Tensor(trend), Tensor(rows - trend)
 
 
 def moving_average_np(values, kernel):

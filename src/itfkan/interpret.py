@@ -145,13 +145,13 @@ def calibrate_ranges(model, inputs, batch_size=64, layers=None):
 
     The windows go through the model's own no-grad ops in ``batch_size``
     batches, since a layer's output depends on its batch's row count in the
-    last bits, but only as far as the wanted inputs: each component of the
-    decomposition that is read, built alone from the windows as the
-    untaped forward builds it; the patcher and the time-frequency grid if a
-    "tf.p*" key is wanted; a time-axis KAN up to its last wanted layer,
-    which does not run. No network's last layer, per-patch KAN, unpatcher
-    or head ever runs. The trend goes once its layers' ranges are read,
-    before the seasonal part is built, so the two are never held together."""
+    last bits, but only as far as the wanted inputs: each part of the
+    windows' split that is read, lifted as the forward lifts it; the
+    patcher and the time-frequency grid if a "tf.p*" key is wanted; a
+    time-axis KAN up to its last wanted layer, which does not run. No
+    network's last layer, per-patch KAN, unpatcher or head ever runs. The
+    lifted trend goes once its layers' ranges are read, before the seasonal
+    part is lifted, so the two are never held together."""
     layer_of = dict(model.kan_layers())
     wanted = set(layer_of if layers is None else layers)
     unknown = wanted.difference(layer_of)
@@ -169,11 +169,11 @@ def calibrate_ranges(model, inputs, batch_size=64, layers=None):
         for start in range(0, len(inputs), batch_size):
             xb = inputs[start : start + batch_size]
             x = Tensor(xb.reshape(xb.shape[0] * xb.shape[1], xb.shape[2]))
-            for tag in PARTS:
+            for tag, part in zip(PARTS, moving_average_decompose(x, model.config.kernel)):
                 grid_read = tag == "seasonal" and bool(tf_keys)
                 if not depth[tag] and not grid_read:
                     continue
-                h = moving_average_decompose(x, model.config.kernel, embed=model.embed, part=tag)
+                h = model.embed(part, bias=tag == "trend")
                 if grid_read:
                     patches = model.patcher(h)
                     # a few rows of the grid at a time: each row's grid is

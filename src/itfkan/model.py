@@ -1,4 +1,4 @@
-"""Full forecasting model: embed, decompose, three KAN branches, head.
+"""Full forecasting model: decompose, lift each part, three KAN branches, head.
 
 All variates share every weight (channel independence): the model maps a
 batch of univariate lookback windows (N, L) to forecasts (N, F). The trend
@@ -9,13 +9,13 @@ each series array is channel-first, row-major (N, d, L), so every
 time-axis op reads its rows as they lie. The three branch outputs are
 summed, permuted to (N, L, d) and projected d -> 1 then L -> F.
 
-An untaped forward (eval, validation, report calibration) holds at most
-two (N, d, L) arrays at once: it builds the trend and the seasonal part
-from the windows one at a time, and each time-axis KAN writes its output
-over its own input. The taped forward still splits the whole embedding
-into both components at once (three arrays): the tape's rules read both
-components in backward, so building them one at a time would free
-nothing there.
+Both forwards split the (N, L) windows into trend and seasonal parts
+first and then lift each part on its own (see ``decomposition``), so the
+(N, L, d) embedding never exists. An untaped forward (eval, validation,
+report calibration) holds at most two (N, d, L) arrays at once: it lifts
+the trend and the seasonal part one at a time, and each time-axis KAN
+writes its output over its own input. The taped forward holds both lifted
+parts, since the tape's rules read them in backward.
 """
 
 import math
@@ -25,7 +25,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .checkpoint import CheckpointError, load_checkpoint, save_checkpoint
-from .decomposition import PARTS, Embedding, moving_average_decompose, validate_kernel
+from .decomposition import Embedding, moving_average_decompose, validate_kernel
 from .optim import Adam
 from .taylorkan import build_seasonal_kan, build_trend_kan, reg_loss
 from .tensor import (
@@ -162,38 +162,32 @@ class ForecastModel:
     def forward(self, x):
         """(N, L) standardized windows -> (N, F) forecasts.
 
-        The embedding is one tape node, and so is each time-axis KAN with
-        both its layers (its prior is another), which never holds its
-        hidden layer's output whole. The branches run trend, then the
-        time-frequency branch's patcher and per-patch KANs, then seasonal;
-        the sum is (trend + seasonal) + tf. The unpatch map adds its bias
-        and then the running sum into its own GEMM output, so the forward's
-        tail allocates one (N, d, L) array, not one per op of its chain.
-        The tape gets the same nodes and parents in any run order, and
-        backward's rule order follows the parents alone.
+        The windows' split records no tape node. Each part's lift is one
+        node, and so is each time-axis KAN with both its layers (its prior
+        is another), which never holds its hidden layer's output whole. The
+        branches run trend, then the time-frequency branch's patcher and
+        per-patch KANs, then seasonal; the sum is (trend + seasonal) + tf.
+        The unpatch map adds its bias and then the running sum into its own
+        GEMM output, so the forward's tail allocates one (N, d, L) array,
+        not one per op of its chain. The tape gets the same nodes and
+        parents in any run order, and backward's rule order follows the
+        parents alone.
 
-        Untaped, no more than two (N, d, L) arrays are held at once. The
-        trend is built from the windows alone, and its KAN writes over it;
-        the seasonal part is then built the same way, read by the patcher,
-        and written over by its KAN, whose output is added into the trend
-        branch's array; the unpatch map's output is the second array.
-        Taped, the embedding is split into both components at once, three
-        arrays, and the components stay held: the KANs' and priors' rules
-        read them in backward, so they cannot go as the forward runs.
+        Untaped, no more than two (N, d, L) arrays are held at once: the
+        trend KAN writes over the lifted trend; the seasonal part is then
+        lifted, read by the patcher, and written over by its KAN, whose
+        output is added into the trend branch's array; the unpatch map's
+        output is the second array. Taped, both lifted parts stay held: the
+        KANs' and priors' rules read them in backward.
         """
         cfg = self.config
         n, length = x.shape
         if length != cfg.lookback:
             raise ValueError(f"expected lookback {cfg.lookback}, got {length}")
         taped = is_recording()
-        # component(part) hands each part of the split to its branch once
-        if taped:
-            component = dict(zip(PARTS, moving_average_decompose(self.embed(x), cfg.kernel))).pop
-        else:
-            def component(part):
-                return moving_average_decompose(x, cfg.kernel, embed=self.embed, part=part)
-        h = self.trend_kan.forward(component("trend"), tag="trend", consume=not taped)
-        seasonal = component("seasonal")
+        trend, seasonal = moving_average_decompose(x, cfg.kernel)  # (N, L) each
+        h = self.trend_kan.forward(self.embed(trend), tag="trend", consume=not taped)
+        seasonal = self.embed(seasonal, bias=False)
         tf = self.tf_kans(self.patcher(seasonal))  # (N, P, d)
         h_seasonal = self.seasonal_kan.forward(seasonal, tag="seasonal", consume=not taped)
         del seasonal

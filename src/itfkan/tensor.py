@@ -587,30 +587,33 @@ def matmul(a, b):
 # forward gives the chain's bits, and its backward evaluates the chain's
 # gradient expressions, so gradients keep their bits too.
 
-def lift(x, w, b):
-    """x[..., None] * w[0] + b: each value of x lifted to len(b) values by
-    the (1, d) row w and the bias b. The bits of the chain reshape, a K=1
-    matmul and an add, whose GEMM rounds each product once. The output is
-    row-major whatever x's strides (a window view's rows are not). Backward
-    reads a row-major copy of its gradient, a permuted view of the
-    decomposition's (N, d, L) one, so its sums run in the chain's order."""
-    if w.ndim != 2 or w.shape[0] != 1 or b.shape != (w.shape[1],):
-        raise ShapeError("lift", x.shape, w.shape, b.shape)
+def lift(x, w, b=None):
+    """x[..., None, :] * w[0][:, None] + b[:, None]: each row of x lifted to
+    d = len(w[0]) rows, channel c scaled by w[0, c] and, given the bias b,
+    shifted by b[c]. The output is channel-first and row-major, (N, d, L)
+    for (N, L) x, whatever x's strides (a window view's rows are not).
+    Backward reduces a row-major copy of its gradient, so its sums run in
+    one order whatever the gradient's layout."""
+    biased = b is not None
+    if w.ndim != 2 or w.shape[0] != 1 or biased and b.shape != (w.shape[1],):
+        raise ShapeError("lift", x.shape, w.shape, *((b.shape,) if biased else ()))
     xd, wd = x.data, w.data
     width = wd.shape[1]
-    out = np.multiply(xd[..., None], wd[0], order="C")
-    out += b.data
+    out = np.multiply(xd[..., None, :], wd[0][:, None], order="C")
+    if biased:
+        out += b.data[:, None]
     xk = xd if w.requires_grad else None
     wk = wd if x.requires_grad else None
     x_shape = x.shape
 
     def bw(g):
         g = np.ascontiguousarray(g)
-        gx = None if wk is None else (g @ wk.T).reshape(x_shape)
-        gw = None if xk is None else xk.reshape(-1, 1).T @ g.reshape(-1, width)
-        return gx, gw, _unbroadcast(g, (width,))
+        gx = None if wk is None else (wk @ g).reshape(x_shape)
+        gw = None if xk is None else (g @ xk[..., None]).reshape(-1, width).sum(axis=0)[None]
+        gb = (g.reshape(-1, width, g.shape[-1]).sum(axis=(0, 2)),) if biased else ()
+        return (gx, gw) + gb
 
-    return Tensor._from_op(out, "lift", (x, w, b), bw)
+    return Tensor._from_op(out, "lift", (x, w, b) if biased else (x, w), bw)
 
 
 def unpatch(h, w, b, residual=None):
@@ -684,9 +687,8 @@ def unpatch(h, w, b, residual=None):
 # of its rows; a slab that is not row-major, such as a gradient a permute
 # passed on, is copied in cache. An array that is a cheap linear function of
 # a smaller input is built slab by slab and never held whole: patch_compress
-# gathers each slab's patch windows, patch_kans each slab's rows of the
-# time-frequency grid, and, untaped, ``lift_average`` each slab's lifted
-# windows. Backward rebuilds from its slab of the input, by the
+# gathers each slab's patch windows and patch_kans each slab's rows of the
+# time-frequency grid. Backward rebuilds from its slab of the input, by the
 # forward's own code and so with its bits, everything it reads beyond the
 # op's inputs: the sigmoid, the polynomial prior's powers, the Fourier
 # prior's unit angle e^{i theta} (one cos and one sin per input) and
@@ -697,15 +699,13 @@ def unpatch(h, w, b, residual=None):
 # ``poly_inject`` and the two patch ops), so slabbing left the forward's
 # bits unchanged.
 #
-# Untaped, the model's forward holds at most two (N, d, L) arrays: it builds
-# the trend and then the seasonal part from the (N, L) windows
-# (``lift_average``), and each time-axis KAN, a chain of two layers that
-# keeps its width, writes its output over its input (``taylor_kan``'s
-# ``consume``), which is safe because a slab's last layer reads only its
-# worker's scratch. The taped forward keeps three, the embedding and both
-# components at once, and writes nothing in place: backward reads both
-# components, so they could not go early, and ``consume`` is ignored while
-# recording.
+# Untaped, the model's forward holds at most two (N, d, L) arrays: it lifts
+# the trend and then the seasonal part of the (N, L) windows, and each
+# time-axis KAN, a chain of two layers that keeps its width, writes its
+# output over its input (``taylor_kan``'s ``consume``), which is safe because
+# a slab's last layer reads only its worker's scratch. The taped forward
+# writes nothing in place: backward reads both lifted parts, so they could
+# not go early, and ``consume`` is ignored while recording.
 #
 # A time-axis KAN runs both its layers as one ``taylor_kan`` node. Each
 # slab passes its rows through both layers in its worker's scratch, so the
@@ -961,38 +961,6 @@ def _batched(a):
     return a if a.ndim > 1 else a[None]
 
 
-def lift_average(x, w, b, avg, seasonal=False):
-    """Untaped: the trend of the lifted windows, ``permute(lift(x, w, b),
-    (0, 2, 1)) @ avg``, or with ``seasonal`` their seasonal part, the
-    permuted lift minus that trend; a row-major (N, d, L) array for (N, L)
-    windows x and the (L, L) averaging matrix ``avg``.
-
-    Each slab lifts its rows into worker scratch by ``lift``'s arithmetic,
-    runs the same per-row (d, L) @ (L, L) GEMM over the same strided view
-    as ``matmul`` does over the whole permuted lift, and for the seasonal
-    part subtracts as ``sub`` does; so the bits are the taped split's, and
-    the (N, L, d) lift never exists whole."""
-    xd, wd, bd = x.data, w.data[0], b.data
-    n, length = xd.shape
-    width = wd.shape[0]
-    out = np.empty((n, width, length))
-    slices, rows = _slabs(out.shape)
-
-    def slab(sl, bufs, _):
-        count = sl.stop - sl.start
-        lifted = np.multiply(xd[sl, :, None], wd, out=_scratch(bufs[0], (count, length, width)))
-        lifted += bd
-        lifted = lifted.transpose(0, 2, 1)
-        if seasonal:
-            trend = np.matmul(lifted, avg, out=_scratch(bufs[1], (count, width, length)))
-            np.subtract(lifted, trend, out=out[sl])
-        else:
-            np.matmul(lifted, avg, out=out[sl])
-
-    _slab_loop(slices, (rows * length,) * (2 if seasonal else 1), slab)
-    return Tensor(out)
-
-
 class _TaylorLayer:
     """One Taylor-KAN layer's arrays, as ``taylor_kan``'s slab loops read
     them. The forward's weights, prefixed ``f``, carry ``lead`` zero rows
@@ -1224,6 +1192,11 @@ def poly_inject(x, coeffs):
     # kernel, and so their rounding, by row count up to thousands of rows,
     # and slabs would change the forward's bits. Each power overwrites the
     # one before it, so one power array exists, not degree - 1 of them.
+    # They run on the BLAS threads the backward's slab loop leaves (see
+    # ``_workers``): as a process's first GEMMs, on OpenBLAS's own threads,
+    # they left a thread's buffer resident, 11 MB of the reference
+    # forecast's peak RSS.
+    _workers(len(_slabs(xd.shape)[0]))
     out = _mm(xd, cd[1])
     power = None
     for c in cd[2:]:

@@ -21,7 +21,7 @@ from itfkan.optim import Adam
 from itfkan.taylorkan import build_seasonal_kan, build_trend_kan
 from itfkan.tensor import Tensor, backward
 from itfkan.tfsynergy import PatchKans, spectrum_grid
-from itfkan.decomposition import Embedding, moving_average_decompose
+from itfkan.decomposition import Embedding, averaging_matrix, moving_average_decompose
 from itfkan.data import synthetic_series, write_csv
 
 
@@ -79,20 +79,30 @@ def test_c2_structural_parity():
 
 
 def test_c3_decomposition_identity():
+    """The lifted trend plus the lifted seasonal part of the windows' split
+    gives back the lifted windows, channel-first. Each part also matches
+    the split of the lifted windows E, (E^T A, E^T - E^T A) for the
+    averaging matrix A, to rounding, with a non-zero embedding bias."""
     start = time.monotonic()
     rng = np.random.default_rng(3)
     emb = Embedding(3, rng)
-    worst = 0.0
+    emb.b.data[:] = rng.normal(size=3)
+    avg = averaging_matrix(12, 5)
+    worst = worst_oracle = 0.0
     for _ in range(1000):
         x = Tensor(rng.normal(size=(2, 12)))
-        embedded = emb(x)
-        trend, seasonal = moving_average_decompose(embedded, 5)
-        gap = np.max(np.abs(trend.data + seasonal.data - embedded.data.transpose(0, 2, 1)))
-        worst = max(worst, gap)
+        trend, seasonal = moving_average_decompose(x, 5)
+        trend, seasonal = emb(trend).data, emb(seasonal, bias=False).data
+        worst = max(worst, np.max(np.abs(trend + seasonal - emb(x).data)))
+        lifted_t = (x.data[:, :, None] * emb.w.data[0] + emb.b.data).transpose(0, 2, 1)
+        oracle = lifted_t @ avg
+        gap = max(np.max(np.abs(trend - oracle)), np.max(np.abs(seasonal - (lifted_t - oracle))))
+        worst_oracle = max(worst_oracle, gap)
     elapsed = time.monotonic() - start
     assert worst <= 1e-12, worst
+    assert worst_oracle <= 1e-13, worst_oracle
     assert elapsed < 5.0, f"took {elapsed:.1f}s"
-    _stamp(3, f"decomposition identity, worst gap {worst:.2e}")
+    _stamp(3, f"decomposition identity, worst gap {worst:.2e}, {worst_oracle:.2e} to the oracle")
 
 
 def _naive_dft(series):

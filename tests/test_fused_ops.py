@@ -700,7 +700,7 @@ def test_no_backward_closure_of_the_model_holds_a_tensor(task):
     rng = np.random.default_rng(9)
     x, y = Tensor(rng.normal(size=(5, 24))), Tensor(rng.normal(size=(5, 8)))
     loss, _ = total_loss(model.forward(x), y, model, cfg.reg_lambda, task)
-    assert len(T.Graph.from_output(loss)) == {"long": 29, "short": 35}[task]
+    assert len(T.Graph.from_output(loss)) == {"long": 27, "short": 33}[task]
     assert closures_holding_tensors(loss) == []
 
 
@@ -1218,6 +1218,24 @@ def test_workers_capped_at_max_workers(slab_threads, monkeypatch):
     assert T._workers(1) == 1
     T._slab_loop([slice(i, i + 1) for i in range(100)], (), lambda *args: None)
     assert [len(t) for t in slab_threads] == [T.MAX_WORKERS]
+
+
+def test_poly_inject_sets_blas_threads_before_its_gemms(monkeypatch):
+    """poly_inject's whole-batch forward GEMMs, the first GEMMs of a
+    no-grad forecast, run only once BLAS is set to one thread where its
+    backward's slab loop would set it: over several slabs on two CPUs."""
+    cpus(monkeypatch, 2)
+    monkeypatch.setattr(T, "SLAB", 64)
+    calls, gemms = [], []
+    monkeypatch.setattr(T, "_blas_on_one_thread", lambda: calls.append(None) or True)
+    real_mm = T._mm
+    monkeypatch.setattr(T, "_mm", lambda a, b: gemms.append(len(calls)) or real_mm(a, b))
+    rng = np.random.default_rng(46)
+    x = Tensor(rng.normal(size=(6, 3, 8)))
+    assert len(T._slabs(x.shape)[0]) > 1
+    with no_grad():
+        T.poly_inject(x, [Tensor(rng.normal(size=(8, 2))) for _ in range(3)])
+    assert gemms and gemms[0] >= 1, gemms
 
 
 def test_slab_sums_survive_many_workers_and_fast_switching(slab_threads, monkeypatch):

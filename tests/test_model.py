@@ -142,7 +142,8 @@ def test_forecast_sums_the_branches_in_order_bitwise():
         return (matmul(collapsed, model.head_w2) + model.head_b2).data
 
     with no_grad():
-        trend, seasonal = moving_average_decompose(model.embed(x), cfg.kernel)
+        trend, seasonal = moving_average_decompose(x, cfg.kernel)
+        trend, seasonal = model.embed(trend), model.embed(seasonal, bias=False)
         h_trend = model.trend_kan.forward(trend)
         h_seasonal = model.seasonal_kan.forward(seasonal)
         h_tf = model.unpatcher(model.tf_kans(model.patcher(seasonal)))
@@ -204,7 +205,8 @@ def test_seasonal_and_tf_branches_are_batch_invariant():
 
     def branches(rows):
         with no_grad():
-            _, seasonal = moving_average_decompose(model.embed(Tensor(x[:rows])), cfg.kernel)
+            _, seasonal = moving_average_decompose(Tensor(x[:rows]), cfg.kernel)
+            seasonal = model.embed(seasonal, bias=False)
             tf = model.unpatcher(model.tf_kans(model.patcher(seasonal)))
             return model.seasonal_kan.forward(seasonal).data, tf.data
 
@@ -229,8 +231,9 @@ def traced_peak_beyond_start(fn):
 
 def test_forecasts_of_window_views_are_those_of_copies():
     """A batch of make_windows' views reaches the forward as strided rows;
-    the embedding writes its output row-major all the same, so the layers
-    after it and their bits do not depend on how the input is laid out."""
+    the split and the embedding write their outputs row-major all the
+    same, so the layers after them and their bits do not depend on how the
+    input is laid out."""
     values = np.random.default_rng(13).normal(size=(60, 3))
     inputs, targets = data.make_windows(values, 8, 4)
     copies = np.ascontiguousarray(inputs)
@@ -246,10 +249,10 @@ def test_forecasts_of_window_views_are_those_of_copies():
 
 def test_nograd_forward_holds_at_most_two_series_arrays():
     """An untaped forward holds at most two (N, d, L) arrays at once
-    beyond its output. The trend is built from the windows alone, and its
-    branch holds one more array: the prior's power (x^3 is built over
-    x^2); its KAN then writes over the trend. The seasonal part is built
-    next, beside the trend branch's output; the time-frequency branch
+    beyond its output. The windows are split first, and the trend is
+    lifted; its branch holds one more array: the prior's power (x^3 is
+    built over x^2); its KAN then writes over the trend. The seasonal part
+    is lifted next, beside the trend branch's output; the time-frequency branch
     holds only (N, P, d) arrays; the seasonal KAN writes over the seasonal
     part, and its output is added into the trend branch's. The unpatch map
     adds into its own GEMM output, so it needs two. The forward held three
@@ -312,8 +315,8 @@ def test_nograd_forward_leaves_input_and_parameters_unchanged():
 def test_training_step_holds_at_most_five_series_arrays():
     """A taped training step (forward, loss and backward) holds at most
     five (N, d, L) arrays at once beyond what it started with. It peaks in
-    the trend prior's backward rule, where five are live: the trend and
-    seasonal components, which rules still read; the branch sum's
+    the trend prior's backward rule, where five are live: the lifted trend
+    and seasonal parts, which rules still read; the branch sum's
     gradient, which the seasonal KAN's rule has yet to read; and two
     gradients of the trend KAN's input, its taylor_kan's and the prior's
     own. A step peaked at 7.7 arrays (84.7 MB) while the time-axis KANs ran

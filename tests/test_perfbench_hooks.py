@@ -45,9 +45,10 @@ def test_graph_counts_reads_the_tape():
     """``graph_counts`` walks the tape through ``t.op``, ``t.parents`` and
     the operands' ``shape``. The pinned values are this small model's tape
     counts, which a change to how the tape is stored must not move. The
-    three matmuls are the decomposition's and the head's two: the
-    embedding's, the unpatch map's and the KAN layers' GEMMs run inside
-    fused ops, which ``graph_counts`` does not count."""
+    two matmuls, their FLOPs and the one permute are the head's: the
+    windows' split records no node, and the unpatch map's and the KAN
+    layers' GEMMs run inside fused ops, which ``graph_counts`` does not
+    count."""
     cfg = ModelConfig(
         lookback=24, horizon=8, embed_dim=3, kernel=5, trend_degree=3,
         top_k=3, patch_len=4, stride=4,
@@ -57,9 +58,10 @@ def test_graph_counts_reads_the_tape():
     x, y = Tensor(rng.normal(size=(5, 24))), Tensor(rng.normal(size=(5, 8)))
     loss, _ = total_loss(model.forward(x), y, model, cfg.reg_lambda, "long")
     counts = load_hooks().graph_counts(loss)
-    assert counts["tensor.tape_nodes"] == len(Graph.from_output(loss)) == 29
-    assert counts["tensor.ops.matmul"] == 3
-    assert counts["tensor.matmul_gflop"] == 1.992e-05
+    assert counts["tensor.tape_nodes"] == len(Graph.from_output(loss)) == 27
+    assert counts["tensor.ops.matmul"] == 2
+    assert counts["tensor.ops.permute"] == 1
+    assert counts["tensor.matmul_gflop"] == 2.64e-06
 
 
 def test_tracer_times_each_time_axis_kan_apart():
@@ -86,10 +88,10 @@ def test_tracer_times_each_time_axis_kan_apart():
 
 
 def test_nograd_forward_records_each_layers_span():
-    """The untaped forward builds each component of the decomposition
-    alone, through ``moving_average_decompose``, which times the embedding's
-    lift with it, and calls the branches' layers as the taped forward does,
-    so the tracer still times each of them."""
+    """Both forwards, untaped and taped, split the windows once, through
+    ``moving_average_decompose``, lift each part through
+    ``Embedding.__call__`` and call each branch's layers once, so the
+    tracer times each of them on both paths."""
     cfg = ModelConfig(
         lookback=24, horizon=8, embed_dim=3, kernel=5, trend_degree=3,
         top_k=3, patch_len=4, stride=4,
@@ -97,15 +99,23 @@ def test_nograd_forward_records_each_layers_span():
     model = ForecastModel(cfg, [1 / 12, 0.25, 0.5], seed=8)
     x = Tensor(np.random.default_rng(9).normal(size=(5, 24)))
     tracer = load_hooks().Tracer()
-    tracer.patches.on()
-    try:
+
+    def nograd_forward():
         with no_grad():
             model.forward(x)
-    finally:
-        tracer.patches.off()
-    names = [span[0] for span in tracer.spans]
-    assert names[0] == "model.forward_nograd"
-    assert names.count("decomposition.decompose") == 2
-    for name in ("taylorkan.trend", "taylorkan.seasonal", "tfsynergy.patch",
-                 "tfsynergy.patch_kans", "tfsynergy.unpatch"):
-        assert names.count(name) == 1, (name, names)
+
+    for forward, name in ((nograd_forward, "model.forward_nograd"),
+                          (lambda: model.forward(x), "model.forward")):
+        tracer.spans.clear()
+        tracer.patches.on()
+        try:
+            forward()
+        finally:
+            tracer.patches.off()
+        names = [span[0] for span in tracer.spans]
+        assert names[0] == name
+        assert names.count("decomposition.decompose") == 1, names
+        assert names.count("decomposition.embed") == 2, names
+        for layer in ("taylorkan.trend", "taylorkan.seasonal", "tfsynergy.patch",
+                      "tfsynergy.patch_kans", "tfsynergy.unpatch"):
+            assert names.count(layer) == 1, (layer, names)

@@ -61,9 +61,7 @@ FAMILIES = {
     "silu": lambda u: u * sigmoid(u),
     "constant": None,  # handled separately
 }
-FAMILY_ORDER = [
-    "identity", "square", "cube", "sin", "cos", "exp", "gaussian", "silu", "constant",
-]
+FAMILY_ORDER = list(FAMILIES)  # the fit_summary.tsv columns
 # The fits ``symbolify_edge`` ranks, in order: "trig" is one fit for sin and
 # cos, named after the form with the smaller phase.
 FIT_ORDER = ("identity", "square", "cube", "trig", "exp", "gaussian", "silu", "constant")

@@ -7,7 +7,7 @@ time-frequency branch patches the seasonal component, learns per-patch
 frequency mixes, and unpatches. From the decomposition to the unpatch map
 each series array is channel-first, row-major (N, d, L), so every
 time-axis op reads its rows as they lie. The three branch outputs are
-summed, permuted to (N, L, d) and projected d -> 1 then L -> F.
+summed and mapped d -> 1 by the unpatch map's op, then L -> F.
 
 Both forwards split the (N, L) windows into trend and seasonal parts
 first and then lift each part on its own (see ``decomposition``), so the
@@ -36,8 +36,8 @@ from .tensor import (
     is_recording,
     matmul,
     no_grad,
-    permute,
     reshape,
+    unpatch,
 )
 from .tfsynergy import (
     PatchCompressor,
@@ -81,8 +81,9 @@ class ModelConfig:
         # the layers' own bounds, checked when the config is read
         validate_kernel(self.lookback, self.kernel)
         patch_count(self.lookback, self.patch_len, self.stride)
-        if 2 * self.top_k > self.lookback:
-            raise ValueError(f"top_k {self.top_k} needs lookback >= {2 * self.top_k}")
+        for key, need in (("top_k", 2 * self.top_k), ("trend_degree", self.trend_degree + 1)):
+            if need > self.lookback:
+                raise ValueError(f"{key} {getattr(self, key)} needs lookback >= {need}")
 
 
 def parse_fields(cls, raw, origin):
@@ -169,9 +170,10 @@ class ForecastModel:
         per-patch KANs, then seasonal; the sum is (trend + seasonal) + tf.
         The unpatch map adds its bias and then the running sum into its own
         GEMM output, so the forward's tail allocates one (N, d, L) array,
-        not one per op of its chain. The tape gets the same nodes and
-        parents in any run order, and backward's rule order follows the
-        parents alone.
+        not one per op of its chain. The head maps that array d -> 1 with
+        the same op (``tensor.unpatch``), then L -> F. The tape gets the
+        same nodes and parents in any run order, and backward's rule order
+        follows the parents alone.
 
         Untaped, no more than two (N, d, L) arrays are held at once: the
         trend KAN writes over the lifted trend; the seasonal part is then
@@ -196,8 +198,7 @@ class ForecastModel:
         else:
             h.data += h_seasonal.data  # add's bits, in the trend branch's own array
         del h_seasonal
-        h = permute(self.unpatcher(tf, h), (0, 2, 1))  # (N, L, d)
-        collapsed = reshape(matmul(h, self.head_w1) + self.head_b1, (n, length))
+        collapsed = reshape(unpatch(self.unpatcher(tf, h), self.head_w1, self.head_b1), (n, length))
         return matmul(collapsed, self.head_w2) + self.head_b2
 
     def reg_losses(self):

@@ -617,9 +617,10 @@ def lift(x, w, b=None):
 
 
 def unpatch(h, w, b, residual=None):
-    """(N, P, d) h mapped over its middle axis to (N, d, L): out[n, c, l] =
-    sum_p w[p, l] h[n, p, c] + b[l], plus ``residual`` (N, d, L) if given.
-
+    """(N, M, C) h mapped over its middle axis to (N, C, K): out[n, c, k] =
+    sum_m w[m, k] h[n, m, c] + b[k], plus ``residual`` (N, C, K) if given.
+    The model's unpatch map takes (N, P, d) patches to (N, d, L) with a
+    residual, and its head maps (N, d, L) d -> 1 to (N, L, 1) without one.
     The bits of the chain permute(h) @ w + b and then ``residual + that``,
     with the sum built in the GEMM's own output.
     """
@@ -684,8 +685,8 @@ def unpatch(h, w, b, residual=None):
 # functions touch only numpy arrays, never a Tensor or the thread-local
 # recording state. From the decomposition to the unpatch map the model's
 # series are row-major (N, d, L), so a time-axis op's input slab is a view
-# of its rows; a slab that is not row-major, such as a gradient a permute
-# passed on, is copied in cache. An array that is a cheap linear function of
+# of its rows; a slab that is not row-major, such as the head's transposed
+# gradient, is copied in cache. An array that is a cheap linear function of
 # a smaller input is built slab by slab and never held whole: patch_compress
 # gathers each slab's patch windows and patch_kans each slab's rows of the
 # time-frequency grid. Backward rebuilds from its slab of the input, by the

@@ -227,6 +227,7 @@ def test_train_unknown_frequency_exits_2_before_training(workspace, capsys):
     (dict(patch_len=17), "patch_len 17 exceeds series length 16"),
     (dict(stride=5), "need 1 <= stride <= patch_len, got stride=5, patch_len=4"),
     (dict(top_k=9), "top_k 9 needs lookback >= 18"),
+    (dict(trend_degree=16), "trend_degree 16 needs lookback >= 17"),
 ])
 def test_train_config_the_layers_cannot_build_exits_2_at_load(
     workspace, capsys, overrides, message
@@ -381,6 +382,7 @@ def test_eval_checkpoint_frequencies_without_a_common_base_exits_1(workspace, ca
     ("kernel", "five", "key 'kernel': cannot parse 'five'"),
     ("kernel", "4", "kernel must be odd"),
     ("frequencies", np.array([0.25]), "tensor frequencies: expected 2 frequencies, got 1"),
+    ("trend_degree", "16", "trend_degree 16 needs lookback >= 17"),
 ])
 def test_eval_bad_checkpoint_config_names_file_and_key_exits_1(
     workspace, capsys, key, value, message

@@ -68,6 +68,11 @@ def windows_chain(x, patch_len, stride):
     return T.concat(windows, axis=1)
 
 
+def affine_chain(h, w, b):
+    """permute(h) @ w + b: the map over h's middle axis that unpatch fuses."""
+    return T.matmul(T.permute(h, (0, 2, 1)), w) + b
+
+
 def patch_chain(grid, params):
     n, k_bins, _, d = grid.shape
     outputs = []
@@ -177,6 +182,24 @@ def make_case(name, rng):
         series = rng.normal(size=(2, 3, 9))  # (N, d, L)
         series[:, :, 4] = 0.0
         return patch_compress_case(rng, leaf_input(series))
+    if name == "unpatch":  # the time-frequency map, (N, P, d) -> (N, d, L)
+        patches = rng.normal(size=(2, 4, 3))
+        patches[:, 2, :] = 0.0
+        w, b, residual = param(rng, (4, 5)), param(rng, (5,)), param(rng, (2, 3, 5))
+        return (
+            lambda x_: T.unpatch(x_, w, b, residual),
+            lambda x_: residual + affine_chain(x_, w, b),
+            leaf_input(patches), [("w", w), ("b", b), ("residual", residual)],
+        )
+    if name == "unpatch_head":  # the head's d -> 1 map, (N, d, L) -> (N, L, 1)
+        series = rng.normal(size=(2, 3, 5))
+        series[:, :, 4] = 0.0
+        w, b = param(rng, (3, 1)), param(rng, (1,))
+        return (
+            lambda x_: T.unpatch(x_, w, b),
+            lambda x_: affine_chain(x_, w, b),
+            leaf_input(series), [("w", w), ("b", b)],
+        )
     raise KeyError(name)
 
 
@@ -210,9 +233,12 @@ OPS = [
     "taylor_kan", "taylor_kan_chain", "poly_inject", "fourier_inject", "patch_kans",
     "patch_compress",
 ]
+# the fused affine op's cases, which do not slab: they run through the
+# finite-difference, parity, no-grad and rule tests, not the slab tests
+AFFINE_OPS = ["unpatch", "unpatch_head"]
 # the tape op of each case's output: the chain case's two layers are one
 # taylor_kan node, whose prior is a poly_inject node
-TAPE_OP = {"taylor_kan_chain": "taylor_kan"}
+TAPE_OP = {"taylor_kan_chain": "taylor_kan", "unpatch_head": "unpatch"}
 
 
 def slab_shape(name, x):
@@ -231,7 +257,7 @@ def weighted_sum(out, seed=99):
 
 # --- finite differences ------------------------------------------------------
 
-@pytest.mark.parametrize("name", OPS)
+@pytest.mark.parametrize("name", OPS + AFFINE_OPS)
 def test_fused_op_input_gradient_matches_fd(name):
     fused, _, make_x, _ = make_case(name, np.random.default_rng(1))
     # gradient_check perturbs a contiguous copy of the (possibly permuted) input
@@ -239,7 +265,7 @@ def test_fused_op_input_gradient_matches_fd(name):
     assert err < FD_TOL, err
 
 
-@pytest.mark.parametrize("name", OPS)
+@pytest.mark.parametrize("name", OPS + AFFINE_OPS)
 def test_fused_op_parameter_gradients_match_fd(name):
     fused, _, make_x, named = make_case(name, np.random.default_rng(2))
     errors = param_fd_errors(lambda: weighted_sum(fused(make_x())), named)
@@ -269,7 +295,7 @@ def grads_of(fn, make_x, named):
     return out.data.copy(), grads
 
 
-@pytest.mark.parametrize("name", OPS)
+@pytest.mark.parametrize("name", OPS + AFFINE_OPS)
 def test_fused_op_matches_primitive_chain(name):
     fused, chain, make_x, named = make_case(name, np.random.default_rng(3))
     out_f, grads_f = grads_of(fused, make_x, named)
@@ -279,7 +305,14 @@ def test_fused_op_matches_primitive_chain(name):
         assert rel_gap(grads_f[key], grads_c[key]) < PARITY_RTOL, key
 
 
-@pytest.mark.parametrize("name", OPS)
+@pytest.mark.parametrize("name", AFFINE_OPS)
+def test_affine_op_forward_is_its_chain_bitwise(name):
+    fused, chain, make_x, _ = make_case(name, np.random.default_rng(6))
+    x = make_x()
+    np.testing.assert_array_equal(fused(x).data, chain(x).data)
+
+
+@pytest.mark.parametrize("name", OPS + AFFINE_OPS)
 def test_fused_op_no_grad_equals_taped(name):
     fused, _, make_x, _ = make_case(name, np.random.default_rng(4))
     x = make_x()
@@ -312,6 +345,15 @@ def test_fused_ops_reject_bad_shapes():
         T.patch_kans(patches, grid_map(2), params[:2])
     with pytest.raises(ShapeError):  # the old call, on a grid
         T.patch_kans(Tensor(rng.normal(size=(1, 2, 3, 2))), grid_map(3), params)
+    h, w1, b1 = Tensor(np.zeros((2, 3, 5))), Tensor(np.zeros((3, 1))), Tensor(np.zeros(1))
+    for args in [
+        (Tensor(np.zeros((3, 5))), w1, b1),  # h is not (N, M, C)
+        (h, Tensor(np.zeros((5, 1))), b1),  # w maps 5 rows, h has 3
+        (h, w1, Tensor(np.zeros(2))),  # one bias per output column
+        (h, w1, b1, Tensor(np.zeros((2, 3, 5)))),  # the residual is not (N, C, K)
+    ]:
+        with pytest.raises(ShapeError):
+            T.unpatch(*args)
 
 
 # --- the Fourier prior's harmonics ------------------------------------------------
@@ -700,7 +742,7 @@ def test_no_backward_closure_of_the_model_holds_a_tensor(task):
     rng = np.random.default_rng(9)
     x, y = Tensor(rng.normal(size=(5, 24))), Tensor(rng.normal(size=(5, 8)))
     loss, _ = total_loss(model.forward(x), y, model, cfg.reg_lambda, task)
-    assert len(T.Graph.from_output(loss)) == {"long": 27, "short": 33}[task]
+    assert len(T.Graph.from_output(loss)) == {"long": 25, "short": 31}[task]
     assert closures_holding_tensors(loss) == []
 
 
@@ -799,7 +841,7 @@ def test_output_read_only_by_a_shape_rule_is_freed(reader):
     assert errors["x"] < FD_TOL, errors
 
 
-@pytest.mark.parametrize("name", OPS)
+@pytest.mark.parametrize("name", OPS + AFFINE_OPS)
 def test_fused_op_rule_keeps_not_its_own_output(name):
     fused, _, make_x, named = make_case(name, np.random.default_rng(63))
 

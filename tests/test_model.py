@@ -128,18 +128,37 @@ def test_forecast_sums_the_branches_in_order_bitwise():
     """The taped and no-grad forecasts are head((h_trend + h_seasonal) +
     h_tf) bit for bit, with each branch computed on its own. Another
     grouping of the three sums rounds differently here, so this pins the
-    order that keeps the forecast's bits."""
+    order that keeps the forecast's bits. ``head`` is the primitive chain
+    the model's head ran before its d -> 1 map became an ``unpatch`` node;
+    the forward's own calls with that chain for a head give the taped
+    forecast's parameter gradients bit for bit."""
     cfg = ModelConfig(
         lookback=24, horizon=8, embed_dim=3, kernel=5, trend_degree=3,
         top_k=3, patch_len=4, stride=4,
     )
     model = ForecastModel(cfg, [1 / 12, 0.25, 0.5], seed=8)
     x = Tensor(np.random.default_rng(9).normal(size=(5, 24)))
+    weights = Tensor(np.random.default_rng(10).normal(size=(5, 8)))
 
     def head(h):
-        """(N, d, L) -> (N, F), as the forward's head."""
+        """(N, d, L) -> (N, F): permute(h) @ w1 + b1, then L -> F."""
         collapsed = reshape(matmul(permute(h, (0, 2, 1)), model.head_w1) + model.head_b1, (5, 24))
-        return (matmul(collapsed, model.head_w2) + model.head_b2).data
+        return matmul(collapsed, model.head_w2) + model.head_b2
+
+    def chain_head_forward():
+        """The forward's calls, in its order, with ``head`` for its head."""
+        trend, seasonal = moving_average_decompose(x, cfg.kernel)
+        h = model.trend_kan.forward(model.embed(trend))
+        seasonal = model.embed(seasonal, bias=False)
+        tf = model.tf_kans(model.patcher(seasonal))
+        h = h + model.seasonal_kan.forward(seasonal)
+        return head(model.unpatcher(tf, h))
+
+    def gradients(pred):
+        for _, t in model.parameters():
+            t.grad = None
+        backward((pred * weights).sum())
+        return {name: t.grad for name, t in model.parameters()}
 
     with no_grad():
         trend, seasonal = moving_average_decompose(x, cfg.kernel)
@@ -147,14 +166,19 @@ def test_forecast_sums_the_branches_in_order_bitwise():
         h_trend = model.trend_kan.forward(trend)
         h_seasonal = model.seasonal_kan.forward(seasonal)
         h_tf = model.unpatcher(model.tf_kans(model.patcher(seasonal)))
-        expected = head((h_trend + h_seasonal) + h_tf)
-        assert not np.array_equal(head(h_trend + (h_seasonal + h_tf)), expected)
-        assert not np.array_equal(head((h_trend + h_tf) + h_seasonal), expected)
+        expected = head((h_trend + h_seasonal) + h_tf).data
+        assert not np.array_equal(head(h_trend + (h_seasonal + h_tf)).data, expected)
+        assert not np.array_equal(head((h_trend + h_tf) + h_seasonal).data, expected)
         plain = model.forward(x)
     taped = model.forward(x)
     assert taped.requires_grad
     np.testing.assert_array_equal(taped.data, expected)
     np.testing.assert_array_equal(plain.data, expected)
+    got = gradients(taped)
+    oracle = chain_head_forward()
+    np.testing.assert_array_equal(oracle.data, expected)
+    for name, grad in gradients(oracle).items():
+        assert got[name].tobytes() == grad.tobytes(), name
 
 
 # the time-axis ops by the module that binds each name the model calls

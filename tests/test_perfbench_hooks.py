@@ -45,9 +45,9 @@ def test_graph_counts_reads_the_tape():
     """``graph_counts`` walks the tape through ``t.op``, ``t.parents`` and
     the operands' ``shape``. The pinned values are this small model's tape
     counts, which a change to how the tape is stored must not move. The
-    two matmuls, their FLOPs and the one permute are the head's: the
-    windows' split records no node, and the unpatch map's and the KAN
-    layers' GEMMs run inside fused ops, which ``graph_counts`` does not
+    one matmul and its FLOPs are the head's L -> F map: the windows' split
+    records no node, and the head's d -> 1 map's, the unpatch map's and the
+    KAN layers' GEMMs run inside fused ops, which ``graph_counts`` does not
     count."""
     cfg = ModelConfig(
         lookback=24, horizon=8, embed_dim=3, kernel=5, trend_degree=3,
@@ -58,10 +58,10 @@ def test_graph_counts_reads_the_tape():
     x, y = Tensor(rng.normal(size=(5, 24))), Tensor(rng.normal(size=(5, 8)))
     loss, _ = total_loss(model.forward(x), y, model, cfg.reg_lambda, "long")
     counts = load_hooks().graph_counts(loss)
-    assert counts["tensor.tape_nodes"] == len(Graph.from_output(loss)) == 27
-    assert counts["tensor.ops.matmul"] == 2
-    assert counts["tensor.ops.permute"] == 1
-    assert counts["tensor.matmul_gflop"] == 2.64e-06
+    assert counts["tensor.tape_nodes"] == len(Graph.from_output(loss)) == 25
+    assert counts["tensor.ops.matmul"] == 1
+    assert counts["tensor.ops.permute"] == 0
+    assert counts["tensor.matmul_gflop"] == 1.92e-06
 
 
 def test_tracer_times_each_time_axis_kan_apart():
